@@ -401,6 +401,7 @@ RunResult run_single(const RunOptions& opt, const Schedule& schedule,
     record.metrics = &merged;
     res.artifact_path = obs::dump_flight(record, ropt.artifact_dir);
   }
+  res.events = cluster.eq().events_executed();
   return res;
 }
 
@@ -653,6 +654,7 @@ RunResult run_kv(const RunOptions& opt, const Schedule& schedule,
     record.metrics = &merged;
     res.artifact_path = obs::dump_flight(record, opt.artifact_dir);
   }
+  res.events = cluster.eq().events_executed();
   return res;
 }
 
@@ -1005,6 +1007,7 @@ RunResult run_multi(const RunOptions& opt, const Schedule& schedule,
     record.metrics = &reg;
     res.artifact_path = obs::dump_flight(record, opt.artifact_dir);
   }
+  res.events = rings.eq().events_executed();
   return res;
 }
 
@@ -1076,19 +1079,24 @@ Schedule shrink(const RunOptions& opt, const Schedule& schedule,
   return best;
 }
 
+Schedule campaign_schedule(const Scenario& scenario, uint64_t seed,
+                           const RunOptions& opt) {
+  // Salted by the scenario's catalogue index, so scenarios are appended to
+  // the catalogue, never inserted: that keeps the corpus seeds' schedules.
+  uint64_t sm = seed * 1000003ULL +
+                static_cast<uint64_t>(&scenario - scenarios().data());
+  return scenario.make(util::splitmix64(sm), opt.nodes, opt.horizon);
+}
+
 CampaignResult run_campaign(const CampaignOptions& opt) {
   CampaignResult result;
-  size_t scenario_index = 0;
   for (const Scenario& sc : scenarios()) {
-    const size_t idx = scenario_index++;
     if (!opt.only.empty()) {
       bool wanted = false;
       for (const std::string& name : opt.only) wanted = wanted || name == sc.name;
       if (!wanted) continue;
     }
-    if (opt.run.rings > 1 && !sc.multiring_safe) continue;
-    // Migration scenarios need a ring set to migrate between.
-    if (opt.run.rings <= 1 && sc.migration) continue;
+    if (!sc.runs_at(opt.run.rings)) continue;
 
     std::vector<uint64_t> seeds;
     for (int i = 0; i < opt.seeds_per_scenario; ++i) {
@@ -1098,12 +1106,7 @@ CampaignResult run_campaign(const CampaignOptions& opt) {
 
     int scenario_failures = 0;
     for (uint64_t seed : seeds) {
-      // The schedule derives from (scenario, seed) alone, so a failure
-      // reproduces from the printed pair.
-      uint64_t sm = seed * 1000003ULL + idx;
-      const uint64_t gen_seed = util::splitmix64(sm);
-      const Schedule schedule =
-          sc.make(gen_seed, opt.run.nodes, opt.run.horizon);
+      const Schedule schedule = campaign_schedule(sc, seed, opt.run);
       const RunResult run = run_schedule(opt.run, schedule, seed);
       ++result.runs;
       result.delivered += run.delivered;

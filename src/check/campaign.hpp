@@ -87,6 +87,9 @@ struct RunResult {
   uint64_t quarantines = 0;
   uint64_t readmits = 0;
   uint64_t client_delivered = 0;  ///< client-level runs: app deliveries
+  /// Simulator events executed (EventQueue::events_executed() at the end
+  /// of the run): the cheapest fingerprint that two runs were identical.
+  uint64_t events = 0;
   std::string report;      ///< violations joined, "" when ok
   /// Flight-recorder artifact written for this run ("" when the run passed,
   /// artifact_dir was empty, or the write failed).
@@ -95,6 +98,12 @@ struct RunResult {
 
 [[nodiscard]] RunResult run_schedule(const RunOptions& opt,
                                      const Schedule& schedule, uint64_t seed);
+
+/// The schedule run_campaign() runs for `scenario` (an entry of scenarios())
+/// at `seed`: a function of the pair (plus opt.nodes and opt.horizon)
+/// alone, so a printed failure reproduces from it.
+[[nodiscard]] Schedule campaign_schedule(const Scenario& scenario,
+                                         uint64_t seed, const RunOptions& opt);
 
 /// Greedy shrink: repeatedly drop any single event whose removal keeps the
 /// run failing, until no event is removable. Deterministic given the seed.

@@ -119,6 +119,11 @@ struct Scenario {
   /// Keyed workload draws zipf-skewed keys (hot-shard scenarios) instead of
   /// uniform per-(node, index) keys.
   bool zipf_keys = false;
+
+  /// Whether the campaign runs this scenario on a set of `rings` rings.
+  [[nodiscard]] bool runs_at(int rings) const {
+    return rings > 1 ? multiring_safe : !migration;
+  }
 };
 
 /// The 3-datacenter topology every WAN campaign scenario runs on: `nodes`

@@ -396,6 +396,116 @@ TEST(CampaignTest, MultiRingScenariosClean) {
   }
 }
 
+// Run fingerprints: every scenario at single-ring seeds 1 and 2 and K=4
+// seed 1 (the run set of the sim_campaign benchmark). The figures were
+// captured before the campaign runners were merged into one; a refactor of
+// the campaign plumbing must reproduce them exactly, because the event
+// queue fires equal-time events in scheduling order and any reordering of
+// workload, fault or heal events shows up in the event count.
+struct Fingerprint {
+  const char* scenario;
+  int rings;
+  uint64_t seed;
+  bool ok;
+  uint64_t delivered, client_delivered, events, quarantines, readmits,
+      false_ejections;
+};
+
+TEST(CampaignTest, RunsAreSeedIdentical) {
+  // {scenario, rings, seed, ok, delivered, client_delivered, events,
+  //  quarantines, readmits, false_ejections}
+  const std::vector<Fingerprint> expected = {
+      {"loss_bursts", 1, 1, true, 3125, 0, 24678, 0, 0, 0},
+      {"token_drops", 1, 1, true, 3125, 0, 26199, 0, 0, 0},
+      {"partition", 1, 1, true, 2963, 0, 23529, 0, 0, 0},
+      {"partition_delayed_heal", 1, 1, true, 2833, 0, 25724, 0, 0, 0},
+      {"crash", 1, 1, true, 2758, 0, 24207, 0, 0, 0},
+      {"crash_restart", 1, 1, true, 3064, 0, 25822, 0, 0, 0},
+      {"mixed", 1, 1, true, 2632, 0, 22075, 0, 0, 0},
+      {"latency_shift", 1, 1, true, 3125, 0, 23965, 0, 0, 3},
+      {"overload", 1, 1, true, 7980, 15860, 41545, 0, 0, 0},
+      {"reconnect_storm", 1, 1, true, 5443, 10419, 32386, 0, 0, 0},
+      {"straggler_cpu", 1, 1, true, 2845, 0, 28282, 2, 2, 0},
+      {"lossy_nic", 1, 1, true, 3125, 0, 19026, 0, 0, 0},
+      {"flapping_link", 1, 1, true, 3125, 0, 26969, 0, 0, 0},
+      {"reorder_duplicate", 1, 1, true, 3125, 0, 26753, 0, 0, 0},
+      {"kv_state_transfer_crash", 1, 1, true, 8863, 1604, 53241, 0, 0, 0},
+      {"kv_lease_holder_crash", 1, 1, true, 8010, 1681, 50855, 0, 0, 0},
+      {"wan_loss_bursts", 1, 1, true, 3125, 0, 13811, 0, 0, 0},
+      {"wan_latency_surge", 1, 1, true, 3125, 0, 13597, 0, 0, 0},
+      {"rack_power", 1, 1, true, 2444, 0, 13295, 0, 0, 0},
+      {"switch_brownout", 1, 1, true, 3125, 0, 13836, 0, 0, 0},
+      {"dc_flap", 1, 1, true, 3125, 0, 13929, 0, 0, 0},
+      {"kv_wan_rack_power", 1, 1, true, 5720, 1210, 27467, 0, 0, 0},
+      {"kv_blackout", 1, 1, true, 6755, 1509, 44249, 0, 0, 0},
+      {"kv_blackout_torn", 1, 1, true, 7660, 1663, 48841, 0, 0, 0},
+      {"kv_disk_bitrot", 1, 1, true, 8010, 1818, 51290, 0, 0, 0},
+      {"kv_disk_stress", 1, 1, true, 9116, 1743, 55157, 0, 0, 0},
+      {"loss_bursts", 1, 2, true, 3125, 0, 25077, 0, 0, 0},
+      {"token_drops", 1, 2, true, 3125, 0, 25380, 0, 0, 0},
+      {"partition", 1, 2, true, 2837, 0, 25731, 0, 0, 0},
+      {"partition_delayed_heal", 1, 2, true, 2693, 0, 25427, 0, 0, 0},
+      {"crash", 1, 2, true, 2675, 0, 23809, 0, 0, 0},
+      {"crash_restart", 1, 2, true, 3060, 0, 25774, 0, 0, 0},
+      {"mixed", 1, 2, true, 2649, 0, 22469, 0, 0, 0},
+      {"latency_shift", 1, 2, true, 3125, 0, 24095, 0, 0, 0},
+      {"overload", 1, 2, true, 7045, 13990, 38872, 0, 0, 0},
+      {"reconnect_storm", 1, 2, true, 5624, 10925, 33735, 0, 0, 0},
+      {"straggler_cpu", 1, 2, true, 2900, 0, 27019, 1, 1, 0},
+      {"lossy_nic", 1, 2, true, 2991, 0, 24109, 1, 1, 0},
+      {"flapping_link", 1, 2, true, 3125, 0, 26889, 0, 0, 0},
+      {"reorder_duplicate", 1, 2, true, 3125, 0, 26815, 0, 0, 0},
+      {"kv_state_transfer_crash", 1, 2, true, 6971, 1499, 44854, 0, 0, 0},
+      {"kv_lease_holder_crash", 1, 2, true, 8998, 1727, 53621, 0, 0, 0},
+      {"wan_loss_bursts", 1, 2, true, 3125, 0, 14289, 0, 0, 0},
+      {"wan_latency_surge", 1, 2, true, 3125, 0, 13571, 0, 0, 0},
+      {"rack_power", 1, 2, true, 2521, 0, 14399, 0, 0, 0},
+      {"switch_brownout", 1, 2, true, 3125, 0, 13761, 0, 0, 0},
+      {"dc_flap", 1, 2, true, 3125, 0, 13835, 0, 0, 0},
+      {"kv_wan_rack_power", 1, 2, true, 6410, 1180, 29870, 0, 0, 0},
+      {"kv_blackout", 1, 2, true, 6855, 1483, 44817, 0, 0, 0},
+      {"kv_blackout_torn", 1, 2, true, 7225, 1504, 46246, 0, 0, 0},
+      {"kv_disk_bitrot", 1, 2, true, 8778, 1713, 53896, 0, 0, 0},
+      {"kv_disk_stress", 1, 2, true, 10008, 1795, 57905, 0, 0, 0},
+      {"loss_bursts", 4, 1, true, 36213, 0, 204929, 0, 0, 0},
+      {"token_drops", 4, 1, true, 37021, 0, 211961, 0, 0, 0},
+      {"crash", 4, 1, true, 33251, 0, 207112, 0, 0, 0},
+      {"latency_shift", 4, 1, true, 37244, 0, 203182, 0, 0, 0},
+      {"reorder_duplicate", 4, 1, true, 36875, 0, 213018, 0, 0, 0},
+      {"wan_loss_bursts", 4, 1, true, 31700, 0, 136052, 0, 0, 0},
+      {"wan_latency_surge", 4, 1, true, 30380, 0, 130292, 0, 0, 0},
+      {"ring_add_under_load", 4, 1, true, 36766, 0, 211913, 0, 0, 0},
+      {"ring_remove_under_load", 4, 1, true, 36800, 0, 208533, 0, 0, 0},
+      {"migration_during_partition_heal", 4, 1, true, 35465, 0, 208492, 0, 0, 0},
+      {"hot_shard_zipf_rebalance", 4, 1, true, 36830, 0, 212360, 0, 0, 0},
+  };
+  size_t runs = 0;
+  for (const Scenario& sc : scenarios()) {
+    for (const int rings : {1, 4}) {
+      if (sc.runs_at(rings)) runs += rings == 1 ? 2 : 1;
+    }
+  }
+  EXPECT_EQ(runs, expected.size());
+  for (const Fingerprint& want : expected) {
+    SCOPED_TRACE(std::string(want.scenario) + " rings=" +
+                 std::to_string(want.rings) + " seed=" +
+                 std::to_string(want.seed));
+    const Scenario* sc = find_scenario(want.scenario);
+    ASSERT_NE(sc, nullptr);
+    RunOptions run = fast_run_options();
+    run.rings = want.rings;
+    const RunResult got =
+        run_schedule(run, campaign_schedule(*sc, want.seed, run), want.seed);
+    EXPECT_EQ(got.ok, want.ok) << got.report;
+    EXPECT_EQ(got.delivered, want.delivered);
+    EXPECT_EQ(got.client_delivered, want.client_delivered);
+    EXPECT_EQ(got.events, want.events);
+    EXPECT_EQ(got.quarantines, want.quarantines);
+    EXPECT_EQ(got.readmits, want.readmits);
+    EXPECT_EQ(got.false_ejections, want.false_ejections);
+  }
+}
+
 // Every seed in tests/seeds/regression.seeds once exposed a real bug; replay
 // the whole corpus against every scenario (no sweep seeds on top).
 TEST(CampaignTest, RegressionSeedCorpusClean) {
