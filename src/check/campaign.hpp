@@ -99,6 +99,12 @@ struct RunResult {
 [[nodiscard]] RunResult run_schedule(const RunOptions& opt,
                                      const Schedule& schedule, uint64_t seed);
 
+/// Whether a run of `stack` on `rings` rings acts on a fault of `kind`.
+/// run_schedule skips any other event (a hand-written schedule may hold
+/// one); every catalogue scenario emits only faults its stack applies at
+/// each ring count it runs at.
+[[nodiscard]] bool stack_applies(Stack stack, int rings, FaultKind kind);
+
 /// The schedule run_campaign() runs for `scenario` (an entry of scenarios())
 /// at `seed`: a function of the pair (plus opt.nodes and opt.horizon)
 /// alone, so a printed failure reproduces from it.
@@ -142,5 +148,10 @@ struct CampaignResult {
 };
 
 [[nodiscard]] CampaignResult run_campaign(const CampaignOptions& opt);
+
+/// Read a seed corpus file (tests/seeds/README.md): one integer seed per
+/// line, decimal or 0x hex, `#` starting a comment. Empty when the file
+/// cannot be read or holds no seeds.
+[[nodiscard]] std::vector<uint64_t> load_seed_corpus(const std::string& path);
 
 }  // namespace accelring::check

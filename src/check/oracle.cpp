@@ -761,12 +761,9 @@ std::string MergedOracle::report() const {
   return os.str();
 }
 
-std::string join_reports(
-    const std::vector<const std::vector<Violation>*>& lists) {
+std::string join_reports(const std::vector<Violation>& violations) {
   std::ostringstream os;
-  for (const auto* list : lists) {
-    for (const Violation& v : *list) os << v.what << "\n";
-  }
+  for (const Violation& v : violations) os << v.what << "\n";
   return os.str();
 }
 

@@ -240,8 +240,7 @@ class MergedOracle {
   uint64_t observed_ = 0;
 };
 
-/// Join violations from several oracles into one report block.
-[[nodiscard]] std::string join_reports(
-    const std::vector<const std::vector<Violation>*>& lists);
+/// One report block: the violations, one per line.
+[[nodiscard]] std::string join_reports(const std::vector<Violation>& violations);
 
 }  // namespace accelring::check

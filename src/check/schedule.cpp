@@ -1,5 +1,7 @@
 #include "check/schedule.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "util/rng.hpp"
@@ -8,6 +10,12 @@ namespace accelring::check {
 namespace {
 
 using util::Rng;
+
+// Generators build events with designated initializers, whose clauses
+// evaluate in FaultEvent's declaration order; where an event's rng draws
+// follow another order, its fields are set one statement at a time. Either
+// way a generator's draw order is part of its output (the corpus seeds
+// replay it), so keep it when editing one.
 
 /// A fault time inside the active window [horizon/10, horizon * 7/10] (so
 /// the tail of the horizon still carries faulted traffic before the drain).
@@ -25,33 +33,54 @@ int victim(Rng& rng, int nodes) {
   return static_cast<int>(rng.range(1, nodes - 1));
 }
 
-Schedule loss_bursts(uint64_t seed, int nodes, Nanos horizon) {
-  (void)nodes;
+/// `lo_ms`..`hi_ms` after `t`, clamped to the horizon.
+Nanos after(Rng& rng, Nanos t, int lo_ms, int hi_ms, Nanos horizon) {
+  return std::min<Nanos>(t + util::msec(rng.range(lo_ms, hi_ms)), horizon);
+}
+
+/// The event of `kind` that undoes `e` on the same node (or group)
+/// `lo_ms`..`hi_ms` later: the restart after a crash, the power restore
+/// after a power loss.
+FaultEvent undo(Rng& rng, const FaultEvent& e, FaultKind kind, int lo_ms,
+                int hi_ms, Nanos horizon) {
+  return {.at = after(rng, e.at, lo_ms, hi_ms, horizon),
+          .kind = kind,
+          .node = e.node,
+          .group = e.group};
+}
+
+/// A loss burst at rate 0.05 + U * `spread` for 5..`max_ms` ms.
+FaultEvent loss_burst(Rng& rng, Nanos horizon, double spread, int max_ms) {
+  return {.at = fault_time(rng, horizon),
+          .kind = FaultKind::kLossBurst,
+          .rate = 0.05 + rng.uniform() * spread,
+          .duration = util::msec(rng.range(5, max_ms))};
+}
+
+/// 1-3 loss bursts at rate 0.05 + U * `spread`.
+Schedule some_loss_bursts(const char* name, double spread, uint64_t seed,
+                          Nanos horizon) {
   Rng rng(seed);
-  Schedule s{"loss_bursts", {}};
+  Schedule s{name, {}};
   const int bursts = static_cast<int>(rng.range(1, 3));
   for (int i = 0; i < bursts; ++i) {
-    FaultEvent e;
-    e.kind = FaultKind::kLossBurst;
-    e.at = fault_time(rng, horizon);
-    e.rate = 0.05 + rng.uniform() * 0.35;
-    e.duration = util::msec(rng.range(5, 40));
-    s.events.push_back(std::move(e));
+    s.events.push_back(loss_burst(rng, horizon, spread, 40));
   }
   return s;
 }
 
-Schedule token_drops(uint64_t seed, int nodes, Nanos horizon) {
-  (void)nodes;
+Schedule loss_bursts(uint64_t seed, int, Nanos horizon) {
+  return some_loss_bursts("loss_bursts", 0.35, seed, horizon);
+}
+
+Schedule token_drops(uint64_t seed, int, Nanos horizon) {
   Rng rng(seed);
   Schedule s{"token_drops", {}};
   const int drops = static_cast<int>(rng.range(1, 3));
   for (int i = 0; i < drops; ++i) {
-    FaultEvent e;
-    e.kind = FaultKind::kTokenDrop;
-    e.at = fault_time(rng, horizon);
-    e.count = static_cast<uint32_t>(rng.range(1, 5));
-    s.events.push_back(std::move(e));
+    s.events.push_back({.at = fault_time(rng, horizon),
+                        .kind = FaultKind::kTokenDrop,
+                        .count = static_cast<uint32_t>(rng.range(1, 5))});
   }
   return s;
 }
@@ -76,18 +105,14 @@ Schedule make_partition(uint64_t seed, int nodes, Nanos horizon,
                         bool delayed_heal) {
   Rng rng(seed);
   Schedule s{delayed_heal ? "partition_delayed_heal" : "partition", {}};
-  FaultEvent cut;
-  cut.kind = FaultKind::kPartition;
-  cut.at = fault_time(rng, horizon);
-  cut.group = random_group(rng, nodes);
-  FaultEvent heal;
-  heal.kind = FaultKind::kHeal;
-  heal.at = delayed_heal
-                ? horizon - horizon / 10  // heal only just before the drain
-                : std::min<Nanos>(cut.at + util::msec(rng.range(30, 80)),
-                                  horizon);
-  s.events.push_back(std::move(cut));
-  s.events.push_back(std::move(heal));
+  s.events.push_back({.at = fault_time(rng, horizon),
+                      .kind = FaultKind::kPartition,
+                      .group = random_group(rng, nodes)});
+  s.events.push_back(
+      {.at = delayed_heal
+                 ? horizon - horizon / 10  // heal only just before the drain
+                 : after(rng, s.events.back().at, 30, 80, horizon),
+       .kind = FaultKind::kHeal});
   return s;
 }
 
@@ -101,33 +126,24 @@ Schedule partition_delayed_heal(uint64_t seed, int nodes, Nanos horizon) {
 
 Schedule crash(uint64_t seed, int nodes, Nanos horizon) {
   Rng rng(seed);
-  Schedule s{"crash", {}};
-  FaultEvent e;
-  e.kind = FaultKind::kCrash;
-  e.at = fault_time(rng, horizon);
-  e.node = victim(rng, nodes);
-  s.events.push_back(std::move(e));
-  return s;
+  return {"crash",
+          {{.at = fault_time(rng, horizon),
+            .kind = FaultKind::kCrash,
+            .node = victim(rng, nodes)}}};
 }
 
 Schedule crash_restart(uint64_t seed, int nodes, Nanos horizon) {
   Rng rng(seed);
   Schedule s{"crash_restart", {}};
-  FaultEvent down;
-  down.kind = FaultKind::kCrash;
-  down.at = fault_time(rng, horizon);
-  down.node = victim(rng, nodes);
-  FaultEvent up;
-  up.kind = FaultKind::kRestart;
-  up.node = down.node;
-  up.at = std::min<Nanos>(down.at + util::msec(rng.range(20, 80)), horizon);
-  s.events.push_back(std::move(down));
-  s.events.push_back(std::move(up));
+  s.events.push_back({.at = fault_time(rng, horizon),
+                      .kind = FaultKind::kCrash,
+                      .node = victim(rng, nodes)});
+  s.events.push_back(
+      undo(rng, s.events.back(), FaultKind::kRestart, 20, 80, horizon));
   return s;
 }
 
-Schedule latency_shift(uint64_t seed, int nodes, Nanos horizon) {
-  (void)nodes;
+Schedule latency_shift(uint64_t seed, int, Nanos horizon) {
   Rng rng(seed);
   Schedule s{"latency_shift", {}};
   const int shifts = static_cast<int>(rng.range(1, 2));
@@ -147,12 +163,10 @@ Schedule overload(uint64_t seed, int nodes, Nanos horizon) {
   Schedule s{"overload", {}};
   const int bursts = static_cast<int>(rng.range(1, 3));
   for (int i = 0; i < bursts; ++i) {
-    FaultEvent e;
-    e.kind = FaultKind::kOverload;
-    e.at = fault_time(rng, horizon);
-    e.node = static_cast<int>(rng.range(0, nodes - 1));
-    e.count = static_cast<uint32_t>(rng.range(200, 600));
-    s.events.push_back(std::move(e));
+    s.events.push_back({.at = fault_time(rng, horizon),
+                        .kind = FaultKind::kOverload,
+                        .node = static_cast<int>(rng.range(0, nodes - 1)),
+                        .count = static_cast<uint32_t>(rng.range(200, 600))});
   }
   return s;
 }
@@ -165,50 +179,39 @@ Schedule reconnect_storm(uint64_t seed, int nodes, Nanos horizon) {
   // strict cross-node checks hold even for the static-start creator.
   const int victims = static_cast<int>(rng.range(1, 2));
   for (int i = 0; i < victims; ++i) {
-    FaultEvent down;
-    down.kind = FaultKind::kCrash;
-    down.at = fault_time(rng, horizon);
-    down.node = static_cast<int>(rng.range(0, nodes - 1));
-    FaultEvent up;
-    up.kind = FaultKind::kRestart;
-    up.node = down.node;
-    up.at = std::min<Nanos>(down.at + util::msec(rng.range(20, 60)), horizon);
-    s.events.push_back(std::move(down));
-    s.events.push_back(std::move(up));
+    s.events.push_back({.at = fault_time(rng, horizon),
+                        .kind = FaultKind::kCrash,
+                        .node = static_cast<int>(rng.range(0, nodes - 1))});
+    s.events.push_back(
+        undo(rng, s.events.back(), FaultKind::kRestart, 20, 60, horizon));
   }
   return s;
 }
 
 Schedule straggler_cpu(uint64_t seed, int nodes, Nanos horizon) {
   Rng rng(seed);
-  Schedule s{"straggler_cpu", {}};
   // One member turns gray: every instruction costs 4-12x. The gray-failure
   // detector should quarantine it; the oracles verify nobody healthy is
   // touched and the ring keeps delivering.
-  FaultEvent slow;
-  slow.kind = FaultKind::kCpuMultiplier;
-  slow.at = fault_time(rng, horizon);
-  slow.node = victim(rng, nodes);
-  slow.rate = 4.0 + rng.uniform() * 8.0;
-  s.events.push_back(std::move(slow));
-  return s;
+  return {"straggler_cpu",
+          {{.at = fault_time(rng, horizon),
+            .kind = FaultKind::kCpuMultiplier,
+            .node = victim(rng, nodes),
+            .rate = 4.0 + rng.uniform() * 8.0}}};
 }
 
 Schedule lossy_nic(uint64_t seed, int nodes, Nanos horizon) {
   Rng rng(seed);
-  Schedule s{"lossy_nic", {}};
   // One member's receive path degrades: frames from every sender toward it
   // drop with probability 0.1-0.35 (an ingress NIC fault, invisible to the
   // symmetric loss model). The victim keeps requesting retransmissions every
   // rotation, which is exactly the signature the detector watches.
-  FaultEvent loss;
-  loss.kind = FaultKind::kLinkLoss;
-  loss.at = fault_time(rng, horizon);
-  loss.node = victim(rng, nodes);
-  loss.peer = -1;  // every sender -> victim
-  loss.rate = 0.10 + rng.uniform() * 0.25;
-  s.events.push_back(std::move(loss));
-  return s;
+  return {"lossy_nic",
+          {{.at = fault_time(rng, horizon),
+            .kind = FaultKind::kLinkLoss,
+            .node = victim(rng, nodes),
+            .rate = 0.10 + rng.uniform() * 0.25,
+            .peer = -1}}};  // every sender -> victim
 }
 
 Schedule flapping_link(uint64_t seed, int nodes, Nanos horizon) {
@@ -222,37 +225,30 @@ Schedule flapping_link(uint64_t seed, int nodes, Nanos horizon) {
                         0, nodes - 2))) % nodes;
   const int flaps = static_cast<int>(rng.range(3, 6));
   for (int i = 0; i < flaps; ++i) {
-    FaultEvent down;
-    down.kind = FaultKind::kLinkDown;
-    down.at = fault_time(rng, horizon);
-    down.node = node;
-    down.peer = peer;
-    down.duration = util::msec(rng.range(2, 12));
-    s.events.push_back(std::move(down));
+    s.events.push_back({.at = fault_time(rng, horizon),
+                        .kind = FaultKind::kLinkDown,
+                        .node = node,
+                        .duration = util::msec(rng.range(2, 12)),
+                        .peer = peer});
   }
   return s;
 }
 
-Schedule reorder_duplicate(uint64_t seed, int nodes, Nanos horizon) {
-  (void)nodes;
+Schedule reorder_duplicate(uint64_t seed, int, Nanos horizon) {
   Rng rng(seed);
   Schedule s{"reorder_duplicate", {}};
-  {
-    FaultEvent e;
-    e.kind = FaultKind::kReorder;
-    e.at = fault_time(rng, horizon);
-    e.rate = 0.05 + rng.uniform() * 0.20;
-    e.extra_latency = util::usec(rng.range(50, 400));
-    e.duration = util::msec(rng.range(20, 60));
-    s.events.push_back(std::move(e));
-  }
+  FaultEvent reorder;
+  reorder.kind = FaultKind::kReorder;
+  reorder.at = fault_time(rng, horizon);
+  reorder.rate = 0.05 + rng.uniform() * 0.20;
+  reorder.extra_latency = util::usec(rng.range(50, 400));
+  reorder.duration = util::msec(rng.range(20, 60));
+  s.events.push_back(std::move(reorder));
   if (rng.chance(0.7)) {
-    FaultEvent e;
-    e.kind = FaultKind::kDuplicate;
-    e.at = fault_time(rng, horizon);
-    e.rate = 0.05 + rng.uniform() * 0.15;
-    e.duration = util::msec(rng.range(20, 60));
-    s.events.push_back(std::move(e));
+    s.events.push_back({.at = fault_time(rng, horizon),
+                        .kind = FaultKind::kDuplicate,
+                        .rate = 0.05 + rng.uniform() * 0.15,
+                        .duration = util::msec(rng.range(20, 60))});
   }
   return s;
 }
@@ -260,37 +256,19 @@ Schedule reorder_duplicate(uint64_t seed, int nodes, Nanos horizon) {
 Schedule mixed(uint64_t seed, int nodes, Nanos horizon) {
   Rng rng(seed);
   Schedule s{"mixed", {}};
-  {
-    FaultEvent e;
-    e.kind = FaultKind::kLossBurst;
-    e.at = fault_time(rng, horizon);
-    e.rate = 0.05 + rng.uniform() * 0.25;
-    e.duration = util::msec(rng.range(5, 25));
-    s.events.push_back(std::move(e));
-  }
-  {
-    FaultEvent e;
-    e.kind = FaultKind::kTokenDrop;
-    e.at = fault_time(rng, horizon);
-    e.count = static_cast<uint32_t>(rng.range(1, 3));
-    s.events.push_back(std::move(e));
-  }
+  s.events.push_back(loss_burst(rng, horizon, 0.25, 25));
+  s.events.push_back({.at = fault_time(rng, horizon),
+                      .kind = FaultKind::kTokenDrop,
+                      .count = static_cast<uint32_t>(rng.range(1, 3))});
   const int node = victim(rng, nodes);
-  {
-    FaultEvent e;
-    e.kind = FaultKind::kCrash;
-    e.at = fault_time(rng, horizon);
-    e.node = node;
-    s.events.push_back(std::move(e));
-  }
+  s.events.push_back(
+      {.at = fault_time(rng, horizon), .kind = FaultKind::kCrash, .node = node});
   if (rng.chance(0.5)) {
-    FaultEvent e;
-    e.kind = FaultKind::kRestart;
-    e.node = node;
     // Restart may land before the crash; the runner skips it then, which is
     // exactly the droppable-event property shrinking relies on.
-    e.at = fault_time(rng, horizon);
-    s.events.push_back(std::move(e));
+    s.events.push_back({.at = fault_time(rng, horizon),
+                        .kind = FaultKind::kRestart,
+                        .node = node});
   }
   return s;
 }
@@ -303,53 +281,34 @@ Schedule kv_state_transfer_crash(uint64_t seed, int nodes, Nanos horizon) {
   // right after the restart, with good odds of dying mid-transfer. Both
   // victims may restart (the epoch store keeps ring ids unique even for the
   // static-start creator, the reconnect_storm precedent).
-  FaultEvent down;
-  down.kind = FaultKind::kCrash;
-  down.at = fault_time(rng, horizon);
-  down.node = victim(rng, nodes);
-  FaultEvent up;
-  up.kind = FaultKind::kRestart;
-  up.node = down.node;
-  up.at = std::min<Nanos>(down.at + util::msec(rng.range(20, 60)), horizon);
-  FaultEvent sender_down;
-  sender_down.kind = FaultKind::kCrash;
-  sender_down.node = 0;
-  sender_down.at =
-      std::min<Nanos>(up.at + util::msec(rng.range(0, 10)), horizon);
-  s.events.push_back(std::move(down));
-  s.events.push_back(std::move(up));
-  s.events.push_back(std::move(sender_down));
+  s.events.push_back({.at = fault_time(rng, horizon),
+                      .kind = FaultKind::kCrash,
+                      .node = victim(rng, nodes)});
+  s.events.push_back(
+      undo(rng, s.events.back(), FaultKind::kRestart, 20, 60, horizon));
+  s.events.push_back({.at = after(rng, s.events.back().at, 0, 10, horizon),
+                      .kind = FaultKind::kCrash,
+                      .node = 0});
   if (rng.chance(0.7)) {
-    FaultEvent sender_up;
-    sender_up.kind = FaultKind::kRestart;
-    sender_up.node = 0;
-    sender_up.at = std::min<Nanos>(
-        s.events.back().at + util::msec(rng.range(20, 50)), horizon);
-    s.events.push_back(std::move(sender_up));
+    s.events.push_back(
+        undo(rng, s.events.back(), FaultKind::kRestart, 20, 50, horizon));
   }
   return s;
 }
 
-Schedule kv_lease_holder_crash(uint64_t seed, int nodes, Nanos horizon) {
-  (void)nodes;
+Schedule kv_lease_holder_crash(uint64_t seed, int, Nanos horizon) {
   Rng rng(seed);
   Schedule s{"kv_lease_holder_crash", {}};
   // Node 0 is the designated leaseholder of shard 0 in the initial view:
   // kill it while it serves lease reads. The survivors must revoke on the
   // view change, the successor's lease must wait out the guard, and the
   // oracle's exclusivity check must stay clean throughout.
-  FaultEvent down;
-  down.kind = FaultKind::kCrash;
-  down.at = fault_time(rng, horizon);
-  down.node = 0;
-  const Nanos down_at = down.at;
-  s.events.push_back(std::move(down));
+  s.events.push_back({.at = fault_time(rng, horizon),
+                      .kind = FaultKind::kCrash,
+                      .node = 0});
   if (rng.chance(0.5)) {
-    FaultEvent up;
-    up.kind = FaultKind::kRestart;
-    up.node = 0;
-    up.at = std::min<Nanos>(down_at + util::msec(rng.range(30, 90)), horizon);
-    s.events.push_back(std::move(up));
+    s.events.push_back(
+        undo(rng, s.events.back(), FaultKind::kRestart, 30, 90, horizon));
   }
   return s;
 }
@@ -358,20 +317,8 @@ Schedule kv_lease_holder_crash(uint64_t seed, int nodes, Nanos horizon) {
 
 /// Random loss bursts, but on the 3-DC WAN topology: the retransmission and
 /// failure-detection machinery rides them out across real link delay.
-Schedule wan_loss_bursts(uint64_t seed, int nodes, Nanos horizon) {
-  (void)nodes;
-  Rng rng(seed);
-  Schedule s{"wan_loss_bursts", {}};
-  const int bursts = static_cast<int>(rng.range(1, 3));
-  for (int i = 0; i < bursts; ++i) {
-    FaultEvent e;
-    e.kind = FaultKind::kLossBurst;
-    e.at = fault_time(rng, horizon);
-    e.rate = 0.05 + rng.uniform() * 0.25;
-    e.duration = util::msec(rng.range(5, 40));
-    s.events.push_back(std::move(e));
-  }
-  return s;
+Schedule wan_loss_bursts(uint64_t seed, int, Nanos horizon) {
+  return some_loss_bursts("wan_loss_bursts", 0.25, seed, horizon);
 }
 
 /// Two deliberately *overlapping* latency shifts on the WAN topology. The
@@ -379,8 +326,7 @@ Schedule wan_loss_bursts(uint64_t seed, int nodes, Nanos horizon) {
 /// (add_extra_latency); the overlap is the regression surface for the old
 /// overwrite bug, where the second onset erased the first and the first
 /// expiry erased the second.
-Schedule wan_latency_surge(uint64_t seed, int nodes, Nanos horizon) {
-  (void)nodes;
+Schedule wan_latency_surge(uint64_t seed, int, Nanos horizon) {
   Rng rng(seed);
   Schedule s{"wan_latency_surge", {}};
   FaultEvent first;
@@ -412,28 +358,28 @@ std::vector<int> pick_rack(Rng& rng, int nodes) {
 }
 
 /// Rack power loss: every host in one rack crashes at the same instant, and
-/// power returns 40-90 ms later (cold restarts through the epoch store).
-Schedule rack_power(uint64_t seed, int nodes, Nanos horizon) {
+/// power returns 40-`max_ms` ms later (cold restarts through the epoch
+/// store).
+Schedule some_rack_power(const char* name, int max_ms, uint64_t seed,
+                         int nodes, Nanos horizon) {
   Rng rng(seed);
-  Schedule s{"rack_power", {}};
-  FaultEvent off;
-  off.kind = FaultKind::kRackPower;
-  off.at = fault_time(rng, horizon);
-  off.group = pick_rack(rng, nodes);
-  FaultEvent on;
-  on.kind = FaultKind::kRackRestore;
-  on.group = off.group;
-  on.at = std::min<Nanos>(off.at + util::msec(rng.range(40, 90)), horizon);
-  s.events.push_back(std::move(off));
-  s.events.push_back(std::move(on));
+  Schedule s{name, {}};
+  s.events.push_back({.at = fault_time(rng, horizon),
+                      .kind = FaultKind::kRackPower,
+                      .group = pick_rack(rng, nodes)});
+  s.events.push_back(
+      undo(rng, s.events.back(), FaultKind::kRackRestore, 40, max_ms, horizon));
   return s;
+}
+
+Schedule rack_power(uint64_t seed, int nodes, Nanos horizon) {
+  return some_rack_power("rack_power", 90, seed, nodes, horizon);
 }
 
 /// Switch brownout: one DC's switch degrades every port — elevated loss and
 /// forwarding latency for a bounded window, then recovers.
 Schedule switch_brownout(uint64_t seed, int nodes, Nanos horizon) {
   Rng rng(seed);
-  Schedule s{"switch_brownout", {}};
   const int dcs = campaign_wan_topology(nodes).num_dcs;
   FaultEvent e;
   e.kind = FaultKind::kSwitchBrownout;
@@ -442,8 +388,7 @@ Schedule switch_brownout(uint64_t seed, int nodes, Nanos horizon) {
   e.rate = 0.05 + rng.uniform() * 0.10;
   e.extra_latency = util::msec(rng.range(1, 4));
   e.duration = util::msec(rng.range(30, 80));
-  s.events.push_back(std::move(e));
-  return s;
+  return {"switch_brownout", {std::move(e)}};
 }
 
 /// DC flap: one WAN link cycles down/up several times (routing is static, so
@@ -456,13 +401,11 @@ Schedule dc_flap(uint64_t seed, int nodes, Nanos horizon) {
       topo.wan_links[rng.below(topo.wan_links.size())];
   const int flaps = static_cast<int>(rng.range(2, 4));
   for (int i = 0; i < flaps; ++i) {
-    FaultEvent down;
-    down.kind = FaultKind::kWanDown;
-    down.at = fault_time(rng, horizon);
-    down.node = link.dc_a;
-    down.peer = link.dc_b;
-    down.duration = util::msec(rng.range(4, 12));
-    s.events.push_back(std::move(down));
+    s.events.push_back({.at = fault_time(rng, horizon),
+                        .kind = FaultKind::kWanDown,
+                        .node = link.dc_a,
+                        .duration = util::msec(rng.range(4, 12)),
+                        .peer = link.dc_b});
   }
   return s;
 }
@@ -471,19 +414,7 @@ Schedule dc_flap(uint64_t seed, int nodes, Nanos horizon) {
 /// leases, sessions, and state transfer all cross WAN links while a
 /// correlated crash group (possibly including the leaseholder) cycles.
 Schedule kv_wan_rack_power(uint64_t seed, int nodes, Nanos horizon) {
-  Rng rng(seed);
-  Schedule s{"kv_wan_rack_power", {}};
-  FaultEvent off;
-  off.kind = FaultKind::kRackPower;
-  off.at = fault_time(rng, horizon);
-  off.group = pick_rack(rng, nodes);
-  FaultEvent on;
-  on.kind = FaultKind::kRackRestore;
-  on.group = off.group;
-  on.at = std::min<Nanos>(off.at + util::msec(rng.range(40, 80)), horizon);
-  s.events.push_back(std::move(off));
-  s.events.push_back(std::move(on));
-  return s;
+  return some_rack_power("kv_wan_rack_power", 80, seed, nodes, horizon);
 }
 
 // --- storage-fault scenarios (durable KV runs; see docs/ROBUSTNESS.md) -----
@@ -492,18 +423,13 @@ Schedule kv_wan_rack_power(uint64_t seed, int nodes, Nanos horizon) {
 /// same instant and power returns 40-90 ms later. The WAL is fsynced before
 /// every apply, so the DurabilityOracle demands *exact* recovery — every
 /// node comes back at precisely the version it had applied.
-Schedule kv_blackout(uint64_t seed, int nodes, Nanos horizon) {
-  (void)nodes;
+Schedule kv_blackout(uint64_t seed, int, Nanos horizon) {
   Rng rng(seed);
   Schedule s{"kv_blackout", {}};
-  FaultEvent off;
-  off.kind = FaultKind::kPowerLossAll;
-  off.at = fault_time(rng, horizon);
-  FaultEvent on;
-  on.kind = FaultKind::kPowerRestoreAll;
-  on.at = std::min<Nanos>(off.at + util::msec(rng.range(40, 90)), horizon);
-  s.events.push_back(std::move(off));
-  s.events.push_back(std::move(on));
+  s.events.push_back(
+      {.at = fault_time(rng, horizon), .kind = FaultKind::kPowerLossAll});
+  s.events.push_back(undo(rng, s.events.back(), FaultKind::kPowerRestoreAll,
+                          40, 90, horizon));
   return s;
 }
 
@@ -528,21 +454,16 @@ Schedule kv_blackout_torn(uint64_t seed, int nodes, Nanos horizon) {
     if (!dup) liars.push_back(v);
   }
   for (const int l : liars) {
-    FaultEvent lie;
-    lie.kind = FaultKind::kDiskDesync;
-    lie.at = rng.range(horizon / 10, horizon * 4 / 10);
-    lie.node = l;
-    lie.count = 1 + static_cast<uint32_t>(rng.below(2));  // torn / reorder
-    s.events.push_back(std::move(lie));
+    s.events.push_back(
+        {.at = rng.range(horizon / 10, horizon * 4 / 10),
+         .kind = FaultKind::kDiskDesync,
+         .node = l,
+         .count = 1 + static_cast<uint32_t>(rng.below(2))});  // torn/reorder
   }
-  FaultEvent off;
-  off.kind = FaultKind::kPowerLossAll;
-  off.at = horizon / 2 + rng.range(0, horizon / 5);
-  FaultEvent on;
-  on.kind = FaultKind::kPowerRestoreAll;
-  on.at = std::min<Nanos>(off.at + util::msec(rng.range(40, 90)), horizon);
-  s.events.push_back(std::move(off));
-  s.events.push_back(std::move(on));
+  s.events.push_back({.at = horizon / 2 + rng.range(0, horizon / 5),
+                      .kind = FaultKind::kPowerLossAll});
+  s.events.push_back(undo(rng, s.events.back(), FaultKind::kPowerRestoreAll,
+                          40, 90, horizon));
   return s;
 }
 
@@ -555,22 +476,15 @@ Schedule kv_blackout_torn(uint64_t seed, int nodes, Nanos horizon) {
 Schedule kv_disk_bitrot(uint64_t seed, int nodes, Nanos horizon) {
   Rng rng(seed);
   Schedule s{"kv_disk_bitrot", {}};
-  FaultEvent rot;
-  rot.kind = FaultKind::kDiskBitRot;
-  rot.at = fault_time(rng, horizon);
-  rot.node = victim(rng, nodes);
-  rot.count = 1 + static_cast<uint32_t>(rng.below(8));
-  FaultEvent down;
-  down.kind = FaultKind::kCrash;
-  down.node = rot.node;
-  down.at = std::min<Nanos>(rot.at + util::msec(rng.range(5, 30)), horizon);
-  FaultEvent up;
-  up.kind = FaultKind::kRestart;
-  up.node = rot.node;
-  up.at = std::min<Nanos>(down.at + util::msec(rng.range(20, 60)), horizon);
-  s.events.push_back(std::move(rot));
-  s.events.push_back(std::move(down));
-  s.events.push_back(std::move(up));
+  s.events.push_back({.at = fault_time(rng, horizon),
+                      .kind = FaultKind::kDiskBitRot,
+                      .node = victim(rng, nodes),
+                      .count = 1 + static_cast<uint32_t>(rng.below(8))});
+  s.events.push_back({.at = after(rng, s.events.back().at, 5, 30, horizon),
+                      .kind = FaultKind::kCrash,
+                      .node = s.events.back().node});
+  s.events.push_back(
+      undo(rng, s.events.back(), FaultKind::kRestart, 20, 60, horizon));
   return s;
 }
 
@@ -583,30 +497,19 @@ Schedule kv_disk_stress(uint64_t seed, int nodes, Nanos horizon) {
   Rng rng(seed);
   Schedule s{"kv_disk_stress", {}};
   const int node = victim(rng, nodes);
-  FaultEvent full;
-  full.kind = FaultKind::kDiskFull;
-  full.at = fault_time(rng, horizon);
-  full.node = node;
-  full.duration = util::msec(rng.range(10, 40));
-  s.events.push_back(std::move(full));
-  FaultEvent stall;
-  stall.kind = FaultKind::kDiskStall;
-  stall.at = fault_time(rng, horizon);
-  stall.node = node;
-  stall.count = static_cast<uint32_t>(rng.range(5, 30));
-  s.events.push_back(std::move(stall));
-  FaultEvent down;
-  down.kind = FaultKind::kCrash;
-  down.node = node;
-  down.at = fault_time(rng, horizon);
-  s.events.push_back(std::move(down));
+  s.events.push_back({.at = fault_time(rng, horizon),
+                      .kind = FaultKind::kDiskFull,
+                      .node = node,
+                      .duration = util::msec(rng.range(10, 40))});
+  s.events.push_back({.at = fault_time(rng, horizon),
+                      .kind = FaultKind::kDiskStall,
+                      .node = node,
+                      .count = static_cast<uint32_t>(rng.range(5, 30))});
+  s.events.push_back(
+      {.at = fault_time(rng, horizon), .kind = FaultKind::kCrash, .node = node});
   if (rng.chance(0.8)) {
-    FaultEvent up;
-    up.kind = FaultKind::kRestart;
-    up.node = node;
-    up.at = std::min<Nanos>(s.events.back().at + util::msec(rng.range(20, 60)),
-                            horizon);
-    s.events.push_back(std::move(up));
+    s.events.push_back(
+        undo(rng, s.events.back(), FaultKind::kRestart, 20, 60, horizon));
   }
   return s;
 }
@@ -623,53 +526,31 @@ Schedule kv_disk_stress(uint64_t seed, int nodes, Nanos horizon) {
 /// Scale-out: the last ring starts offline (owning no hash space), then a
 /// live migration brings it in mid-run while keyed traffic flows, with a
 /// loss burst riding the handoff window.
-Schedule ring_add_under_load(uint64_t seed, int nodes, Nanos horizon) {
-  (void)nodes;
+Schedule ring_add_under_load(uint64_t seed, int, Nanos horizon) {
   Rng rng(seed);
   Schedule s{"ring_add_under_load", {}};
-  FaultEvent offline;
-  offline.kind = FaultKind::kRingOffline;
-  offline.at = 0;
-  offline.node = -1;  // last ring
-  s.events.push_back(std::move(offline));
-  FaultEvent add;
-  add.kind = FaultKind::kMigrate;
-  add.at = fault_time(rng, horizon);
-  add.count = 1;   // mode: add ring
-  add.peer = -1;   // the offline last ring
-  s.events.push_back(std::move(add));
-  if (rng.chance(0.6)) {
-    FaultEvent loss;
-    loss.kind = FaultKind::kLossBurst;
-    loss.at = fault_time(rng, horizon);
-    loss.rate = 0.05 + rng.uniform() * 0.20;
-    loss.duration = util::msec(rng.range(5, 25));
-    s.events.push_back(std::move(loss));
-  }
+  s.events.push_back(
+      {.at = 0, .kind = FaultKind::kRingOffline, .node = -1});  // last ring
+  s.events.push_back({.at = fault_time(rng, horizon),
+                      .kind = FaultKind::kMigrate,
+                      .count = 1,    // mode: add ring
+                      .peer = -1});  // the offline last ring
+  if (rng.chance(0.6)) s.events.push_back(loss_burst(rng, horizon, 0.20, 25));
   return s;
 }
 
 /// Scale-in: one ring is drained out of the ownership map mid-run — every
 /// arc it owned migrates away under load, and the emptied ring keeps
 /// participating in the merge (skips only).
-Schedule ring_remove_under_load(uint64_t seed, int nodes, Nanos horizon) {
-  (void)nodes;
+Schedule ring_remove_under_load(uint64_t seed, int, Nanos horizon) {
   Rng rng(seed);
   Schedule s{"ring_remove_under_load", {}};
-  FaultEvent rm;
-  rm.kind = FaultKind::kMigrate;
-  rm.at = fault_time(rng, horizon);
-  rm.count = 2;  // mode: remove ring
-  rm.node = static_cast<int>(rng.below(8));  // resolved modulo K at run time
-  s.events.push_back(std::move(rm));
-  if (rng.chance(0.6)) {
-    FaultEvent loss;
-    loss.kind = FaultKind::kLossBurst;
-    loss.at = fault_time(rng, horizon);
-    loss.rate = 0.05 + rng.uniform() * 0.20;
-    loss.duration = util::msec(rng.range(5, 25));
-    s.events.push_back(std::move(loss));
-  }
+  s.events.push_back(
+      {.at = fault_time(rng, horizon),
+       .kind = FaultKind::kMigrate,
+       .node = static_cast<int>(rng.below(8)),  // resolved modulo K at run
+       .count = 2});                            // mode: remove ring
+  if (rng.chance(0.6)) s.events.push_back(loss_burst(rng, horizon, 0.20, 25));
   return s;
 }
 
@@ -682,22 +563,18 @@ Schedule migration_during_partition_heal(uint64_t seed, int nodes,
                                          Nanos horizon) {
   Rng rng(seed);
   Schedule s{"migration_during_partition_heal", {}};
-  FaultEvent cut;
-  cut.kind = FaultKind::kPartition;
-  cut.at = rng.range(horizon / 10, horizon * 3 / 10);
-  cut.group = random_group(rng, nodes);
-  FaultEvent heal;
-  heal.kind = FaultKind::kHeal;
-  heal.at = std::min<Nanos>(cut.at + util::msec(rng.range(20, 50)), horizon);
+  s.events.push_back({.at = rng.range(horizon / 10, horizon * 3 / 10),
+                      .kind = FaultKind::kPartition,
+                      .group = random_group(rng, nodes)});
+  s.events.push_back({.at = after(rng, s.events.back().at, 20, 50, horizon),
+                      .kind = FaultKind::kHeal});
   FaultEvent move;
   move.kind = FaultKind::kMigrate;
-  move.at = std::min<Nanos>(heal.at + util::msec(rng.range(5, 15)), horizon);
+  move.at = after(rng, s.events.back().at, 5, 15, horizon);
   move.count = 3;  // mode: move fraction
   move.node = static_cast<int>(rng.below(4));
   move.peer = move.node + 1 + static_cast<int>(rng.below(3));
   move.rate = 0.25 + rng.uniform() * 0.35;
-  s.events.push_back(std::move(cut));
-  s.events.push_back(std::move(heal));
   s.events.push_back(std::move(move));
   return s;
 }
@@ -705,18 +582,15 @@ Schedule migration_during_partition_heal(uint64_t seed, int nodes,
 /// Zipf-skewed keys concentrate traffic on one hot ring; mid-run a
 /// rebalance migrates a slice of the hottest ring's span to the
 /// least-loaded ring while the skewed load keeps hammering the moving keys.
-Schedule hot_shard_zipf_rebalance(uint64_t seed, int nodes, Nanos horizon) {
-  (void)nodes;
+Schedule hot_shard_zipf_rebalance(uint64_t seed, int, Nanos horizon) {
   Rng rng(seed);
   Schedule s{"hot_shard_zipf_rebalance", {}};
   const int rounds = static_cast<int>(rng.range(1, 2));
   for (int i = 0; i < rounds; ++i) {
-    FaultEvent rb;
-    rb.kind = FaultKind::kMigrate;
-    rb.at = fault_time(rng, horizon);
-    rb.count = 4;  // mode: rebalance hottest -> least-loaded
-    rb.rate = 0.30 + rng.uniform() * 0.40;
-    s.events.push_back(std::move(rb));
+    s.events.push_back({.at = fault_time(rng, horizon),
+                        .kind = FaultKind::kMigrate,
+                        .rate = 0.30 + rng.uniform() * 0.40,
+                        .count = 4});  // mode: rebalance hottest -> coldest
   }
   return s;
 }
@@ -731,81 +605,32 @@ simnet::Topology campaign_wan_topology(int nodes) {
 }
 
 const char* fault_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kLossBurst:
-      return "loss_burst";
-    case FaultKind::kTokenDrop:
-      return "token_drop";
-    case FaultKind::kPartition:
-      return "partition";
-    case FaultKind::kHeal:
-      return "heal";
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kRestart:
-      return "restart";
-    case FaultKind::kLatencyShift:
-      return "latency_shift";
-    case FaultKind::kOverload:
-      return "overload";
-    case FaultKind::kCpuMultiplier:
-      return "cpu_multiplier";
-    case FaultKind::kLinkLoss:
-      return "link_loss";
-    case FaultKind::kLinkDown:
-      return "link_down";
-    case FaultKind::kReorder:
-      return "reorder";
-    case FaultKind::kDuplicate:
-      return "duplicate";
-    case FaultKind::kRackPower:
-      return "rack_power";
-    case FaultKind::kRackRestore:
-      return "rack_restore";
-    case FaultKind::kSwitchBrownout:
-      return "switch_brownout";
-    case FaultKind::kWanDown:
-      return "wan_down";
-    case FaultKind::kPowerLossAll:
-      return "power_loss_all";
-    case FaultKind::kPowerRestoreAll:
-      return "power_restore_all";
-    case FaultKind::kDiskDesync:
-      return "disk_desync";
-    case FaultKind::kDiskBitRot:
-      return "disk_bitrot";
-    case FaultKind::kDiskFull:
-      return "disk_full";
-    case FaultKind::kDiskStall:
-      return "disk_stall";
-    case FaultKind::kRingOffline:
-      return "ring_offline";
-    case FaultKind::kMigrate:
-      return "migrate";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "loss_burst",      "token_drop",        "partition",
+      "heal",            "crash",             "restart",
+      "latency_shift",   "overload",          "cpu_multiplier",
+      "link_loss",       "link_down",         "reorder",
+      "duplicate",       "rack_power",        "rack_restore",
+      "switch_brownout", "wan_down",          "power_loss_all",
+      "power_restore_all", "disk_desync",     "disk_bitrot",
+      "disk_full",       "disk_stall",        "ring_offline",
+      "migrate"};
+  static_assert(std::size(kNames) ==
+                static_cast<size_t>(FaultKind::kMigrate) + 1);
+  return kNames[static_cast<size_t>(kind)];
 }
-
-namespace {
-const char* migrate_mode_name(uint32_t mode) {
-  switch (mode) {
-    case 1:
-      return "add_ring";
-    case 2:
-      return "remove_ring";
-    case 3:
-      return "move_fraction";
-    case 4:
-      return "rebalance";
-    default:
-      return "?";
-  }
-}
-}  // namespace
 
 std::string describe(const FaultEvent& event) {
   std::ostringstream os;
   os << "t=" << util::to_msec(event.at) << "ms " << fault_name(event.kind);
+  const auto hosts = [&](const char* label) {
+    os << " " << label << "={";
+    for (size_t i = 0; i < event.group.size(); ++i) {
+      if (i) os << ",";
+      os << event.group[i];
+    }
+    os << "}";
+  };
   switch (event.kind) {
     case FaultKind::kLossBurst:
       os << " rate=" << event.rate << " for " << util::to_msec(event.duration)
@@ -814,16 +639,12 @@ std::string describe(const FaultEvent& event) {
     case FaultKind::kTokenDrop:
       os << " count=" << event.count;
       break;
-    case FaultKind::kPartition: {
-      os << " group={";
-      for (size_t i = 0; i < event.group.size(); ++i) {
-        if (i) os << ",";
-        os << event.group[i];
-      }
-      os << "}";
+    case FaultKind::kPartition:
+      hosts("group");
       break;
-    }
     case FaultKind::kHeal:
+    case FaultKind::kPowerLossAll:
+    case FaultKind::kPowerRestoreAll:
       break;
     case FaultKind::kCrash:
     case FaultKind::kRestart:
@@ -856,15 +677,9 @@ std::string describe(const FaultEvent& event) {
          << util::to_msec(event.duration) << "ms";
       break;
     case FaultKind::kRackPower:
-    case FaultKind::kRackRestore: {
-      os << " hosts={";
-      for (size_t i = 0; i < event.group.size(); ++i) {
-        if (i) os << ",";
-        os << event.group[i];
-      }
-      os << "}";
+    case FaultKind::kRackRestore:
+      hosts("hosts");
       break;
-    }
     case FaultKind::kSwitchBrownout:
       os << " dc=" << event.node << " rate=" << event.rate << " extra="
          << util::to_msec(event.extra_latency) << "ms for "
@@ -873,9 +688,6 @@ std::string describe(const FaultEvent& event) {
     case FaultKind::kWanDown:
       os << " dc" << event.node << "<->dc" << event.peer << " for "
          << util::to_msec(event.duration) << "ms";
-      break;
-    case FaultKind::kPowerLossAll:
-    case FaultKind::kPowerRestoreAll:
       break;
     case FaultKind::kDiskDesync:
       os << " node=" << event.node
@@ -895,17 +707,18 @@ std::string describe(const FaultEvent& event) {
       os << " ring=" << (event.node < 0 ? "last" : std::to_string(event.node));
       break;
     case FaultKind::kMigrate:
-      os << " mode=" << migrate_mode_name(event.count);
       if (event.count == 1) {
-        os << " ring="
+        os << " mode=add_ring ring="
            << (event.peer < 0 ? "last" : std::to_string(event.peer));
       } else if (event.count == 2) {
-        os << " ring=" << event.node;
+        os << " mode=remove_ring ring=" << event.node;
       } else if (event.count == 3) {
-        os << " " << event.node << "->" << event.peer
+        os << " mode=move_fraction " << event.node << "->" << event.peer
            << " frac=" << event.rate;
       } else if (event.count == 4) {
-        os << " frac=" << event.rate;
+        os << " mode=rebalance frac=" << event.rate;
+      } else {
+        os << " mode=?";
       }
       break;
   }
@@ -924,84 +737,84 @@ std::string describe(const Schedule& schedule) {
 }
 
 const std::vector<Scenario>& scenarios() {
+  // Append only: run_campaign salts each schedule seed with the catalogue
+  // index, so inserting an entry would change every later scenario's
+  // schedules and the corpus seeds would stop replaying what they found.
   static const std::vector<Scenario> kScenarios = {
-      {"loss_bursts", loss_bursts, true},
-      {"token_drops", token_drops, true},
-      {"partition", partition, false},
-      {"partition_delayed_heal", partition_delayed_heal, false},
-      {"crash", crash, true},
-      {"crash_restart", crash_restart, false},
-      {"mixed", mixed, false},
-      // Appended after the original seven so the (seed, scenario index)
-      // schedule derivation of the regression corpus stays stable.
-      {"latency_shift", latency_shift, true},
-      {"overload", overload, false, /*client_level=*/true},
-      {"reconnect_storm", reconnect_storm, false, /*client_level=*/true},
-      // Gray-failure scenarios (appended, same stability rule as above).
-      // Not multiring-safe: a quarantine eviction legitimately changes ring
-      // membership, which the merged-prefix oracle must not excuse.
-      {"straggler_cpu", straggler_cpu, false},
-      {"lossy_nic", lossy_nic, false},
-      {"flapping_link", flapping_link, false},
-      {"reorder_duplicate", reorder_duplicate, true},
-      // KV-service scenarios (appended, same stability rule): the whole KV
-      // stack — state transfer, leases, sessions — under its nastiest
-      // faults, judged by the KvOracle on top of the protocol oracles.
-      {"kv_state_transfer_crash", kv_state_transfer_crash, false,
-       /*client_level=*/false, /*kv_level=*/true},
-      {"kv_lease_holder_crash", kv_lease_holder_crash, false,
-       /*client_level=*/false, /*kv_level=*/true},
-      // WAN / correlated-fault scenarios (appended, same stability rule):
-      // every one runs on campaign_wan_topology with WAN-scaled timeouts.
-      // Loss and latency surges are multiring-safe; rack power (restarts),
-      // brownout (legitimate quarantines), and flaps (connectivity loss) are
-      // single-ring, and the kv variant drives the full KV stack.
-      {"wan_loss_bursts", wan_loss_bursts, true,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/true},
-      {"wan_latency_surge", wan_latency_surge, true,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/true},
-      {"rack_power", rack_power, false,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/true},
-      {"switch_brownout", switch_brownout, false,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/true},
-      {"dc_flap", dc_flap, false,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/true},
-      {"kv_wan_rack_power", kv_wan_rack_power, false,
-       /*client_level=*/false, /*kv_level=*/true, /*wan=*/true},
-      // Storage-fault scenarios (appended, same stability rule): the full
-      // KV stack with per-node durable stores, power cut mid-run, judged by
-      // the DurabilityOracle on top of the KV and protocol oracles.
-      {"kv_blackout", kv_blackout, false,
-       /*client_level=*/false, /*kv_level=*/true, /*wan=*/false,
-       /*durable=*/true},
-      {"kv_blackout_torn", kv_blackout_torn, false,
-       /*client_level=*/false, /*kv_level=*/true, /*wan=*/false,
-       /*durable=*/true},
-      {"kv_disk_bitrot", kv_disk_bitrot, false,
-       /*client_level=*/false, /*kv_level=*/true, /*wan=*/false,
-       /*durable=*/true},
-      {"kv_disk_stress", kv_disk_stress, false,
-       /*client_level=*/false, /*kv_level=*/true, /*wan=*/false,
-       /*durable=*/true},
-      // Live-migration scenarios (appended, same stability rule): keyed
-      // workload through the per-node ShardRouters, totally-ordered
-      // freeze/drain/activate handoffs, judged by the MergedOracle's handoff
-      // audit. Multi-ring only (the runner skips them at rings == 1);
-      // multiring_safe=true so the sweep reaches them, including the
-      // partition one — the merged-prefix oracle's content-order fallback
-      // plus the per-node handoff replay stay sound across a split.
-      {"ring_add_under_load", ring_add_under_load, true,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/false,
-       /*durable=*/false, /*migration=*/true},
-      {"ring_remove_under_load", ring_remove_under_load, true,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/false,
-       /*durable=*/false, /*migration=*/true},
-      {"migration_during_partition_heal", migration_during_partition_heal,
-       true, /*client_level=*/false, /*kv_level=*/false, /*wan=*/false,
-       /*durable=*/false, /*migration=*/true},
-      {"hot_shard_zipf_rebalance", hot_shard_zipf_rebalance, true,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/false,
-       /*durable=*/false, /*migration=*/true, /*zipf_keys=*/true},
+      {.name = "loss_bursts", .make = loss_bursts, .multiring_safe = true},
+      {.name = "token_drops", .make = token_drops, .multiring_safe = true},
+      {.name = "partition", .make = partition},
+      {.name = "partition_delayed_heal", .make = partition_delayed_heal},
+      {.name = "crash", .make = crash, .multiring_safe = true},
+      {.name = "crash_restart", .make = crash_restart},
+      {.name = "mixed", .make = mixed},
+      {.name = "latency_shift", .make = latency_shift, .multiring_safe = true},
+      {.name = "overload", .make = overload, .stack = Stack::kClients},
+      {.name = "reconnect_storm",
+       .make = reconnect_storm,
+       .stack = Stack::kClients},
+      // Gray-failure scenarios. Not multiring-safe: a quarantine eviction
+      // legitimately changes ring membership, which the merged-prefix
+      // oracle must not excuse.
+      {.name = "straggler_cpu", .make = straggler_cpu},
+      {.name = "lossy_nic", .make = lossy_nic},
+      {.name = "flapping_link", .make = flapping_link},
+      {.name = "reorder_duplicate",
+       .make = reorder_duplicate,
+       .multiring_safe = true},
+      // The whole KV stack — state transfer, leases, sessions — under its
+      // nastiest faults, judged by the KvOracle on top of the protocol
+      // oracles.
+      {.name = "kv_state_transfer_crash",
+       .make = kv_state_transfer_crash,
+       .stack = Stack::kKv},
+      {.name = "kv_lease_holder_crash",
+       .make = kv_lease_holder_crash,
+       .stack = Stack::kKv},
+      // WAN / correlated faults. Loss and latency surges are multiring-safe;
+      // rack power (restarts), brownout (legitimate quarantines) and flaps
+      // (connectivity loss) are single-ring.
+      {.name = "wan_loss_bursts",
+       .make = wan_loss_bursts,
+       .wan = true,
+       .multiring_safe = true},
+      {.name = "wan_latency_surge",
+       .make = wan_latency_surge,
+       .wan = true,
+       .multiring_safe = true},
+      {.name = "rack_power", .make = rack_power, .wan = true},
+      {.name = "switch_brownout", .make = switch_brownout, .wan = true},
+      {.name = "dc_flap", .make = dc_flap, .wan = true},
+      {.name = "kv_wan_rack_power",
+       .make = kv_wan_rack_power,
+       .stack = Stack::kKv,
+       .wan = true},
+      // Storage faults: power cut mid-run under per-node durable stores.
+      {.name = "kv_blackout", .make = kv_blackout, .stack = Stack::kDurableKv},
+      {.name = "kv_blackout_torn",
+       .make = kv_blackout_torn,
+       .stack = Stack::kDurableKv},
+      {.name = "kv_disk_bitrot",
+       .make = kv_disk_bitrot,
+       .stack = Stack::kDurableKv},
+      {.name = "kv_disk_stress",
+       .make = kv_disk_stress,
+       .stack = Stack::kDurableKv},
+      // Live migration. The partition one is sound at K > 1: the
+      // merged-prefix oracle's content-order fallback plus the per-node
+      // handoff replay hold across a split.
+      {.name = "ring_add_under_load",
+       .make = ring_add_under_load,
+       .stack = Stack::kKeyed},
+      {.name = "ring_remove_under_load",
+       .make = ring_remove_under_load,
+       .stack = Stack::kKeyed},
+      {.name = "migration_during_partition_heal",
+       .make = migration_during_partition_heal,
+       .stack = Stack::kKeyed},
+      {.name = "hot_shard_zipf_rebalance",
+       .make = hot_shard_zipf_rebalance,
+       .stack = Stack::kKeyedZipf},
   };
   return kScenarios;
 }

@@ -73,7 +73,7 @@ struct FaultEvent {
   uint32_t count = 0;      ///< token datagrams to absorb / burst sends
   Nanos extra_latency = 0; ///< added delivery latency during a shift
   int peer = -1;           ///< link-fault source host (-1 = any sender)
-  std::vector<int> group;  ///< partition members split off
+  std::vector<int> group = {};  ///< partition members split off
 };
 
 struct Schedule {
@@ -88,41 +88,38 @@ struct Schedule {
 /// fault horizon). All generated events land inside [horizon/10, horizon].
 using ScenarioFn = Schedule (*)(uint64_t seed, int nodes, Nanos horizon);
 
+/// What a scenario runs on its cluster(s): the workload, the services under
+/// it, and the oracles beyond the protocol ones every run attaches.
+enum class Stack : uint8_t {
+  kRaw,        ///< direct engine submits
+  kClients,    ///< daemons + failover clients (ClientFleet); single-ring
+  kKv,         ///< KvService + SessionWorkload + KvOracle; single-ring
+  kDurableKv,  ///< kKv with per-node ReplicaStores + DurabilityOracle
+  kKeyed,      ///< keyed submits through the ShardRouters + the handoff
+               ///< audit: live-migration scenarios; multi-ring only
+  kKeyedZipf,  ///< kKeyed with zipf-skewed keys (hot-shard scenarios)
+};
+
+/// A catalogue entry. Set the fields by name:
+/// `{.name = "crash", .make = crash, .multiring_safe = true}`.
 struct Scenario {
   const char* name;
   ScenarioFn make;
-  /// Safe to run against a multi-ring set: faults that may legitimately
-  /// split the merged total order (partitions) are excluded there.
-  bool multiring_safe;
-  /// Runs with a ClientFleet (daemons + failover clients driving the
-  /// workload) instead of direct engine submits. Single-ring only.
-  bool client_level = false;
-  /// Runs a full KV service (KvService + SessionWorkload + KvOracle) on the
-  /// cluster instead of raw submits, checking state-machine agreement, read
-  /// correctness, session guarantees, and lease exclusivity under the
-  /// schedule's faults. Single-ring only.
-  bool kv_level = false;
+  Stack stack = Stack::kRaw;
   /// Runs on the campaign's multi-datacenter topology
   /// (campaign_wan_topology) with WAN-scaled protocol timeouts and a longer
   /// drain, instead of the single-switch LAN fabric.
   bool wan = false;
-  /// KV-level run with per-node durability: every replica persists through
-  /// a ReplicaStore over the node's SimDisk, and the DurabilityOracle
-  /// judges every recovery against the committed history. Implies kv_level
-  /// semantics; single-ring only.
-  bool durable = false;
-  /// Live-migration scenario: the workload submits through the per-node
-  /// ShardRouters (keyed), the schedule carries kMigrate/kRingOffline
-  /// events, and the MergedOracle runs its handoff audit. Multi-ring only —
-  /// skipped when the campaign sweeps rings == 1.
-  bool migration = false;
-  /// Keyed workload draws zipf-skewed keys (hot-shard scenarios) instead of
-  /// uniform per-(node, index) keys.
-  bool zipf_keys = false;
+  /// Also runs against a multi-ring set: its faults keep one merged total
+  /// order. Keyed stacks run only there, whatever this says.
+  bool multiring_safe = false;
 
+  [[nodiscard]] bool keyed() const {
+    return stack == Stack::kKeyed || stack == Stack::kKeyedZipf;
+  }
   /// Whether the campaign runs this scenario on a set of `rings` rings.
   [[nodiscard]] bool runs_at(int rings) const {
-    return rings > 1 ? multiring_safe : !migration;
+    return keyed() ? rings > 1 : rings <= 1 || multiring_safe;
   }
 };
 

@@ -5,8 +5,6 @@
 // mutation is caught and shrunk to a minimal schedule.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -321,6 +319,14 @@ TEST(OracleTest, HandoffAuditCatchesDrainBeforeFreeze) {
 // ---------------------------------------------------------------------------
 // Schedule DSL.
 
+RunOptions fast_run_options() {
+  RunOptions run;
+  run.nodes = 5;
+  run.horizon = util::msec(250);
+  run.drain = util::msec(300);
+  return run;
+}
+
 TEST(ScheduleTest, GeneratorsAreDeterministic) {
   for (const Scenario& sc : scenarios()) {
     const Schedule a = sc.make(42, 5, util::msec(250));
@@ -331,6 +337,26 @@ TEST(ScheduleTest, GeneratorsAreDeterministic) {
     for (const FaultEvent& e : a.events) {
       EXPECT_GE(e.at, 0) << sc.name;
       EXPECT_LE(e.at, util::msec(250)) << sc.name;
+    }
+  }
+}
+
+// Every fault a catalogue generator emits must be one its stack acts on at
+// each ring count the scenario runs at: run_schedule skips any other event,
+// and a catalogue scenario must not depend on that.
+TEST(ScheduleTest, ScenariosEmitOnlyFaultsTheirStackApplies) {
+  for (const Scenario& sc : scenarios()) {
+    for (const int rings : {1, 4}) {
+      if (!sc.runs_at(rings)) continue;
+      RunOptions run = fast_run_options();
+      run.rings = rings;
+      for (uint64_t seed = 1; seed <= 20; ++seed) {
+        for (const FaultEvent& e : campaign_schedule(sc, seed, run).events) {
+          EXPECT_TRUE(stack_applies(sc.stack, rings, e.kind))
+              << sc.name << " rings=" << rings << " seed=" << seed << ": "
+              << describe(e);
+        }
+      }
     }
   }
 }
@@ -348,24 +374,16 @@ TEST(ScheduleTest, ShrinkCandidatesDropOneEventEach) {
 // The fast campaign itself: all scenarios, 20 seeds each, single-ring and
 // K=4 multi-ring, zero violations expected.
 
-RunOptions fast_run_options() {
-  RunOptions run;
-  run.nodes = 5;
-  run.horizon = util::msec(250);
-  run.drain = util::msec(300);
-  return run;
-}
-
 TEST(CampaignTest, SingleRingAllScenariosClean) {
   CampaignOptions opt;
   opt.run = fast_run_options();
   opt.seeds_per_scenario = 20;
   const CampaignResult result = run_campaign(opt);
   EXPECT_EQ(result.failures, 0);
-  // Migration scenarios need K > 1 rings and are skipped single-ring.
+  // Keyed (live-migration) scenarios need K > 1 rings.
   int single_ring_scenarios = 0;
   for (const Scenario& sc : scenarios()) {
-    if (!sc.migration) ++single_ring_scenarios;
+    if (sc.runs_at(1)) ++single_ring_scenarios;
   }
   EXPECT_EQ(result.runs, single_ring_scenarios * opt.seeds_per_scenario);
   EXPECT_GT(result.delivered, 0u);
@@ -385,7 +403,7 @@ TEST(CampaignTest, MultiRingScenariosClean) {
   EXPECT_EQ(result.failures, 0);
   int multiring_scenarios = 0;
   for (const Scenario& sc : scenarios()) {
-    if (sc.multiring_safe) ++multiring_scenarios;
+    if (sc.runs_at(4)) ++multiring_scenarios;
   }
   EXPECT_EQ(result.runs, multiring_scenarios * opt.seeds_per_scenario);
   EXPECT_GT(result.delivered, 0u);
@@ -506,161 +524,59 @@ TEST(CampaignTest, RunsAreSeedIdentical) {
   }
 }
 
-// Every seed in tests/seeds/regression.seeds once exposed a real bug; replay
-// the whole corpus against every scenario (no sweep seeds on top).
-TEST(CampaignTest, RegressionSeedCorpusClean) {
-#ifndef ACCELRING_SEED_CORPUS
-  GTEST_SKIP() << "corpus path not configured";
+// Every seed in tests/seeds/ once exposed a real bug. Each corpus replays
+// against its scenarios at its ring counts (no sweep seeds on top):
+// regression.seeds against the whole catalogue; wan.seeds against the
+// multi-datacenter scenarios (token rotation over 3 ms links, correlated
+// rack/switch/link faults); storage.seeds against the durable-KV ones
+// (per-node SimDisk faults under the DurabilityOracle); migration.seeds
+// against the live-migration ones (handoff audit, held-message liveness).
+// The narrow corpora stay separate so their replay time does not grow the
+// others.
+TEST(CampaignTest, SeedCorporaClean) {
+#ifndef ACCELRING_SEED_DIR
+  GTEST_SKIP() << "corpus directory not configured";
 #else
-  std::vector<uint64_t> corpus;
-  std::ifstream in(ACCELRING_SEED_CORPUS);
-  ASSERT_TRUE(in.is_open()) << ACCELRING_SEED_CORPUS;
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const size_t start = line.find_first_not_of(" \t");
-    if (start == std::string::npos) continue;
-    corpus.push_back(std::strtoull(line.c_str() + start, nullptr, 0));
-  }
-  ASSERT_FALSE(corpus.empty());
-
-  CampaignOptions opt;
-  opt.run = fast_run_options();
-  opt.seeds_per_scenario = 0;
-  opt.extra_seeds = corpus;
-  for (int rings : {1, 4}) {
-    opt.run.rings = rings;
-    const CampaignResult result = run_campaign(opt);
-    EXPECT_EQ(result.failures, 0) << "rings=" << rings;
-    for (const FailureCase& fc : result.cases) {
-      ADD_FAILURE() << fc.scenario << " seed=" << fc.seed << " rings=" << rings
-                    << "\n" << describe(fc.schedule) << "\n" << fc.report;
+  struct Corpus {
+    const char* file;
+    bool (*wanted)(const Scenario&);
+    std::vector<int> rings;
+  };
+  const std::vector<Corpus> corpora = {
+      {"regression.seeds", [](const Scenario&) { return true; }, {1, 4}},
+      {"wan.seeds", [](const Scenario& sc) { return sc.wan; }, {1, 4}},
+      {"storage.seeds",
+       [](const Scenario& sc) { return sc.stack == Stack::kDurableKv; },
+       {1}},
+      {"migration.seeds", [](const Scenario& sc) { return sc.keyed(); }, {4}},
+  };
+  for (const Corpus& corpus : corpora) {
+    const std::string path = std::string(ACCELRING_SEED_DIR) + "/" + corpus.file;
+    CampaignOptions opt;
+    opt.run = fast_run_options();
+    opt.seeds_per_scenario = 0;
+    opt.extra_seeds = load_seed_corpus(path);
+    ASSERT_FALSE(opt.extra_seeds.empty()) << path;
+    for (const Scenario& sc : scenarios()) {
+      if (corpus.wanted(sc)) opt.only.push_back(sc.name);
     }
-  }
-#endif
-}
-
-// The WAN corpus replays only the multi-datacenter scenarios (they carry
-// their own seeds file: a WAN seed stresses token rotation over 3 ms links
-// and correlated rack/switch/link faults, which the LAN scenarios never
-// exercise). Kept separate from regression.seeds so LAN replay time does not
-// grow with WAN hardening work.
-TEST(CampaignTest, WanSeedCorpusClean) {
-#ifndef ACCELRING_WAN_SEED_CORPUS
-  GTEST_SKIP() << "wan corpus path not configured";
-#else
-  std::vector<uint64_t> corpus;
-  std::ifstream in(ACCELRING_WAN_SEED_CORPUS);
-  ASSERT_TRUE(in.is_open()) << ACCELRING_WAN_SEED_CORPUS;
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const size_t start = line.find_first_not_of(" \t");
-    if (start == std::string::npos) continue;
-    corpus.push_back(std::strtoull(line.c_str() + start, nullptr, 0));
-  }
-  ASSERT_FALSE(corpus.empty());
-
-  CampaignOptions opt;
-  opt.run = fast_run_options();
-  opt.seeds_per_scenario = 0;
-  opt.extra_seeds = corpus;
-  for (const Scenario& sc : scenarios()) {
-    if (sc.wan) opt.only.push_back(sc.name);
-  }
-  ASSERT_GE(opt.only.size(), 5u);  // the WAN catalogue
-  const CampaignResult result = run_campaign(opt);
-  EXPECT_EQ(result.failures, 0);
-  EXPECT_EQ(result.runs, static_cast<int>(opt.only.size() * corpus.size()));
-  for (const FailureCase& fc : result.cases) {
-    ADD_FAILURE() << fc.scenario << " seed=" << fc.seed << "\n"
-                  << describe(fc.schedule) << "\n"
-                  << fc.report;
-  }
-#endif
-}
-
-// The storage corpus replays only the durable-KV scenarios (whole-cluster
-// power loss, torn-write/lost-suffix injection, bit rot, ENOSPC/stall):
-// each seed drives per-node SimDisk fault schedules plus the
-// DurabilityOracle, which the LAN and WAN corpora never exercise. Kept
-// separate so durable replay time does not grow the other suites.
-TEST(CampaignTest, StorageSeedCorpusClean) {
-#ifndef ACCELRING_STORAGE_SEED_CORPUS
-  GTEST_SKIP() << "storage corpus path not configured";
-#else
-  std::vector<uint64_t> corpus;
-  std::ifstream in(ACCELRING_STORAGE_SEED_CORPUS);
-  ASSERT_TRUE(in.is_open()) << ACCELRING_STORAGE_SEED_CORPUS;
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const size_t start = line.find_first_not_of(" \t");
-    if (start == std::string::npos) continue;
-    corpus.push_back(std::strtoull(line.c_str() + start, nullptr, 0));
-  }
-  ASSERT_FALSE(corpus.empty());
-
-  CampaignOptions opt;
-  opt.run = fast_run_options();
-  opt.seeds_per_scenario = 0;
-  opt.extra_seeds = corpus;
-  for (const Scenario& sc : scenarios()) {
-    if (sc.durable) opt.only.push_back(sc.name);
-  }
-  ASSERT_GE(opt.only.size(), 4u);  // the durable catalogue
-  const CampaignResult result = run_campaign(opt);
-  EXPECT_EQ(result.failures, 0);
-  EXPECT_EQ(result.runs, static_cast<int>(opt.only.size() * corpus.size()));
-  for (const FailureCase& fc : result.cases) {
-    ADD_FAILURE() << fc.scenario << " seed=" << fc.seed << "\n"
-                  << describe(fc.schedule) << "\n"
-                  << fc.report;
-  }
-#endif
-}
-
-// The migration corpus replays only the live-migration scenarios (ring
-// add/remove under load, migration across a partition heal, hot-shard
-// rebalance): each seed drives a totally ordered handoff with the
-// MergedOracle's handoff audit and the held-message liveness check attached,
-// which no other corpus exercises. K = 4 rings (migration needs K > 1).
-TEST(CampaignTest, MigrationSeedCorpusClean) {
-#ifndef ACCELRING_MIGRATION_SEED_CORPUS
-  GTEST_SKIP() << "migration corpus path not configured";
-#else
-  std::vector<uint64_t> corpus;
-  std::ifstream in(ACCELRING_MIGRATION_SEED_CORPUS);
-  ASSERT_TRUE(in.is_open()) << ACCELRING_MIGRATION_SEED_CORPUS;
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const size_t start = line.find_first_not_of(" \t");
-    if (start == std::string::npos) continue;
-    corpus.push_back(std::strtoull(line.c_str() + start, nullptr, 0));
-  }
-  ASSERT_FALSE(corpus.empty());
-
-  CampaignOptions opt;
-  opt.run = fast_run_options();
-  opt.run.rings = 4;
-  opt.seeds_per_scenario = 0;
-  opt.extra_seeds = corpus;
-  for (const Scenario& sc : scenarios()) {
-    if (sc.migration) opt.only.push_back(sc.name);
-  }
-  ASSERT_EQ(opt.only.size(), 4u);  // the migration catalogue
-  const CampaignResult result = run_campaign(opt);
-  EXPECT_EQ(result.failures, 0);
-  EXPECT_EQ(result.runs, static_cast<int>(opt.only.size() * corpus.size()));
-  for (const FailureCase& fc : result.cases) {
-    ADD_FAILURE() << fc.scenario << " seed=" << fc.seed << "\n"
-                  << describe(fc.schedule) << "\n"
-                  << fc.report;
+    for (const int rings : corpus.rings) {
+      opt.run.rings = rings;
+      int scenarios_run = 0;
+      for (const Scenario& sc : scenarios()) {
+        if (corpus.wanted(sc) && sc.runs_at(rings)) ++scenarios_run;
+      }
+      ASSERT_GT(scenarios_run, 0) << corpus.file << " rings=" << rings;
+      const CampaignResult result = run_campaign(opt);
+      EXPECT_EQ(result.failures, 0) << corpus.file << " rings=" << rings;
+      EXPECT_EQ(result.runs, scenarios_run *
+                                 static_cast<int>(opt.extra_seeds.size()));
+      for (const FailureCase& fc : result.cases) {
+        ADD_FAILURE() << corpus.file << ": " << fc.scenario
+                      << " seed=" << fc.seed << " rings=" << rings << "\n"
+                      << describe(fc.schedule) << "\n" << fc.report;
+      }
+    }
   }
 #endif
 }

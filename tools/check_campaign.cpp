@@ -22,34 +22,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "check/campaign.hpp"
-
-namespace {
-
-std::vector<uint64_t> load_seed_file(const std::string& path) {
-  std::vector<uint64_t> seeds;
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "check_campaign: cannot open seed file %s\n",
-                 path.c_str());
-    std::exit(2);
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const size_t start = line.find_first_not_of(" \t");
-    if (start == std::string::npos) continue;
-    seeds.push_back(std::strtoull(line.c_str() + start, nullptr, 0));
-  }
-  return seeds;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace accelring;
@@ -85,7 +61,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--scenario") {
       opt.only.push_back(next());
     } else if (arg == "--seed-file") {
-      opt.extra_seeds = load_seed_file(next());
+      const char* path = next();
+      opt.extra_seeds = check::load_seed_corpus(path);
+      if (opt.extra_seeds.empty()) {
+        std::fprintf(stderr, "check_campaign: no seeds read from %s\n", path);
+        return 2;
+      }
     } else if (arg == "--artifact-dir") {
       opt.run.artifact_dir = next();
     } else if (arg == "--no-artifacts") {
