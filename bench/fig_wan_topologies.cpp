@@ -13,7 +13,7 @@
 // rather than a LAN-tuned strawman.
 //
 // `--smoke` runs the three narrow classes at two loads with short windows
-// for CI; the wan_smoke stage validates the emitted
+// for CI; tools/ci.sh validates the emitted
 // BENCH_wan_topologies.json with tools/validate_bench_json.py.
 #include <cstdio>
 #include <cstring>

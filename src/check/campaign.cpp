@@ -121,6 +121,10 @@ Blame blame(const Schedule& schedule, const simnet::Topology& topo) {
 /// with its stack's services and oracles: everything the fault applier
 /// acts on.
 struct Target {
+  Target() = default;
+  Target(const Target&) = delete;  // the run's callbacks hold its address
+  Target& operator=(const Target&) = delete;
+
   Stack stack = Stack::kRaw;
   std::unique_ptr<harness::SimCluster> cluster;  ///< K == 1
   std::unique_ptr<multiring::RingSet> ring_set;  ///< K > 1
@@ -736,8 +740,8 @@ RunResult run_schedule(const RunOptions& opt, const Schedule& schedule,
   std::set<uint64_t> ejected;  // ring ids, see RunResult::false_ejections
 
   Target t;
-  // A ring set runs raw or keyed submits; a single ring has no shard map
-  // to key by, so either falls back to raw submits.
+  // Ring sets run only the raw and keyed stacks, single rings every stack
+  // but the keyed ones (no shard map to key by); the rest fall back to raw.
   t.stack = sc != nullptr && (ropt.rings > 1) == sc->keyed() ? sc->stack
                                                               : Stack::kRaw;
   if (ropt.rings > 1) {

@@ -605,16 +605,13 @@ simnet::Topology campaign_wan_topology(int nodes) {
 }
 
 const char* fault_name(FaultKind kind) {
+  // In FaultKind's declaration order.
   static constexpr const char* kNames[] = {
-      "loss_burst",      "token_drop",        "partition",
-      "heal",            "crash",             "restart",
-      "latency_shift",   "overload",          "cpu_multiplier",
-      "link_loss",       "link_down",         "reorder",
-      "duplicate",       "rack_power",        "rack_restore",
-      "switch_brownout", "wan_down",          "power_loss_all",
-      "power_restore_all", "disk_desync",     "disk_bitrot",
-      "disk_full",       "disk_stall",        "ring_offline",
-      "migrate"};
+      "loss_burst", "token_drop", "partition", "heal", "crash", "restart",
+      "latency_shift", "overload", "cpu_multiplier", "link_loss", "link_down",
+      "reorder", "duplicate", "rack_power", "rack_restore", "switch_brownout",
+      "wan_down", "power_loss_all", "power_restore_all", "disk_desync",
+      "disk_bitrot", "disk_full", "disk_stall", "ring_offline", "migrate"};
   static_assert(std::size(kNames) ==
                 static_cast<size_t>(FaultKind::kMigrate) + 1);
   return kNames[static_cast<size_t>(kind)];

@@ -415,11 +415,11 @@ TEST(CampaignTest, MultiRingScenariosClean) {
 }
 
 // Run fingerprints: every scenario at single-ring seeds 1 and 2 and K=4
-// seed 1 (the run set of the sim_campaign benchmark). The figures were
-// captured before the campaign runners were merged into one; a refactor of
-// the campaign plumbing must reproduce them exactly, because the event
-// queue fires equal-time events in scheduling order and any reordering of
-// workload, fault or heal events shows up in the event count.
+// seed 1 (the run set of the sim_campaign benchmark). A change to the
+// campaign plumbing must reproduce them exactly: one that moves them
+// changes what the campaign runs, and the corpus seeds may stop replaying
+// what they found. The event count catches an extra, missing or retimed
+// simulator event that leaves the oracle verdict alone.
 struct Fingerprint {
   const char* scenario;
   int rings;
