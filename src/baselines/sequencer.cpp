@@ -17,17 +17,12 @@ constexpr uint8_t kAck = 13;      // receiver -> sequencer
 // How many messages a stall-heal or NAK answer resends at once.
 constexpr SeqNum kResendBurst = 32;
 
-void seal(util::Writer& w) { w.u32(util::crc32(w.view())); }
-
+/// Unseal `packet` and check its type byte; the reader starts after it.
 std::optional<util::Reader> unseal(std::span<const std::byte> packet,
                                    uint8_t expected_type) {
-  if (packet.size() < 5) return std::nullopt;
-  const auto body = packet.first(packet.size() - 4);
-  util::Reader tail(packet.subspan(packet.size() - 4));
-  if (tail.u32() != util::crc32(body)) return std::nullopt;
-  util::Reader r(body);
-  if (r.u8() != expected_type) return std::nullopt;
-  return r;
+  const auto body = util::unseal(packet);
+  if (!body || (*body)[0] != std::byte{expected_type}) return std::nullopt;
+  return util::Reader(body->subspan(1));
 }
 
 std::vector<std::byte> encode_ordered(SeqNum seq, ProcessId sender,
@@ -39,7 +34,7 @@ std::vector<std::byte> encode_ordered(SeqNum seq, ProcessId sender,
   w.u16(sender);
   w.u64(sender_seq);
   w.bytes(payload);
-  seal(w);
+  util::seal(w);
   return std::move(w).take();
 }
 
@@ -90,7 +85,7 @@ void SequencerProtocol::send_forward(uint64_t sender_seq,
   w.u16(self_);
   w.u64(sender_seq);
   w.bytes(body);
-  seal(w);
+  util::seal(w);
   ++stats_.forwarded;
   host_.unicast(members_.members.front(), protocol::kSockData,
                 std::move(w).take());
@@ -262,7 +257,7 @@ void SequencerProtocol::send_naks() {
   w.u16(self_);
   w.u32(static_cast<uint32_t>(missing.size()));
   for (SeqNum s : missing) w.i64(s);
-  seal(w);
+  util::seal(w);
   ++stats_.naks_sent;
   host_.unicast(members_.members.front(), protocol::kSockData,
                 std::move(w).take());
@@ -283,7 +278,7 @@ void SequencerProtocol::on_timer(protocol::TimerKind kind) {
       w.u8(kAck);
       w.u16(self_);
       w.i64(aru_);
-      seal(w);
+      util::seal(w);
       host_.unicast(members_.members.front(), protocol::kSockData,
                     std::move(w).take());
       host_.set_timer(protocol::kTimerBaselineAck, cfg_.ack_interval);

@@ -17,17 +17,12 @@ constexpr uint8_t kNakB = 23;   // anyone -> coordinator
 // How many delivered batches the coordinator keeps for NAK service.
 constexpr uint64_t kCoordinatorHistory = 512;
 
-void seal(util::Writer& w) { w.u32(util::crc32(w.view())); }
-
+/// Unseal `packet` and check its type byte; the reader starts after it.
 std::optional<util::Reader> unseal(std::span<const std::byte> packet,
                                    uint8_t expected_type) {
-  if (packet.size() < 5) return std::nullopt;
-  const auto body = packet.first(packet.size() - 4);
-  util::Reader tail(packet.subspan(packet.size() - 4));
-  if (tail.u32() != util::crc32(body)) return std::nullopt;
-  util::Reader r(body);
-  if (r.u8() != expected_type) return std::nullopt;
-  return r;
+  const auto body = util::unseal(packet);
+  if (!body || (*body)[0] != std::byte{expected_type}) return std::nullopt;
+  return util::Reader(body->subspan(1));
 }
 
 }  // namespace
@@ -73,7 +68,7 @@ void URingProtocol::send_value(uint64_t client_seq,
   w.u16(self_);
   w.u64(client_seq);
   w.bytes(body);
-  seal(w);
+  util::seal(w);
   ++stats_.forwarded;
   host_.unicast(members_.members.front(), protocol::kSockData,
                 std::move(w).take());
@@ -114,7 +109,7 @@ std::vector<std::byte> URingProtocol::encode_batch(
     w.u16(e.origin);
     w.bytes(e.payload);
   }
-  seal(w);
+  util::seal(w);
   return std::move(w).take();
 }
 
@@ -240,7 +235,7 @@ void URingProtocol::handle_batch(Batch batch, uint64_t decided_upto) {
     util::Writer w(16);
     w.u8(kAckB);
     w.u64(id);
-    seal(w);
+    util::seal(w);
     host_.unicast(members_.members.front(), protocol::kSockData,
                   std::move(w).take());
   }
@@ -382,7 +377,7 @@ void URingProtocol::on_timer(protocol::TimerKind kind) {
         w.u16(self_);
         w.u32(static_cast<uint32_t>(missing.size()));
         for (uint64_t b : missing) w.u64(b);
-        seal(w);
+        util::seal(w);
         ++stats_.naks_sent;
         host_.unicast(members_.members.front(), protocol::kSockData,
                       std::move(w).take());

@@ -8,19 +8,6 @@ namespace {
 using util::Reader;
 using util::Writer;
 
-/// Append the CRC of everything written so far.
-void seal(Writer& w) { w.u32(util::crc32(w.view())); }
-
-/// Verify and strip the trailing CRC; returns the body on success.
-std::optional<std::span<const std::byte>> unseal(
-    std::span<const std::byte> packet) {
-  if (packet.size() < 5) return std::nullopt;  // type byte + crc
-  const auto body = packet.first(packet.size() - 4);
-  Reader tail(packet.subspan(packet.size() - 4));
-  if (tail.u32() != util::crc32(body)) return std::nullopt;
-  return body;
-}
-
 constexpr uint8_t kFlagPostToken = 0x08;
 constexpr uint8_t kFlagRecovered = 0x10;
 constexpr uint8_t kFlagPacked = 0x20;
@@ -58,12 +45,12 @@ std::vector<std::byte> encode(const DataMsg& msg) {
   w.u16(msg.header_pad);
   for (uint16_t i = 0; i < msg.header_pad; ++i) w.u8(0);
   w.bytes(msg.payload);
-  seal(w);
+  util::seal(w);
   return std::move(w).take();
 }
 
 std::optional<DataMsg> decode_data(std::span<const std::byte> packet) {
-  const auto body = unseal(packet);
+  const auto body = util::unseal(packet);
   if (!body) return std::nullopt;
   Reader r(*body);
   if (r.u8() != static_cast<uint8_t>(PacketType::kData)) return std::nullopt;
@@ -111,12 +98,12 @@ std::vector<std::byte> encode(const TokenMsg& msg) {
       w.u16(h.backlog);
     }
   }
-  seal(w);
+  util::seal(w);
   return std::move(w).take();
 }
 
 std::optional<TokenMsg> decode_token(std::span<const std::byte> packet) {
-  const auto body = unseal(packet);
+  const auto body = util::unseal(packet);
   if (!body) return std::nullopt;
   Reader r(*body);
   if (r.u8() != static_cast<uint8_t>(PacketType::kToken)) return std::nullopt;
@@ -169,12 +156,12 @@ std::vector<std::byte> encode(const JoinMsg& msg) {
       w.u32(hold);
     }
   }
-  seal(w);
+  util::seal(w);
   return std::move(w).take();
 }
 
 std::optional<JoinMsg> decode_join(std::span<const std::byte> packet) {
-  const auto body = unseal(packet);
+  const auto body = util::unseal(packet);
   if (!body) return std::nullopt;
   Reader r(*body);
   if (r.u8() != static_cast<uint8_t>(PacketType::kJoin)) return std::nullopt;
@@ -215,13 +202,13 @@ std::vector<std::byte> encode(const CommitTokenMsg& msg) {
     w.i64(e.old_safe_line);
     w.boolean(e.filled);
   }
-  seal(w);
+  util::seal(w);
   return std::move(w).take();
 }
 
 std::optional<CommitTokenMsg> decode_commit(
     std::span<const std::byte> packet) {
-  const auto body = unseal(packet);
+  const auto body = util::unseal(packet);
   if (!body) return std::nullopt;
   Reader r(*body);
   if (r.u8() != static_cast<uint8_t>(PacketType::kCommitToken)) {

@@ -22,6 +22,12 @@ void EventLoop::set_timer(int id, Nanos delay, Callback fn) {
 
 void EventLoop::cancel_timer(int id) { timers_.erase(id); }
 
+int EventLoop::reserve_timer_ids(int count) {
+  const int first = next_reserved_id_;
+  next_reserved_id_ += count;
+  return first;
+}
+
 Nanos EventLoop::now() const {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - epoch_)

@@ -30,6 +30,14 @@ class EventLoop {
   void set_timer(int id, Nanos delay, Callback fn);
   void cancel_timer(int id);
 
+  /// Ids at or above this are handed out by reserve_timer_ids(); ids a
+  /// caller picks for itself stay below it.
+  static constexpr int kFirstReservedTimerId = 1 << 20;
+  /// Reserve `count` consecutive timer ids that no other caller of this
+  /// loop gets; returns the first. Lets several clients of one loop (say,
+  /// one transport per ring member) number their timers independently.
+  int reserve_timer_ids(int count);
+
   /// Monotonic nanoseconds since loop construction.
   [[nodiscard]] Nanos now() const;
 
@@ -53,6 +61,7 @@ class EventLoop {
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::pair<int, Callback>> fds_;
   std::map<int, Timer> timers_;
+  int next_reserved_id_ = kFirstReservedTimerId;
   bool stopped_ = false;
 };
 

@@ -4,7 +4,7 @@
 # trees (sanitizers change the ABI of everything they touch).
 #
 #   tools/ci.sh              # everything (~a few minutes)
-#   tools/ci.sh --fast       # plain build + tests + check-fast only
+#   tools/ci.sh --fast       # plain build + tests + check-fast + bench smokes
 #
 # Any failure stops the script with a nonzero exit.
 set -euo pipefail
@@ -17,14 +17,20 @@ FAST=0
 GENERATOR=()
 command -v ninja >/dev/null 2>&1 && GENERATOR=(-G Ninja)
 
-configure_and_test() {
-  local dir="$1"
-  shift
+configure() {
+  local dir="$1" src="$2"
+  shift 2
   echo "=== ${dir}: configure ==="
   # Only pick a generator for a fresh tree; an existing cache keeps its own.
   local gen=("${GENERATOR[@]}")
   [[ -f "${dir}/CMakeCache.txt" ]] && gen=()
-  cmake -B "${dir}" -S . "${gen[@]}" "$@"
+  cmake -B "${dir}" -S "${src}" "${gen[@]}" "$@"
+}
+
+configure_and_test() {
+  local dir="$1"
+  shift
+  configure "${dir}" . "$@"
   echo "=== ${dir}: build ==="
   cmake --build "${dir}" -j
   echo "=== ${dir}: test ==="
@@ -112,6 +118,21 @@ ACCELRING_BENCH_DIR="${MIGRATION_DIR}" \
   ./build/bench/fig_migration --smoke >/dev/null
 python3 tools/validate_bench_json.py \
   "${MIGRATION_DIR}/BENCH_migration_smoke.json"
+
+# Wall-clock suite acceptance: bench/suite is a standalone project over the
+# library sources, so a src/ change can break it without breaking the main
+# tree. Build it, then run each workload once, short and traced. accel_bench
+# exits nonzero when a correctness check fails: FIFO order, prefix-hash
+# agreement and completeness of the ring over real UDP, and the KV repeat
+# counts. The per-layer lines it prints (wire.*, engine.*, ...) show the
+# hot-path cost of the change under test.
+configure build-bench bench/suite -DCMAKE_BUILD_TYPE=RelWithDebInfo
+echo "=== build-bench: accel_bench smoke ==="
+cmake --build build-bench -j --target accel_bench
+for workload in ring_agreed_1350 ring_safe_200 sim_kv_k4; do
+  ./build-bench/accel_bench --workload "${workload}" --seed 1 --seconds 3 \
+    --trace 1
+done
 
 if [[ "${FAST}" == "0" ]]; then
   configure_and_test build-asan -DACCELRING_SANITIZE=address
