@@ -15,8 +15,8 @@
 namespace accelring::bench {
 namespace {
 
+using harness::PointResult;
 using multiring::MultiPointConfig;
-using multiring::MultiPointResult;
 
 MultiPointConfig scaling_point(int rings, protocol::Service service,
                                double per_ring_mbps) {
@@ -38,15 +38,26 @@ MultiPointConfig scaling_point(int rings, protocol::Service service,
 
 /// Best merged throughput over the per-ring load grid (max-throughput
 /// search, stopping once achieved falls well short of offered).
-MultiPointResult best_point(int rings, protocol::Service service) {
-  MultiPointResult best;
+PointResult best_point(int rings, protocol::Service service) {
+  PointResult best;
   for (double per_ring : {3000.0, 3750.0, 4250.0, 4750.0, 5250.0}) {
-    const MultiPointResult r =
+    const PointResult r =
         multiring::run_multiring_point(scaling_point(rings, service, per_ring));
-    if (r.merged_mbps > best.merged_mbps) best = r;
-    if (r.merged_mbps < 0.85 * r.offered_mbps) break;
+    if (r.achieved_mbps > best.achieved_mbps) best = r;
+    if (r.achieved_mbps < 0.85 * r.offered_mbps) break;
   }
   return best;
+}
+
+void print_row(int rings, const PointResult& r, double baseline_mbps) {
+  std::printf(
+      "%5d %12.0f %12.1f %8.2fx %12.1f %12.1f %10llu %10llu %8.1f\n", rings,
+      r.offered_mbps, r.achieved_mbps,
+      baseline_mbps > 0 ? r.achieved_mbps / baseline_mbps : 1.0,
+      util::to_usec(r.mean_latency), util::to_usec(r.p99_latency),
+      static_cast<unsigned long long>(r.retransmits),
+      static_cast<unsigned long long>(r.buffer_drops + r.submit_rejected),
+      100.0 * r.max_cpu_utilization);
 }
 
 void run_service(const char* title, protocol::Service service) {
@@ -57,9 +68,9 @@ void run_service(const char* title, protocol::Service service) {
               "p99_us", "retrans", "drops", "cpu%");
   double baseline = 0;
   for (int rings : {1, 2, 4, 8}) {
-    const MultiPointResult r = best_point(rings, service);
-    if (rings == 1) baseline = r.merged_mbps;
-    multiring::print_multiring_row(rings, r, baseline);
+    const PointResult r = best_point(rings, service);
+    if (rings == 1) baseline = r.achieved_mbps;
+    print_row(rings, r, baseline);
   }
   std::printf("\n");
 }

@@ -12,7 +12,6 @@
 namespace {
 
 using namespace accelring::bench;
-using accelring::harness::PointResult;
 
 PointConfig smoke_point() {
   PointConfig pc = base_point(/*ten_gig=*/false);
@@ -55,27 +54,6 @@ void dump_healthy_flight() {
   }
 }
 
-/// Adapt a multi-ring result to the single-ring point schema so both smoke
-/// artifacts share one format (and one validator).
-PointResult to_point(const accelring::multiring::MultiPointResult& m) {
-  PointResult p;
-  p.offered_mbps = m.offered_mbps;
-  p.achieved_mbps = m.merged_mbps;
-  p.mean_latency = m.mean_latency;
-  p.p50_latency = m.p50_latency;
-  p.p90_latency = m.p90_latency;
-  p.p99_latency = m.p99_latency;
-  p.p999_latency = m.p999_latency;
-  p.max_latency = m.max_latency;
-  p.messages = m.messages;
-  p.buffer_drops = m.buffer_drops;
-  p.retransmits = m.retransmits;
-  p.submit_rejected = m.submit_rejected;
-  p.max_cpu_utilization = m.max_cpu_utilization;
-  p.metrics = m.metrics;
-  return p;
-}
-
 }  // namespace
 
 int main() {
@@ -100,7 +78,7 @@ int main() {
   mc.measure = accelring::util::msec(100);
   Curve multi;
   multi.label = "K=4 multiring / library / accelerated / agreed / 1350B";
-  multi.points.push_back(to_point(accelring::multiring::run_multiring_point(mc)));
+  multi.points.push_back(accelring::multiring::run_multiring_point(mc));
   print_curve(multi);
   emit_bench_artifacts("obs_smoke_4ring", {multi});
 

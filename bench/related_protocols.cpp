@@ -18,7 +18,6 @@
 #include "baselines/baseline_cluster.hpp"
 #include "baselines/sequencer.hpp"
 #include "baselines/uring_paxos.hpp"
-#include "harness/latency.hpp"
 
 namespace {
 
@@ -36,72 +35,16 @@ transport::HostCosts baseline_costs() {
 }
 
 template <typename Protocol, typename Config>
-harness::PointResult run_baseline_point(bool ten_gig, Config cfg,
-                                        double offered_mbps,
-                                        size_t payload_size) {
-  const int kNodes = 8;
-  const protocol::Nanos warmup = util::msec(100);
-  const protocol::Nanos window_end = warmup + util::msec(300);
-  baselines::BaselineCluster<Protocol, Config> cluster(
-      kNodes,
-      ten_gig ? simnet::FabricParams::ten_gig()
-              : simnet::FabricParams::one_gig(),
-      cfg, /*seed=*/1, baseline_costs());
-
-  util::LatencyStats latency;
-  util::Meter meter;
-  cluster.set_on_deliver([&](int node, const protocol::Delivery& d,
-                             protocol::Nanos at) {
-    if (node != 1) return;  // one observer (not the coordinator)
-    if (at < warmup || at >= window_end) return;
-    harness::PayloadStamp stamp;
-    if (!harness::parse_payload(d.payload, stamp)) return;
-    latency.add(at - stamp.inject_time);
-    meter.add(d.payload.size());
-  });
-
-  // Fixed-rate injection, mirroring harness::RateInjector.
-  const double msgs_per_sec = offered_mbps * 1e6 / 8.0 /
-                              static_cast<double>(payload_size);
-  const auto interval =
-      static_cast<protocol::Nanos>(1e9 * kNodes / msgs_per_sec);
-  for (int node = 0; node < kNodes; ++node) {
-    // Self-rescheduling injector; the shared_ptr keeps the closure alive
-    // across the event chain.
-    auto inject =
-        std::make_shared<std::function<void(protocol::Nanos, uint32_t)>>();
-    *inject = [&cluster, node, payload_size, interval, window_end, inject](
-                  protocol::Nanos at, uint32_t index) {
-      if (at >= window_end) return;
-      cluster.eq().schedule(at, [&cluster, node, payload_size, at, index,
-                                 interval, inject] {
-        harness::PayloadStamp stamp{at, static_cast<uint32_t>(node), index};
-        cluster.submit(node, harness::make_payload(payload_size, stamp));
-        (*inject)(at + interval, index + 1);
-      });
-    };
-    (*inject)(util::usec(100) + interval * node / kNodes, 0);
-  }
-  cluster.run_until(window_end + util::msec(50));
-
-  harness::PointResult r;
-  r.offered_mbps = offered_mbps;
-  r.achieved_mbps = meter.mbps(window_end - warmup);
-  r.mean_latency = latency.mean();
-  r.p50_latency = latency.percentile(0.5);
-  r.p99_latency = latency.percentile(0.99);
-  r.messages = meter.messages();
-  return r;
-}
-
-template <typename Protocol, typename Config>
-void run_baseline_curve(const char* label, bool ten_gig, Config cfg,
+void run_baseline_curve(const char* label, bool ten_gig,
                         const std::vector<double>& loads) {
   harness::Curve curve;
   curve.label = label;
+  const simnet::FabricParams fabric = ten_gig
+                                          ? simnet::FabricParams::ten_gig()
+                                          : simnet::FabricParams::one_gig();
   for (double mbps : loads) {
-    curve.points.push_back(
-        run_baseline_point<Protocol, Config>(ten_gig, cfg, mbps, 1350));
+    curve.points.push_back(baselines::run_baseline_point<Protocol, Config>(
+        fabric, mbps, baseline_costs()));
   }
   harness::print_curve(curve);
 }
@@ -121,9 +64,9 @@ int main() {
       "accelerated ring / library / 1GbE", ring, one_gig));
 
   run_baseline_curve<baselines::SequencerProtocol, baselines::SequencerConfig>(
-      "sequencer (JGroups-style) / 1GbE", false, {}, one_gig);
+      "sequencer (JGroups-style) / 1GbE", false, one_gig);
   run_baseline_curve<baselines::URingProtocol, baselines::URingConfig>(
-      "u-ring paxos (batching) / 1GbE", false, {}, one_gig);
+      "u-ring paxos (batching) / 1GbE", false, one_gig);
 
   ring = base_point(/*ten_gig=*/true);
   ring.proto = accelring::harness::bench_protocol(Variant::kAccelerated);
@@ -131,9 +74,9 @@ int main() {
       "accelerated ring / library / 10GbE", ring, ten_gig));
 
   run_baseline_curve<baselines::SequencerProtocol, baselines::SequencerConfig>(
-      "sequencer (JGroups-style) / 10GbE", true, {}, ten_gig);
+      "sequencer (JGroups-style) / 10GbE", true, ten_gig);
   run_baseline_curve<baselines::URingProtocol, baselines::URingConfig>(
-      "u-ring paxos (batching) / 10GbE", true, {}, ten_gig);
+      "u-ring paxos (batching) / 10GbE", true, ten_gig);
 
   std::printf(
       "expected shape: the ring saturates 1GbE; the sequencer tops out "

@@ -15,58 +15,16 @@ using namespace accelring;
 
 namespace {
 
-struct Row {
-  const char* name;
-  double achieved;
-  double mean_us;
-  double p99_us;
-};
-
-Row run_ring(const char* name, protocol::Variant variant, double offered) {
+harness::PointResult run_ring(protocol::Variant variant, double offered) {
   harness::PointConfig pc;
   pc.proto = harness::bench_protocol(variant);
   pc.offered_mbps = offered;
-  const auto r = harness::run_point(pc);
-  return Row{name, r.achieved_mbps, util::to_usec(r.mean_latency),
-             util::to_usec(r.p99_latency)};
+  return harness::run_point(pc);
 }
 
-template <typename Protocol, typename Config>
-Row run_baseline(const char* name, double offered) {
-  const int kNodes = 8;
-  const protocol::Nanos warmup = util::msec(100);
-  const protocol::Nanos window_end = warmup + util::msec(300);
-  baselines::BaselineCluster<Protocol, Config> cluster(
-      kNodes, simnet::FabricParams::one_gig(), Config{});
-  util::LatencyStats latency;
-  util::Meter meter;
-  cluster.set_on_deliver([&](int node, const protocol::Delivery& d,
-                             protocol::Nanos at) {
-    if (node != 1 || at < warmup || at >= window_end) return;
-    harness::PayloadStamp stamp;
-    if (!harness::parse_payload(d.payload, stamp)) return;
-    latency.add(at - stamp.inject_time);
-    meter.add(d.payload.size());
-  });
-  const double msgs_per_sec = offered * 1e6 / 8.0 / 1350.0;
-  const auto interval = static_cast<protocol::Nanos>(1e9 / msgs_per_sec);
-  // One global injection chain round-robining over senders.
-  auto inject = std::make_shared<std::function<void(protocol::Nanos, int)>>();
-  *inject = [&cluster, interval, window_end, inject](protocol::Nanos at,
-                                                     int i) {
-    if (at >= window_end) return;
-    cluster.eq().schedule(at, [&cluster, at, i, interval, inject] {
-      harness::PayloadStamp stamp{at, static_cast<uint32_t>(i % 8),
-                                  static_cast<uint32_t>(i)};
-      cluster.submit(i % 8, harness::make_payload(1350, stamp));
-      (*inject)(at + interval, i + 1);
-    });
-  };
-  (*inject)(util::usec(100), 0);
-  cluster.run_until(window_end + util::msec(50));
-  return Row{name, meter.mbps(window_end - warmup),
-             util::to_usec(latency.mean()),
-             util::to_usec(latency.percentile(0.99))};
+void print_row(const char* name, const harness::PointResult& r) {
+  std::printf("%-28s %12.1f %12.1f %12.1f\n", name, r.achieved_mbps,
+              util::to_usec(r.mean_latency), util::to_usec(r.p99_latency));
 }
 
 }  // namespace
@@ -79,20 +37,19 @@ int main(int argc, char** argv) {
   std::printf("%-28s %12s %12s %12s\n", "protocol", "achieved", "mean_us",
               "p99_us");
 
-  const Row rows[] = {
-      run_ring("totem single-ring (1993)", protocol::Variant::kOriginal,
-               offered),
-      run_ring("accelerated ring (paper)", protocol::Variant::kAccelerated,
-               offered),
-      run_baseline<baselines::SequencerProtocol, baselines::SequencerConfig>(
-          "fixed sequencer (JGroups)", offered),
-      run_baseline<baselines::URingProtocol, baselines::URingConfig>(
-          "u-ring paxos (batching)", offered),
-  };
-  for (const Row& row : rows) {
-    std::printf("%-28s %12.1f %12.1f %12.1f\n", row.name, row.achieved,
-                row.mean_us, row.p99_us);
-  }
+  const simnet::FabricParams fabric = simnet::FabricParams::one_gig();
+  print_row("totem single-ring (1993)",
+            run_ring(protocol::Variant::kOriginal, offered));
+  print_row("accelerated ring (paper)",
+            run_ring(protocol::Variant::kAccelerated, offered));
+  print_row("fixed sequencer (JGroups)",
+            baselines::run_baseline_point<baselines::SequencerProtocol,
+                                          baselines::SequencerConfig>(
+                fabric, offered));
+  print_row("u-ring paxos (batching)",
+            baselines::run_baseline_point<baselines::URingProtocol,
+                                          baselines::URingConfig>(fabric,
+                                                                  offered));
   std::printf("\nthe accelerated ring keeps the token-protocol feature set "
               "(Safe delivery, EVS partitionable membership, multi-group "
               "ordering)\nwhile matching or beating the centralized "

@@ -3,12 +3,15 @@
 // the protocol type: same fabric, same process CPU model, same SimHost cost
 // model, so cross-protocol comparisons (bench/related_protocols) are
 // apples-to-apples with the ring protocols — only the protocol differs.
+// run_baseline_point measures one offered load through the same injector and
+// recorder as harness::run_point.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "harness/latency.hpp"
 #include "membership/membership.hpp"
 #include "simnet/event_queue.hpp"
 #include "simnet/network.hpp"
@@ -88,5 +91,38 @@ class BaselineCluster {
   std::vector<Node> nodes_;
   DeliverFn on_deliver_;
 };
+
+/// One fixed-rate point: 8 senders share `offered_mbps` of 1350 B payloads;
+/// after a 100 ms warmup, a 300 ms window is measured at node 1 (not node 0,
+/// where the sequencer and the Paxos coordinator sit).
+template <typename Protocol, typename Config>
+[[nodiscard]] harness::PointResult run_baseline_point(
+    simnet::FabricParams fabric, double offered_mbps,
+    transport::HostCosts host_costs = {}) {
+  constexpr int kNodes = 8;
+  constexpr int kObserver = 1;
+  const protocol::Nanos warmup = util::msec(100);
+  const protocol::Nanos window_end = warmup + util::msec(300);
+  BaselineCluster<Protocol, Config> cluster(kNodes, fabric, Config{},
+                                            /*seed=*/1, host_costs);
+  harness::LatencyRecorder recorder(1, warmup, window_end);
+  cluster.set_on_deliver([&recorder](int node, const protocol::Delivery& d,
+                                     protocol::Nanos at) {
+    if (node == kObserver) recorder.record(0, d, at);
+  });
+  harness::RateInjector::Options inject;
+  inject.payload_size = 1350;
+  inject.aggregate_mbps = offered_mbps;
+  inject.start = util::usec(100);
+  inject.stop = window_end;
+  harness::RateInjector injector(
+      cluster.eq(), kNodes, inject,
+      [&cluster](int node, uint32_t, std::vector<std::byte> payload) {
+        cluster.submit(node, std::move(payload));
+      });
+  injector.arm();
+  cluster.run_until(window_end + util::msec(50));
+  return recorder.result(offered_mbps);
+}
 
 }  // namespace accelring::baselines

@@ -62,13 +62,6 @@ SimCluster::SimCluster(const simnet::Topology& topo,
   init(topo.num_hosts());
 }
 
-SimCluster::SimCluster(simnet::EventQueue& eq, int num_nodes,
-                       simnet::FabricParams fabric,
-                       protocol::ProtocolConfig cfg, ImplProfile profile,
-                       uint64_t seed)
-    : SimCluster(eq, simnet::Topology::single_dc(num_nodes), fabric, cfg,
-                 profile, seed) {}
-
 SimCluster::SimCluster(simnet::EventQueue& eq, const simnet::Topology& topo,
                        simnet::FabricParams fabric,
                        protocol::ProtocolConfig cfg, ImplProfile profile,

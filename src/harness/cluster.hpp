@@ -161,12 +161,6 @@ class SimCluster {
   /// Multi-ring assembly: share an external event queue so several clusters
   /// (one per ring, each with its own switch fabric) advance on one simulated
   /// clock. The queue must outlive the cluster.
-  SimCluster(simnet::EventQueue& eq, int num_nodes,
-             simnet::FabricParams fabric, protocol::ProtocolConfig cfg,
-             ImplProfile profile, uint64_t seed = 1);
-
-  /// Shared-clock multi-datacenter cluster (multi-ring assembly over a
-  /// topology).
   SimCluster(simnet::EventQueue& eq, const simnet::Topology& topo,
              simnet::FabricParams fabric, protocol::ProtocolConfig cfg,
              ImplProfile profile, uint64_t seed = 1);

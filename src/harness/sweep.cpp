@@ -15,18 +15,24 @@ PointResult run_point(const PointConfig& config) {
   // Always-on: recording is free of perturbation (obs_determinism_test pins
   // this), and every bench point then ships its latency histograms.
   cluster.enable_metrics();
-  const Nanos window_start = config.warmup;
   const Nanos window_end = config.warmup + config.measure;
-  LatencyRecorder recorder(nodes, window_start, window_end);
-  recorder.attach(cluster);
+  LatencyRecorder recorder(nodes, config.warmup, window_end);
+  cluster.set_on_deliver(
+      [&recorder](int node, const protocol::Delivery& d, Nanos at) {
+        recorder.record(node, d, at);
+      });
 
   RateInjector::Options inject;
-  inject.service = config.service;
   inject.payload_size = config.payload_size;
   inject.aggregate_mbps = config.offered_mbps;
   inject.start = util::usec(100);  // let the ring form first
   inject.stop = window_end;
-  RateInjector injector(cluster, inject);
+  RateInjector injector(
+      cluster.eq(), nodes, inject,
+      [&cluster, service = config.service](int node, uint32_t,
+                                           std::vector<std::byte> payload) {
+        cluster.submit(node, service, std::move(payload));
+      });
 
   cluster.start_static();
   injector.arm();
@@ -34,20 +40,8 @@ PointResult run_point(const PointConfig& config) {
   // arrive inside the window).
   cluster.run_until(window_end + util::msec(50));
 
-  PointResult r;
-  r.offered_mbps = config.offered_mbps;
-  // All receivers see the same aggregate stream; report the mean across
-  // nodes to smooth edge-of-window effects.
-  double sum = 0;
-  for (int i = 0; i < nodes; ++i) sum += recorder.node_mbps(i);
-  r.achieved_mbps = sum / nodes;
-  r.mean_latency = recorder.latency().mean();
-  r.p50_latency = recorder.latency().percentile(0.5);
-  r.p90_latency = recorder.latency().percentile(0.90);
-  r.p99_latency = recorder.latency().percentile(0.99);
-  r.p999_latency = recorder.latency().percentile(0.999);
-  r.max_latency = recorder.latency().max();
-  r.messages = recorder.node_messages(0);
+  PointResult r =
+      recorder.result(config.offered_mbps, cluster.merged_metrics());
   const ClusterStats stats = cluster.stats();
   r.buffer_drops = stats.net.drops_buffer;
   r.socket_drops = stats.socket_drops();
@@ -56,14 +50,6 @@ PointResult run_point(const PointConfig& config) {
   r.token_retransmits = stats.token_retransmits();
   r.submit_rejected = stats.submit_rejected();
   r.max_cpu_utilization = stats.max_cpu_utilization();
-  auto merged =
-      std::make_shared<obs::MetricsRegistry>(cluster.merged_metrics());
-  // Cross-node delivery latency (inject stamp at the sender's client →
-  // client receipt anywhere), the number the paper's figures plot. The
-  // engine-level origin_* histograms cover only own-node delivery.
-  obs::Histogram& dist = merged->histogram("harness", "delivery_latency_ns");
-  for (const Nanos sample : recorder.latency().samples()) dist.record(sample);
-  r.metrics = std::move(merged);
   return r;
 }
 

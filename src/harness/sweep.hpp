@@ -4,14 +4,11 @@
 // tests' smoke checks.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/cluster.hpp"
 #include "harness/latency.hpp"
-#include "harness/workload.hpp"
-#include "obs/metrics.hpp"
 
 namespace accelring::harness {
 
@@ -29,33 +26,6 @@ struct PointConfig {
   Nanos warmup = util::msec(150);
   Nanos measure = util::msec(600);
   uint64_t seed = 1;
-};
-
-struct PointResult {
-  double offered_mbps = 0;
-  double achieved_mbps = 0;  ///< clean payload observed at one receiver
-  Nanos mean_latency = 0;
-  Nanos p50_latency = 0;
-  Nanos p90_latency = 0;
-  Nanos p99_latency = 0;
-  Nanos p999_latency = 0;
-  Nanos max_latency = 0;
-  uint64_t messages = 0;        ///< messages measured (one receiver)
-  uint64_t buffer_drops = 0;    ///< switch port-buffer tail drops
-  uint64_t socket_drops = 0;    ///< host socket-buffer drops
-  uint64_t retransmits = 0;     ///< data retransmissions (all nodes)
-  uint64_t rtr_requested = 0;   ///< retransmission requests added to tokens
-  uint64_t token_retransmits = 0;
-  uint64_t submit_rejected = 0; ///< backpressure at the senders
-  /// Highest per-node virtual CPU utilization over the run (busy time /
-  /// elapsed). The paper stresses that the single-threaded daemon must not
-  /// consume more than one core; this is that number.
-  double max_cpu_utilization = 0;
-  /// Cluster-wide metric registry for the point (engine/membership metrics
-  /// merged across nodes, plus the harness's cross-node delivery-latency
-  /// histogram under ("harness", "delivery_latency_ns")). Shared so
-  /// PointResult stays cheaply copyable through curve/max-search plumbing.
-  std::shared_ptr<const obs::MetricsRegistry> metrics;
 };
 
 /// Run one point: build a cluster, inject at the offered rate, measure.

@@ -26,32 +26,32 @@ bool parse_payload(std::span<const std::byte> payload, PayloadStamp& stamp) {
   return r.ok();
 }
 
-RateInjector::RateInjector(SimCluster& cluster, Options options)
-    : cluster_(cluster), opt_(options) {
+RateInjector::RateInjector(simnet::EventQueue& eq, int nodes, Options options,
+                           SubmitFn submit)
+    : eq_(eq), nodes_(nodes), opt_(options), submit_(std::move(submit)) {
   const double msgs_per_sec = opt_.aggregate_mbps * 1e6 / 8.0 /
                               static_cast<double>(opt_.payload_size);
-  const double per_node = msgs_per_sec / cluster_.size();
+  const double per_node = msgs_per_sec / nodes_;
   interval_ = per_node > 0 ? static_cast<Nanos>(1e9 / per_node)
                            : util::sec(3600);
 }
 
 void RateInjector::arm() {
-  for (int node = 0; node < cluster_.size(); ++node) {
+  for (int node = 0; node < nodes_; ++node) {
     // Phase-shift nodes across one interval so injections interleave.
-    const Nanos phase = interval_ * node / cluster_.size();
+    const Nanos phase = interval_ * node / nodes_;
     schedule_next(node, opt_.start + phase, 0);
   }
 }
 
 void RateInjector::schedule_next(int node, Nanos at, uint32_t index) {
   if (at >= opt_.stop) return;
-  cluster_.eq().schedule(at, [this, node, at, index] {
+  eq_.schedule(at, [this, node, at, index] {
     PayloadStamp stamp;
     stamp.inject_time = at;
     stamp.sender = static_cast<uint32_t>(node);
     stamp.index = index;
-    cluster_.submit(node, opt_.service,
-                    make_payload(opt_.payload_size, stamp));
+    submit_(node, index, make_payload(opt_.payload_size, stamp));
     ++injected_;
     schedule_next(node, at + interval_, index + 1);
   });

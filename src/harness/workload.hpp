@@ -8,11 +8,16 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
-#include "harness/cluster.hpp"
+#include "simnet/event_queue.hpp"
+#include "util/time.hpp"
 
 namespace accelring::harness {
+
+using util::Nanos;
 
 /// Stamp at the front of every generated payload.
 struct PayloadStamp {
@@ -32,20 +37,27 @@ struct PayloadStamp {
 [[nodiscard]] bool parse_payload(std::span<const std::byte> payload,
                                  PayloadStamp& stamp);
 
-/// Injects messages into every cluster node at a fixed aggregate rate from
-/// `start` until `stop`. Nodes are phase-shifted so injections do not
-/// synchronize.
+/// Injects stamped payloads at nodes 0..nodes-1 at a fixed aggregate rate
+/// from `start` until `stop`, one event chain per node. Nodes are
+/// phase-shifted so injections do not synchronize.
 class RateInjector {
  public:
   struct Options {
-    protocol::Service service = protocol::Service::kAgreed;
     size_t payload_size = 1350;
     double aggregate_mbps = 100.0;  ///< clean payload bits/s across all nodes
     Nanos start = 0;
     Nanos stop = util::sec(1);
   };
+  /// Hands one payload to `node`'s sender; `index` counts that node's
+  /// injections from 0. It binds the service, ring or ordering key.
+  using SubmitFn = std::function<void(int node, uint32_t index,
+                                      std::vector<std::byte> payload)>;
 
-  RateInjector(SimCluster& cluster, Options options);
+  RateInjector(simnet::EventQueue& eq, int nodes, Options options,
+               SubmitFn submit);
+  // Scheduled injections hold `this`.
+  RateInjector(const RateInjector&) = delete;
+  RateInjector& operator=(const RateInjector&) = delete;
 
   /// Schedule all injections (events are created lazily, one per node chain).
   void arm();
@@ -56,8 +68,10 @@ class RateInjector {
  private:
   void schedule_next(int node, Nanos at, uint32_t index);
 
-  SimCluster& cluster_;
+  simnet::EventQueue& eq_;
+  int nodes_;
   Options opt_;
+  SubmitFn submit_;
   Nanos interval_ = 0;
   uint64_t injected_ = 0;
 };

@@ -89,7 +89,6 @@ class LeaseTable {
 
   [[nodiscard]] ProcessId holder() const { return id_.holder; }
   [[nodiscard]] const LeaseId& id() const { return id_; }
-  [[nodiscard]] Nanos active_from() const { return active_from_; }
   [[nodiscard]] Nanos expiry() const { return expiry_; }
 
  private:

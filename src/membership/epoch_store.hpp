@@ -9,10 +9,6 @@
 // epoch across restarts closes the hole: a reborn daemon resumes counting
 // from strictly above everything it ever created or saw.
 //
-// Two implementations: FileEpochStore (a tiny write-rename-fsync file, for
-// real daemons) and MemoryEpochStore (for the simulator, where "disk" is a
-// heap object that survives SimCluster::restart_node while the engine does
-// not).
 #pragma once
 
 #include <cstdint>
@@ -28,18 +24,6 @@ class EpochStore {
   [[nodiscard]] virtual uint64_t load() = 0;
   /// Persist `epoch` if it exceeds the stored value (monotonic).
   virtual void store(uint64_t epoch) = 0;
-};
-
-/// Simulator / test double: survives as long as the object does.
-class MemoryEpochStore final : public EpochStore {
- public:
-  [[nodiscard]] uint64_t load() override { return epoch_; }
-  void store(uint64_t epoch) override {
-    if (epoch > epoch_) epoch_ = epoch;
-  }
-
- private:
-  uint64_t epoch_ = 0;
 };
 
 /// File-backed store: writes `path` atomically (temp file + fsync + rename +

@@ -1,107 +1,50 @@
 #include "multiring/measure.hpp"
 
 #include <algorithm>
-#include <cstdio>
-
-#include "harness/workload.hpp"
-#include "util/stats.hpp"
 
 namespace accelring::multiring {
 
-namespace {
-
-using harness::PayloadStamp;
-
-/// Fixed-rate sharded injection: every node sends at offered/nodes, cycling
-/// through `streams_per_node` ordering keys so the shard map spreads the
-/// load across rings (the multi-ring analogue of harness::RateInjector).
-class ShardedInjector {
- public:
-  ShardedInjector(RingSet& rings, const MultiPointConfig& cfg, Nanos stop)
-      : rings_(rings), cfg_(cfg), stop_(stop) {
-    const double msgs_per_sec = cfg.offered_mbps * 1e6 / 8.0 /
-                                static_cast<double>(cfg.payload_size);
-    const double per_node =
-        msgs_per_sec / rings_.nodes_per_ring();
-    interval_ = per_node > 0 ? static_cast<Nanos>(1e9 / per_node)
-                             : util::sec(3600);
-  }
-
-  void arm() {
-    for (int node = 0; node < rings_.nodes_per_ring(); ++node) {
-      const Nanos phase = interval_ * node / rings_.nodes_per_ring();
-      schedule_next(node, util::usec(100) + phase, 0);
-    }
-  }
-
- private:
-  void schedule_next(int node, Nanos at, uint32_t index) {
-    if (at >= stop_) return;
-    rings_.eq().schedule(at, [this, node, at, index] {
-      PayloadStamp stamp;
-      stamp.inject_time = at;
-      stamp.sender = static_cast<uint32_t>(node);
-      stamp.index = index;
-      const uint64_t stream =
-          static_cast<uint64_t>(node) *
-              static_cast<uint64_t>(cfg_.streams_per_node) +
-          index % static_cast<uint32_t>(cfg_.streams_per_node);
-      rings_.submit_keyed(node, stream, cfg_.service,
-                          harness::make_payload(cfg_.payload_size, stamp));
-      schedule_next(node, at + interval_, index + 1);
-    });
-  }
-
-  RingSet& rings_;
-  const MultiPointConfig& cfg_;
-  Nanos stop_;
-  Nanos interval_ = 0;
-};
-
-}  // namespace
-
-MultiPointResult run_multiring_point(const MultiPointConfig& config) {
+harness::PointResult run_multiring_point(const MultiPointConfig& config) {
   RingSet rings(config.ring);
   // Always-on, like harness::run_point: recording never perturbs the run
   // (obs_determinism_test pins this for the multi-ring assembly too).
   rings.enable_metrics();
-  const Nanos window_start = config.warmup;
   const Nanos window_end = config.warmup + config.measure;
-
-  util::LatencyStats latency;
-  std::vector<util::Meter> node_meter(
-      static_cast<size_t>(config.ring.nodes_per_ring));
+  harness::LatencyRecorder recorder(config.ring.nodes_per_ring, config.warmup,
+                                    window_end);
   std::vector<uint64_t> ring_bytes(static_cast<size_t>(config.ring.rings), 0);
-
   rings.set_on_merged([&](int node, int ring, const protocol::Delivery& d,
                           Nanos at) {
-    if (at < window_start || at >= window_end) return;
-    PayloadStamp stamp;
-    if (!harness::parse_payload(d.payload, stamp)) return;
-    latency.add(at - stamp.inject_time);
-    node_meter[static_cast<size_t>(node)].add(d.payload.size());
-    if (node == 0) ring_bytes[static_cast<size_t>(ring)] += d.payload.size();
+    if (recorder.record(node, d, at) && node == 0) {
+      ring_bytes[static_cast<size_t>(ring)] += d.payload.size();
+    }
   });
 
-  ShardedInjector injector(rings, config, window_end);
+  harness::RateInjector::Options inject;
+  inject.payload_size = config.payload_size;
+  inject.aggregate_mbps = config.offered_mbps;
+  inject.start = util::usec(100);
+  inject.stop = window_end;
+  // Each sender cycles through its own `streams_per_node` ordering keys, so
+  // the shard map spreads the load across rings.
+  const auto streams = static_cast<uint64_t>(config.streams_per_node);
+  harness::RateInjector injector(
+      rings.eq(), config.ring.nodes_per_ring, inject,
+      [&rings, &config, streams](int node, uint32_t index,
+                                 std::vector<std::byte> payload) {
+        rings.submit_keyed(node,
+                           static_cast<uint64_t>(node) * streams +
+                               index % streams,
+                           config.service, std::move(payload));
+      });
   rings.start_static();
   injector.arm();
   rings.run_until(window_end + util::msec(50));
 
-  MultiPointResult r;
-  r.offered_mbps = config.offered_mbps;
-  double sum = 0;
-  for (const auto& m : node_meter) sum += m.mbps(window_end - window_start);
-  r.merged_mbps = sum / static_cast<double>(node_meter.size());
-  r.mean_latency = latency.mean();
-  r.p50_latency = latency.percentile(0.5);
-  r.p90_latency = latency.percentile(0.90);
-  r.p99_latency = latency.percentile(0.99);
-  r.p999_latency = latency.percentile(0.999);
-  r.max_latency = latency.max();
-  r.messages = node_meter[0].messages();
+  harness::PointResult r =
+      recorder.result(config.offered_mbps, rings.merged_metrics());
   r.skip_msgs = rings.merger(0).stats().skip_msgs;
-  const double window_sec = util::to_sec(window_end - window_start);
+  const double window_sec = util::to_sec(config.measure);
   for (const uint64_t bytes : ring_bytes) {
     r.per_ring_mbps.push_back(static_cast<double>(bytes) * 8.0 / 1e6 /
                               window_sec);
@@ -113,23 +56,7 @@ MultiPointResult run_multiring_point(const MultiPointConfig& config) {
     r.max_cpu_utilization =
         std::max(r.max_cpu_utilization, cs.max_cpu_utilization());
   }
-  auto merged = std::make_shared<obs::MetricsRegistry>(rings.merged_metrics());
-  obs::Histogram& dist = merged->histogram("harness", "delivery_latency_ns");
-  for (const Nanos sample : latency.samples()) dist.record(sample);
-  r.metrics = std::move(merged);
   return r;
-}
-
-void print_multiring_row(int rings, const MultiPointResult& r,
-                         double baseline_mbps) {
-  std::printf(
-      "%5d %12.0f %12.1f %8.2fx %12.1f %12.1f %10llu %10llu %8.1f\n", rings,
-      r.offered_mbps, r.merged_mbps,
-      baseline_mbps > 0 ? r.merged_mbps / baseline_mbps : 1.0,
-      util::to_usec(r.mean_latency), util::to_usec(r.p99_latency),
-      static_cast<unsigned long long>(r.retransmits),
-      static_cast<unsigned long long>(r.buffer_drops + r.submit_rejected),
-      100.0 * r.max_cpu_utilization);
 }
 
 }  // namespace accelring::multiring

@@ -1,13 +1,11 @@
 // Multi-ring experiment driver: inject sharded load into a RingSet and
 // measure the *merged* stream — the number an application sitting on top of
-// K rings actually sees. Mirrors harness::run_point's methodology (warmup,
-// measurement window, clean-payload throughput, injection-to-client latency)
-// so single-ring and multi-ring numbers are directly comparable.
+// K rings actually sees — through the same harness::RateInjector and
+// harness::LatencyRecorder as harness::run_point, so single-ring and
+// multi-ring numbers are directly comparable.
 #pragma once
 
-#include <memory>
-#include <vector>
-
+#include "harness/latency.hpp"
 #include "multiring/ring_set.hpp"
 
 namespace accelring::multiring {
@@ -25,35 +23,11 @@ struct MultiPointConfig {
   Nanos measure = util::msec(300);
 };
 
-struct MultiPointResult {
-  double offered_mbps = 0;
-  double merged_mbps = 0;  ///< clean payload through one node's merger (mean)
-  Nanos mean_latency = 0;  ///< injection -> merged client receipt
-  Nanos p50_latency = 0;
-  Nanos p90_latency = 0;
-  Nanos p99_latency = 0;
-  Nanos p999_latency = 0;
-  Nanos max_latency = 0;
-  uint64_t messages = 0;         ///< merged messages inside the window (node 0)
-  uint64_t skip_msgs = 0;        ///< skips consumed by node 0's merger
-  uint64_t retransmits = 0;      ///< data retransmissions, all rings
-  uint64_t buffer_drops = 0;     ///< switch drops, all rings
-  uint64_t submit_rejected = 0;  ///< backpressure, all rings
-  double max_cpu_utilization = 0;          ///< busiest engine CPU, all rings
-  std::vector<double> per_ring_mbps;       ///< ring share of the merged stream
-  /// Aggregate registry: every ring's engine metrics plus every node's merger
-  /// metrics, plus the merged-stream latency histogram under
-  /// ("harness", "delivery_latency_ns"). Mirrors harness::PointResult.
-  std::shared_ptr<const obs::MetricsRegistry> metrics;
-};
-
 /// Run one multi-ring point: K rings, sharded fixed-rate injection, merged
-/// delivery measurement.
-[[nodiscard]] MultiPointResult run_multiring_point(
+/// delivery measurement. Drops, retransmits, backpressure and CPU are summed
+/// (or maxed) over all rings; the registry holds every ring's engine metrics
+/// plus every node's merger metrics.
+[[nodiscard]] harness::PointResult run_multiring_point(
     const MultiPointConfig& config);
-
-/// Print one K-sweep row set (the fig_multiring_scaling output format).
-void print_multiring_row(int rings, const MultiPointResult& r,
-                         double baseline_mbps);
 
 }  // namespace accelring::multiring

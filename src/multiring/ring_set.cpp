@@ -17,20 +17,17 @@ RingSet::RingSet(const MultiRingConfig& cfg)
 
   assert(cfg_.topology.hosts.empty() ||
          cfg_.topology.num_hosts() == cfg_.nodes_per_ring);
+  const simnet::Topology topo =
+      cfg_.topology.hosts.empty()
+          ? simnet::Topology::single_dc(cfg_.nodes_per_ring)
+          : cfg_.topology;
   for (int r = 0; r < cfg_.rings; ++r) {
     // Each ring gets its own switch fabric (own multicast domain) but shares
     // the one event queue, so all rings advance on one simulated clock.
     // Seeds are ring-distinct so loss draws differ across rings.
     const uint64_t ring_seed = cfg_.seed + static_cast<uint64_t>(r) * 7919;
-    if (cfg_.topology.hosts.empty()) {
-      clusters_.push_back(std::make_unique<harness::SimCluster>(
-          eq_, cfg_.nodes_per_ring, cfg_.fabric, cfg_.proto, cfg_.profile,
-          ring_seed));
-    } else {
-      clusters_.push_back(std::make_unique<harness::SimCluster>(
-          eq_, cfg_.topology, cfg_.fabric, cfg_.proto, cfg_.profile,
-          ring_seed));
-    }
+    clusters_.push_back(std::make_unique<harness::SimCluster>(
+        eq_, topo, cfg_.fabric, cfg_.proto, cfg_.profile, ring_seed));
   }
   held_.resize(static_cast<size_t>(cfg_.nodes_per_ring));
   merged_data_.assign(static_cast<size_t>(cfg_.nodes_per_ring),

@@ -56,13 +56,6 @@ class ShardRouter {
     return {map_.ring_of_key(mixed_key), false};
   }
 
-  /// Coarse routing for layers that cannot hold (group names): the owner
-  /// under the last *completed* map version. Switches atomically when the
-  /// migration completes rather than per-range at activation.
-  [[nodiscard]] int steady_ring(std::string_view name) const {
-    return map_.ring_of(name);
-  }
-
   /// Out-of-band plan staging by the controller. The decision to act on the
   /// plan is still marker-driven — staging alone changes no routing — but it
   /// carries the successor point set that apply() installs (the freeze

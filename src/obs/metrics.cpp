@@ -86,11 +86,6 @@ const Counter* MetricsRegistry::find_counter(std::string_view component,
   return find_in(counters_, component, name);
 }
 
-const Gauge* MetricsRegistry::find_gauge(std::string_view component,
-                                         std::string_view name) const {
-  return find_in(gauges_, component, name);
-}
-
 const Histogram* MetricsRegistry::find_histogram(std::string_view component,
                                                  std::string_view name) const {
   return find_in(histograms_, component, name);

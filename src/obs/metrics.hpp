@@ -151,8 +151,6 @@ class MetricsRegistry {
   /// created. The accessors snapshot consumers (exporters, tests) want.
   [[nodiscard]] const Counter* find_counter(std::string_view component,
                                             std::string_view name) const;
-  [[nodiscard]] const Gauge* find_gauge(std::string_view component,
-                                        std::string_view name) const;
   [[nodiscard]] const Histogram* find_histogram(std::string_view component,
                                                 std::string_view name) const;
 

@@ -111,9 +111,4 @@ uint32_t GrayFailureDetector::streak(ProcessId pid) const {
   return it == scores_.end() ? 0 : it->second.streak;
 }
 
-double GrayFailureDetector::smoothed_unit_cost(ProcessId pid) const {
-  const auto it = scores_.find(pid);
-  return it == scores_.end() ? 0.0 : it->second.unit_ewma;
-}
-
 }  // namespace accelring::protocol

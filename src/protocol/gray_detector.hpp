@@ -58,7 +58,6 @@ class GrayFailureDetector {
 
   // --- introspection (tests) ----------------------------------------------
   [[nodiscard]] uint32_t streak(ProcessId pid) const;
-  [[nodiscard]] double smoothed_unit_cost(ProcessId pid) const;
   [[nodiscard]] uint64_t observations() const { return observations_; }
 
  private:

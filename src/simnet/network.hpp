@@ -46,8 +46,7 @@ namespace accelring::simnet {
 using SocketId = int;
 inline constexpr SocketId kDataSocket = 0;
 inline constexpr SocketId kTokenSocket = 1;
-inline constexpr SocketId kIpcSocket = 2;
-inline constexpr int kNumSockets = 3;
+inline constexpr int kNumSockets = 2;
 
 /// Destination value meaning "multicast to every other host".
 inline constexpr int kMulticast = -1;

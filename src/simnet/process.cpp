@@ -66,12 +66,12 @@ void Process::maybe_schedule_drain() {
 
 int Process::pick_socket() const {
   const SocketId preferred = sink_ ? sink_->preferred_socket() : kDataSocket;
-  // When the token socket is preferred: token, then data, then IPC. Otherwise
-  // data and IPC are drained before the token (paper §III-C: "when data
-  // messages have high priority, we do not read from the token receiving
-  // socket unless no data message is available, and vice versa").
-  const SocketId order_token_first[] = {kTokenSocket, kDataSocket, kIpcSocket};
-  const SocketId order_data_first[] = {kDataSocket, kIpcSocket, kTokenSocket};
+  // When the token socket is preferred: token, then data. Otherwise data is
+  // drained before the token (paper §III-C: "when data messages have high
+  // priority, we do not read from the token receiving socket unless no data
+  // message is available, and vice versa").
+  const SocketId order_token_first[] = {kTokenSocket, kDataSocket};
+  const SocketId order_data_first[] = {kDataSocket, kTokenSocket};
   const auto& order =
       (preferred == kTokenSocket) ? order_token_first : order_data_first;
   for (SocketId s : order) {

@@ -94,7 +94,6 @@ class SimDisk final : public Disk {
   [[nodiscard]] const std::vector<std::string>& fault_log() const {
     return fault_log_;
   }
-  void clear_fault_log() { fault_log_.clear(); }
 
   // Number of disk ops attempted — fuzzing uses this to enumerate crash
   // points via cut_after().

@@ -58,10 +58,6 @@ void SimHost::cancel_timer(protocol::TimerKind kind) {
 void SimHost::on_packet(simnet::SocketId sock,
                         std::span<const std::byte> data) {
   if (dead_) return;  // leftover inbox items of a crashed node
-  if (sock == simnet::kIpcSocket) {
-    if (ipc_) ipc_(data);
-    return;
-  }
   assert(handler_ != nullptr);
   const auto type = protocol::peek_type(data);
   if (type == protocol::PacketType::kToken ||

@@ -40,7 +40,6 @@ class SimHost final : public protocol::Host, public simnet::PacketSink {
  public:
   using DeliverFn = std::function<void(const protocol::Delivery&)>;
   using ConfigFn = std::function<void(const protocol::ConfigurationChange&)>;
-  using IpcFn = std::function<void(std::span<const std::byte>)>;
 
   SimHost(simnet::Network& net, simnet::Process& proc, int node,
           HostCosts costs = {});
@@ -52,8 +51,6 @@ class SimHost final : public protocol::Host, public simnet::PacketSink {
   /// Application-side hooks (harness, daemon layer).
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
   void set_config(ConfigFn fn) { config_ = std::move(fn); }
-  /// Handler for datagrams arriving on the IPC socket (daemon profile).
-  void set_ipc_handler(IpcFn fn) { ipc_ = std::move(fn); }
 
   [[nodiscard]] simnet::Process& process() { return proc_; }
   [[nodiscard]] int node() const { return node_; }
@@ -103,7 +100,6 @@ class SimHost final : public protocol::Host, public simnet::PacketSink {
   protocol::PacketHandler* handler_ = nullptr;
   DeliverFn deliver_;
   ConfigFn config_;
-  IpcFn ipc_;
 };
 
 }  // namespace accelring::transport

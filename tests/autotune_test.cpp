@@ -8,6 +8,14 @@
 namespace accelring::harness {
 namespace {
 
+RateInjector agreed_injector(SimCluster& cluster, RateInjector::Options opt) {
+  return RateInjector(
+      cluster.eq(), cluster.size(), opt,
+      [&cluster](int node, uint32_t, std::vector<std::byte> payload) {
+        cluster.submit(node, protocol::Service::kAgreed, std::move(payload));
+      });
+}
+
 TEST(AutoTune, GrowsWindowsUnderBacklog) {
   PointConfig pc;
   pc.nodes = 8;
@@ -38,7 +46,7 @@ TEST(AutoTune, WindowActuallyAdapts) {
   opt.aggregate_mbps = 600;
   opt.payload_size = 1350;
   opt.stop = util::msec(300);
-  RateInjector injector(cluster, opt);
+  RateInjector injector = agreed_injector(cluster, opt);
   injector.arm();
   cluster.run_until(util::msec(400));
   EXPECT_GT(cluster.engine(0).config().personal_window, 2u);
@@ -59,7 +67,7 @@ TEST(AutoTune, BacksOffUnderLoss) {
   opt.aggregate_mbps = 500;
   opt.payload_size = 1350;
   opt.stop = util::msec(400);
-  RateInjector injector(cluster, opt);
+  RateInjector injector = agreed_injector(cluster, opt);
   injector.arm();
   cluster.run_until(util::msec(500));
   EXPECT_LT(cluster.engine(0).config().personal_window, 60u);
@@ -78,7 +86,7 @@ TEST(AutoTune, RespectsBounds) {
   opt.aggregate_mbps = 900;  // way beyond what window 10 can carry
   opt.payload_size = 1350;
   opt.stop = util::msec(400);
-  RateInjector injector(cluster, opt);
+  RateInjector injector = agreed_injector(cluster, opt);
   injector.arm();
   cluster.run_until(util::msec(500));
   EXPECT_LE(cluster.engine(0).config().personal_window, 10u);

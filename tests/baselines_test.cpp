@@ -104,6 +104,18 @@ TEST(Sequencer, PerSenderFifoPreserved) {
   }
 }
 
+TEST(Sequencer, MeasuredPointCarriesLightLoad) {
+  // The shared fixed-rate runner: well below saturation, the observer sees
+  // the whole offered load.
+  const harness::PointResult r =
+      run_baseline_point<SequencerProtocol, SequencerConfig>(
+          simnet::FabricParams::one_gig(), 100.0);
+  EXPECT_EQ(r.offered_mbps, 100.0);
+  EXPECT_NEAR(r.achieved_mbps, 100.0, 5.0);
+  EXPECT_GT(r.messages, 0u);
+  EXPECT_GT(r.mean_latency, 0);
+}
+
 // --------------------------------------------------------------------------
 // U-Ring Paxos
 // --------------------------------------------------------------------------

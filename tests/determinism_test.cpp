@@ -30,7 +30,11 @@ RunFingerprint run_once(uint64_t seed, double loss) {
   opt.aggregate_mbps = 300;
   opt.payload_size = 700;
   opt.stop = util::msec(80);
-  RateInjector injector(cluster, opt);
+  RateInjector injector(
+      cluster.eq(), cluster.size(), opt,
+      [&cluster](int node, uint32_t, std::vector<std::byte> payload) {
+        cluster.submit(node, protocol::Service::kAgreed, std::move(payload));
+      });
   injector.arm();
   cluster.run_until(util::msec(200));
   fp.events = cluster.eq().events_executed();

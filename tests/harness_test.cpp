@@ -33,7 +33,11 @@ TEST(Workload, InjectorHitsConfiguredRate) {
   opt.aggregate_mbps = 80;  // 10k msgs/s aggregate
   opt.start = 0;
   opt.stop = util::msec(100);
-  RateInjector injector(cluster, opt);
+  RateInjector injector(
+      cluster.eq(), cluster.size(), opt,
+      [&cluster](int node, uint32_t, std::vector<std::byte> payload) {
+        cluster.submit(node, protocol::Service::kAgreed, std::move(payload));
+      });
   injector.arm();
   cluster.run_until(util::msec(200));
   // 10000 msgs/s * 0.1s = 1000 messages (+- rounding per node).

@@ -50,7 +50,11 @@ RunFingerprint run_single(uint64_t seed, bool metrics, double loss) {
   opt.aggregate_mbps = 250;
   opt.payload_size = 700;
   opt.stop = util::msec(60);
-  RateInjector injector(cluster, opt);
+  RateInjector injector(
+      cluster.eq(), cluster.size(), opt,
+      [&cluster](int node, uint32_t, std::vector<std::byte> payload) {
+        cluster.submit(node, protocol::Service::kAgreed, std::move(payload));
+      });
   injector.arm();
   cluster.run_until(util::msec(150));
   if (metrics) {
@@ -154,6 +158,45 @@ TEST(ObsDeterminism, MeasuredPointIsSeedStable) {
   EXPECT_EQ(a.p50_latency, b.p50_latency);
   EXPECT_EQ(a.p999_latency, b.p999_latency);
   EXPECT_DOUBLE_EQ(a.achieved_mbps, b.achieved_mbps);
+  ASSERT_TRUE(a.metrics && b.metrics);
+  EXPECT_EQ(obs::registry_to_json(*a.metrics),
+            obs::registry_to_json(*b.metrics));
+  const obs::Histogram* dist =
+      a.metrics->find_histogram("harness", "delivery_latency_ns");
+  ASSERT_NE(dist, nullptr);
+  EXPECT_GT(dist->count(), 0u);
+}
+
+TEST(ObsDeterminism, MeasuredMultiRingPointIsSeedStable) {
+  // run_multiring_point's twin of the check above, over every result field.
+  multiring::MultiPointConfig mc;
+  mc.ring.rings = 2;
+  mc.ring.nodes_per_ring = 4;
+  mc.ring.fabric = simnet::FabricParams::one_gig();
+  mc.ring.merge_batch = 8;
+  mc.ring.seed = 9;
+  mc.offered_mbps = 120;
+  mc.payload_size = 400;
+  mc.warmup = util::msec(30);
+  mc.measure = util::msec(60);
+  const PointResult a = multiring::run_multiring_point(mc);
+  const PointResult b = multiring::run_multiring_point(mc);
+  EXPECT_GT(a.messages, 0u);
+  EXPECT_EQ(a.offered_mbps, b.offered_mbps);
+  EXPECT_EQ(a.achieved_mbps, b.achieved_mbps);
+  EXPECT_EQ(a.mean_latency, b.mean_latency);
+  EXPECT_EQ(a.p50_latency, b.p50_latency);
+  EXPECT_EQ(a.p90_latency, b.p90_latency);
+  EXPECT_EQ(a.p99_latency, b.p99_latency);
+  EXPECT_EQ(a.p999_latency, b.p999_latency);
+  EXPECT_EQ(a.max_latency, b.max_latency);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.buffer_drops, b.buffer_drops);
+  EXPECT_EQ(a.retransmits, b.retransmits);
+  EXPECT_EQ(a.submit_rejected, b.submit_rejected);
+  EXPECT_EQ(a.max_cpu_utilization, b.max_cpu_utilization);
+  EXPECT_EQ(a.per_ring_mbps, b.per_ring_mbps);
+  EXPECT_EQ(a.skip_msgs, b.skip_msgs);
   ASSERT_TRUE(a.metrics && b.metrics);
   EXPECT_EQ(obs::registry_to_json(*a.metrics),
             obs::registry_to_json(*b.metrics));

@@ -50,74 +50,53 @@ echo "=== build: gray-failure A/B acceptance ==="
 cmake --build build --target fig_gray_failure
 ./build/bench/fig_gray_failure
 
-# Observability acceptance: the obs smoke bench (one single-ring point and
-# one K=4 multiring point) must emit machine-readable BENCH_*.json whose
-# latency histograms are populated and internally consistent. This is the
-# end-to-end guard that the metrics layer is actually recording — the
-# determinism tests above prove it records without perturbing.
-echo "=== build: obs artifact validation ==="
-cmake --build build --target obs_smoke
-OBS_DIR="build/obs_artifacts"
-rm -rf "${OBS_DIR}"
-mkdir -p "${OBS_DIR}"
-ACCELRING_BENCH_DIR="${OBS_DIR}" ./build/bench/obs_smoke >/dev/null
-python3 tools/validate_bench_json.py \
-  "${OBS_DIR}/BENCH_obs_smoke_1ring.json" \
-  "${OBS_DIR}/BENCH_obs_smoke_4ring.json"
-
-# KV service acceptance: the sharded KV smoke (single-shard and K=4) must
-# complete a short million-key-space session workload end to end — rsm
-# replicas, lease reads, exactly-once frontends over the merged stream —
-# and emit validating artifacts. The kv-labelled ctest suite above covers
-# the protocol corners; this guards the full-stack wiring and the bench
-# artifact contract.
-echo "=== build: kv service smoke ==="
-cmake --build build --target kv_service
-KV_DIR="build/kv_artifacts"
-rm -rf "${KV_DIR}"
-mkdir -p "${KV_DIR}"
-ACCELRING_BENCH_DIR="${KV_DIR}" ./build/bench/kv_service --smoke --shards 1 >/dev/null
-ACCELRING_BENCH_DIR="${KV_DIR}" ./build/bench/kv_service --smoke --shards 4 >/dev/null
-python3 tools/validate_bench_json.py \
-  "${KV_DIR}/BENCH_kv_smoke_1shard.json" \
-  "${KV_DIR}/BENCH_kv_smoke_4shard.json"
-
-# The WAN, storage and migration campaign scenarios (and their seed
-# corpora) run in check_campaign_test above; these stages smoke the benches
-# of the same stacks.
+# Bench smokes: each stage builds one bench, runs it short into a fresh
+# artifact dir under build/, and checks the BENCH_*.json it emits with
+# tools/validate_bench_json.py (populated, internally consistent latency
+# histograms; an unserializable registry fails).
 #
-# WAN acceptance: the topology-class bench (LAN/metro/regional in --smoke)
-# emits validating BENCH_wan_*.json artifacts.
-echo "=== build: topology bench smoke ==="
-cmake --build build --target fig_wan_topologies
-WAN_DIR="build/wan_artifacts"
-rm -rf "${WAN_DIR}"
-mkdir -p "${WAN_DIR}"
-ACCELRING_BENCH_DIR="${WAN_DIR}" ./build/bench/fig_wan_topologies --smoke >/dev/null
-python3 tools/validate_bench_json.py "${WAN_DIR}"/BENCH_wan_*.json
+#   smoke <title> <target> <artifact dir> <bench args> <artifacts>
+#
+# <bench args> and <artifacts> split on spaces; artifacts may be globs,
+# relative to the artifact dir.
+smoke() {
+  local title="$1" target="$2" dir="build/$3" args="$4" artifacts="$5"
+  echo "=== build: ${title} ==="
+  cmake --build build --target "${target}"
+  rm -rf "${dir}"
+  mkdir -p "${dir}"
+  # shellcheck disable=SC2086  # word splitting of args is intended
+  ACCELRING_BENCH_DIR="${dir}" "./build/bench/${target}" ${args} >/dev/null
+  local files=() pattern
+  for pattern in ${artifacts}; do
+    # shellcheck disable=SC2206  # glob expansion is intended
+    files+=("${dir}"/${pattern})
+  done
+  python3 tools/validate_bench_json.py "${files[@]}"
+}
 
-# Storage acceptance: the KV smoke with per-node WAL + checkpoint
-# persistence enabled emits a validating artifact.
-echo "=== build: durable kv smoke ==="
-STORAGE_DIR="build/storage_artifacts"
-rm -rf "${STORAGE_DIR}"
-mkdir -p "${STORAGE_DIR}"
-ACCELRING_BENCH_DIR="${STORAGE_DIR}" \
-  ./build/bench/kv_service --smoke --shards 1 --durable >/dev/null
-python3 tools/validate_bench_json.py \
-  "${STORAGE_DIR}/BENCH_kv_smoke_1shard_durable.json"
-
-# Migration acceptance: the migration bench (handoff latency/throughput
-# phases in --smoke) emits a validating artifact.
-echo "=== build: handoff bench smoke ==="
-cmake --build build --target fig_migration
-MIGRATION_DIR="build/migration_artifacts"
-rm -rf "${MIGRATION_DIR}"
-mkdir -p "${MIGRATION_DIR}"
-ACCELRING_BENCH_DIR="${MIGRATION_DIR}" \
-  ./build/bench/fig_migration --smoke >/dev/null
-python3 tools/validate_bench_json.py \
-  "${MIGRATION_DIR}/BENCH_migration_smoke.json"
+# Observability: one single-ring point and one K=4 multiring point; the
+# end-to-end guard that the metrics layer records (the determinism tests
+# prove it records without perturbing).
+smoke "obs artifact validation" obs_smoke obs_artifacts "" \
+  "BENCH_obs_smoke_1ring.json BENCH_obs_smoke_4ring.json"
+# KV service: a short million-key-space session workload end to end (rsm
+# replicas, lease reads, exactly-once frontends over the merged stream),
+# single-shard and K=4. The kv-labelled ctest suite covers the corners.
+smoke "kv service smoke, 1 shard" kv_service kv_1shard_artifacts \
+  "--smoke --shards 1" BENCH_kv_smoke_1shard.json
+smoke "kv service smoke, 4 shards" kv_service kv_4shard_artifacts \
+  "--smoke --shards 4" BENCH_kv_smoke_4shard.json
+# The WAN, storage and migration scenarios (and their seed corpora) run in
+# check_campaign_test above; these rows smoke the benches of those stacks:
+# the topology classes (LAN/metro/regional), the KV smoke with per-node WAL
+# + checkpoint persistence, and the migration handoff phases.
+smoke "topology bench smoke" fig_wan_topologies wan_artifacts "--smoke" \
+  "BENCH_wan_*.json"
+smoke "durable kv smoke" kv_service storage_artifacts \
+  "--smoke --shards 1 --durable" BENCH_kv_smoke_1shard_durable.json
+smoke "handoff bench smoke" fig_migration migration_artifacts "--smoke" \
+  BENCH_migration_smoke.json
 
 # Wall-clock suite acceptance: bench/suite is a standalone project over the
 # library sources, so a src/ change can break it without breaking the main
