@@ -1,12 +1,17 @@
 // Microbenchmarks (google-benchmark): the per-message CPU costs that
 // determine the protocol's 10-gigabit behaviour — codec throughput, receive
-// buffer operations, flow-control arithmetic, CRC.
+// buffer operations, flow-control arithmetic, CRC — and the simulator's
+// event queue, which sets how fast every simulated figure runs.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "protocol/flow_control.hpp"
 #include "protocol/recv_buffer.hpp"
 #include "protocol/wire.hpp"
+#include "simnet/event_queue.hpp"
 #include "util/crc32.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -90,6 +95,50 @@ void BM_Crc32(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(64)->Arg(1350)->Arg(8850);
+
+/// 4096 pseudo-random delays in [0, 1 ms), fixed across runs.
+std::vector<util::Nanos> event_delays() {
+  util::Rng rng(42);
+  std::vector<util::Nanos> delays(4096);
+  for (util::Nanos& d : delays) {
+    d = static_cast<util::Nanos>(rng.below(1'000'000));
+  }
+  return delays;
+}
+
+void BM_EventQueueScheduleStep(benchmark::State& state) {
+  // Steady state with range(0) events pending: each iteration schedules one
+  // event and runs the earliest.
+  const std::vector<util::Nanos> delays = event_delays();
+  simnet::EventQueue q;
+  uint64_t fired = 0;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    q.schedule_after(delays[i % delays.size()], [&fired] { ++fired; });
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    q.schedule_after(delays[next++ % delays.size()], [&fired] { ++fired; });
+    benchmark::DoNotOptimize(q.step());
+  }
+  benchmark::DoNotOptimize(fired);
+}
+BENCHMARK(BM_EventQueueScheduleStep)->Arg(1000)->Arg(100000);
+
+void BM_EventQueueScheduleCancel(benchmark::State& state) {
+  // Schedule then cancel; the cancelled heap entries are dropped in batches
+  // of 1024, so their lazy removal is part of the cost.
+  const std::vector<util::Nanos> delays = event_delays();
+  simnet::EventQueue q;
+  uint64_t fired = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    q.cancel(q.schedule_after(delays[next++ % delays.size()],
+                              [&fired] { ++fired; }));
+    if (next % 1024 == 0) q.run_all();
+  }
+  benchmark::DoNotOptimize(fired);
+}
+BENCHMARK(BM_EventQueueScheduleCancel);
 
 }  // namespace
 

@@ -1,35 +1,62 @@
 #include "simnet/event_queue.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace accelring::simnet {
 
+namespace {
+constexpr size_t kMaxSlots = size_t{1} << EventQueue::kSlotBits;
+constexpr uint64_t kMaxSeq =
+    (uint64_t{1} << (64 - EventQueue::kSlotBits)) - 1;
+}  // namespace
+
 EventId EventQueue::schedule(Nanos when, Callback cb) {
-  const EventId id = next_id_++;
-  auto holder = std::make_shared<Callback>(std::move(cb));
-  pending_.emplace(id, holder);
-  heap_.push(Entry{std::max(when, now_), id, std::move(holder)});
+  uint32_t slot;
+  if (!free_.empty()) {
+    slot = free_.back();
+    free_.pop_back();
+  } else {
+    if (slots_.size() == kMaxSlots) {
+      throw std::length_error("EventQueue: more than 2^24 events pending");
+    }
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  if (next_seq_ > kMaxSeq) {
+    throw std::length_error("EventQueue: schedule sequence exhausted");
+  }
+  const EventId id = next_seq_++ << kSlotBits | slot;
+  slots_[slot] = Slot{id, std::move(cb)};
+  heap_.push(Entry{std::max(when, now_), id});
   return id;
 }
 
+void EventQueue::release(uint32_t slot) {
+  slots_[slot].id = 0;
+  slots_[slot].cb = nullptr;
+  free_.push_back(slot);
+}
+
 void EventQueue::cancel(EventId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  if (auto sp = it->second.lock()) *sp = nullptr;
-  pending_.erase(it);
+  const uint32_t slot = slot_of(id);
+  if (id == 0 || slot >= slots_.size() || slots_[slot].id != id) return;
+  release(slot);
 }
 
 bool EventQueue::step() {
   while (!heap_.empty()) {
-    Entry e = heap_.top();
+    const Entry e = heap_.top();
     heap_.pop();
-    pending_.erase(e.id);
-    if (!e.cb || !*e.cb) continue;  // cancelled
+    const uint32_t slot = slot_of(e.id);
+    if (slots_[slot].id != e.id) continue;  // cancelled
+    // Move the callback out and free the slot before invoking: the callback
+    // may schedule (reusing the slot or growing the pool) or cancel itself.
+    Callback cb = std::move(slots_[slot].cb);
+    release(slot);
+    if (!cb) continue;  // scheduled empty: skipped like a cancelled event
     now_ = e.when;
     ++executed_;
-    // Move the callback out before invoking so a callback that schedules new
-    // events (the common case) cannot be affected by this entry's storage.
-    Callback cb = std::move(*e.cb);
     cb();
     return true;
   }
@@ -39,8 +66,10 @@ bool EventQueue::step() {
 void EventQueue::run_until(Nanos deadline) {
   while (!heap_.empty()) {
     // Skip over cancelled entries without advancing time.
-    if (!heap_.top().cb || !*heap_.top().cb) {
-      pending_.erase(heap_.top().id);
+    if (!live(heap_.top())) {
+      const uint32_t slot = slot_of(heap_.top().id);
+      // Still pending means scheduled empty: it dies here, unrun.
+      if (slots_[slot].id == heap_.top().id) release(slot);
       heap_.pop();
       continue;
     }

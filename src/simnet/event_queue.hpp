@@ -5,13 +5,17 @@
 // simulated times. Events at equal times fire in scheduling order (a
 // monotonically increasing tie-break sequence number), which keeps runs
 // deterministic for a given seed.
+//
+// Storage is a slot pool: callbacks live in reused slots, and the heap holds
+// only {when, id}. An id packs the schedule sequence above the slot index, so
+// it orders equal times by schedule order, never repeats, and is never 0.
+// Cancelling frees the slot at once; the heap entry it leaves behind no
+// longer matches its slot's id and is dropped when it reaches the top.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "util/time.hpp"
@@ -20,12 +24,18 @@ namespace accelring::simnet {
 
 using util::Nanos;
 
-/// Handle for cancelling a scheduled event.
+/// Handle for cancelling a scheduled event; never 0.
 using EventId = uint64_t;
 
 class EventQueue {
  public:
   using Callback = std::function<void()>;
+
+  /// Low id bits that hold the slot index: at most 2^24 (16.7M) events
+  /// pending at once, and schedule() throws std::length_error beyond it.
+  /// The largest user, the million-session KV driver, keeps at most one
+  /// timeout per in-flight session pending.
+  static constexpr int kSlotBits = 24;
 
   /// Schedule `cb` to run at absolute time `when` (clamped to >= now).
   EventId schedule(Nanos when, Callback cb);
@@ -35,7 +45,8 @@ class EventQueue {
     return schedule(now_ + delay, std::move(cb));
   }
 
-  /// Cancel a pending event. Cancelling an already-fired event is a no-op.
+  /// Cancel a pending event. Cancelling a fired, cancelled or never-issued
+  /// id is a no-op.
   void cancel(EventId id);
 
   /// Run the next pending event; returns false when the queue is empty.
@@ -48,6 +59,7 @@ class EventQueue {
   void run_all();
 
   [[nodiscard]] Nanos now() const { return now_; }
+  /// True when the heap holds nothing, not even a cancelled entry.
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] uint64_t events_executed() const { return executed_; }
 
@@ -55,9 +67,6 @@ class EventQueue {
   struct Entry {
     Nanos when;
     EventId id;
-    // Cancellation is lazy: cancel() clears the function object through the
-    // shared pointer; popped entries with an empty callback are skipped.
-    std::shared_ptr<Callback> cb;
 
     bool operator>(const Entry& other) const {
       if (when != other.when) return when > other.when;
@@ -65,10 +74,27 @@ class EventQueue {
     }
   };
 
+  /// A pending event's callback; `id` is 0 while the slot is free.
+  struct Slot {
+    EventId id = 0;
+    Callback cb;
+  };
+
+  static uint32_t slot_of(EventId id) {
+    return static_cast<uint32_t>(id & ((EventId{1} << kSlotBits) - 1));
+  }
+  /// Whether `e` is still pending with a callback to run.
+  [[nodiscard]] bool live(const Entry& e) const {
+    const Slot& s = slots_[slot_of(e.id)];
+    return s.id == e.id && s.cb;
+  }
+  void release(uint32_t slot);
+
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::unordered_map<EventId, std::weak_ptr<Callback>> pending_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_;
   Nanos now_ = 0;
-  EventId next_id_ = 1;
+  uint64_t next_seq_ = 1;
   uint64_t executed_ = 0;
 };
 

@@ -6,8 +6,10 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "util/time.hpp"
@@ -50,7 +52,19 @@ class EventLoop {
  private:
   struct Timer {
     Nanos deadline;
+    /// Which arming this is: a batch of due timers fires an entry only if
+    /// no earlier callback in the batch cancelled or re-armed it.
+    uint64_t arming;
     Callback fn;
+  };
+  /// A readable-fd handler. `registration` tells a handler apart from a
+  /// later one on the same fd number; the callback is shared so that it
+  /// stays alive while it runs, even if it removes itself or an add_fd()
+  /// reallocates fds_.
+  struct FdHandler {
+    int fd;
+    uint64_t registration;
+    std::shared_ptr<Callback> fn;
   };
 
   /// Run timers whose deadline passed; returns ns until the next deadline
@@ -59,8 +73,9 @@ class EventLoop {
   void poll_once(Nanos max_wait);
 
   std::chrono::steady_clock::time_point epoch_;
-  std::vector<std::pair<int, Callback>> fds_;
+  std::vector<FdHandler> fds_;
   std::map<int, Timer> timers_;
+  uint64_t next_serial_ = 1;  ///< for timer armings and fd registrations
   int next_reserved_id_ = kFirstReservedTimerId;
   bool stopped_ = false;
 };

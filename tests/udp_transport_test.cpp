@@ -6,7 +6,10 @@
 
 #include <unistd.h>
 
+#include <array>
+#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "membership/membership.hpp"
 #include "util/bytes.hpp"
@@ -243,6 +246,101 @@ TEST(EventLoopTest, RearmReplacesDeadline) {
   loop.set_timer(1, util::msec(20), [&] { ++count; });
   loop.run_for(util::msec(60));
   EXPECT_EQ(count, 1);
+}
+
+TEST(EventLoopTest, TimerCancelledEarlierInTheSameBatchDoesNotFire) {
+  EventLoop loop;
+  std::vector<int> fired;
+  // Both are due in the same pass; timer 1 runs first and cancels timer 2.
+  loop.set_timer(1, 0, [&] {
+    fired.push_back(1);
+    loop.cancel_timer(2);
+  });
+  loop.set_timer(2, 0, [&] { fired.push_back(2); });
+  loop.run_for(util::msec(20));
+  EXPECT_EQ(fired, std::vector<int>{1});
+}
+
+TEST(EventLoopTest, TimerRearmedEarlierInTheSameBatchFiresItsNewCallback) {
+  EventLoop loop;
+  std::vector<int> fired;
+  loop.set_timer(1, 0, [&] {
+    fired.push_back(1);
+    loop.set_timer(2, util::msec(5), [&] { fired.push_back(22); });
+  });
+  loop.set_timer(2, 0, [&] { fired.push_back(2); });
+  loop.run_for(util::msec(40));
+  EXPECT_EQ(fired, (std::vector<int>{1, 22}));
+}
+
+/// A pipe whose read end is readable once `fill()` wrote a byte.
+struct Pipe {
+  std::array<int, 2> fds{-1, -1};
+  Pipe() { EXPECT_EQ(::pipe(fds.data()), 0); }
+  ~Pipe() {
+    ::close(fds[0]);
+    ::close(fds[1]);
+  }
+  Pipe(const Pipe&) = delete;
+  Pipe& operator=(const Pipe&) = delete;
+  [[nodiscard]] int read_end() const { return fds[0]; }
+  void fill() const { ASSERT_EQ(::write(fds[1], "x", 1), 1); }
+  void drain() const {
+    char byte = 0;
+    ASSERT_EQ(::read(fds[0], &byte, 1), 1);
+  }
+};
+
+TEST(EventLoopTest, FdCallbacksFollowTheirFdWhileOthersAreAddedAndRemoved) {
+  EventLoop loop;
+  Pipe a, b, c;
+  std::array<Pipe, 32> extra;
+  std::vector<std::string> ran;
+  a.fill();
+  b.fill();
+  const std::string a_name = "a";
+  // A removes itself and adds enough fds to reallocate the handler table
+  // while its own callback runs; then it reads its capture.
+  loop.add_fd(a.read_end(), [&, a_name] {
+    a.drain();
+    loop.remove_fd(a.read_end());
+    for (const Pipe& p : extra) loop.add_fd(p.read_end(), [] {});
+    ran.push_back(a_name);
+  });
+  loop.add_fd(b.read_end(), [&] {
+    b.drain();
+    ran.push_back("b");
+  });
+  loop.add_fd(c.read_end(), [&] { ran.push_back("c"); });  // never readable
+  loop.run_for(util::msec(20));
+  EXPECT_EQ(ran, (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(EventLoopTest, HandlerOnAReusedFdNumberWaitsForTheNextPoll) {
+  EventLoop loop;
+  Pipe a;
+  auto b = std::make_unique<Pipe>();
+  std::vector<std::string> ran;
+  int reused = -1;
+  a.fill();
+  b->fill();
+  // A closes B, whose read end was ready, and registers a fresh pipe that
+  // gets B's fd number back. Its readiness was never polled, and the new
+  // pipe is empty, so its handler must not run.
+  loop.add_fd(a.read_end(), [&] {
+    a.drain();
+    loop.remove_fd(b->read_end());
+    const int old_fd = b->read_end();
+    b.reset();
+    b = std::make_unique<Pipe>();
+    if (b->read_end() == old_fd) reused = old_fd;
+    loop.add_fd(b->read_end(), [&] { ran.push_back("new b"); });
+    ran.push_back("a");
+  });
+  loop.add_fd(b->read_end(), [&] { ran.push_back("old b"); });
+  loop.run_for(util::msec(20));
+  ASSERT_GE(reused, 0) << "the fresh pipe did not reuse B's fd number";
+  EXPECT_EQ(ran, std::vector<std::string>{"a"});
 }
 
 }  // namespace

@@ -112,6 +112,11 @@ for workload in ring_agreed_1350 ring_safe_200 sim_kv_k4; do
   ./build-bench/accel_bench --workload "${workload}" --seed 1 --seconds 3 \
     --trace 1
 done
+# sim_campaign is not in BENCHMARK.json, but it runs every campaign scenario
+# under the oracles and checks that its repeated units reproduce the same
+# counts, so a simulator change that breaks either fails here.
+./build-bench/accel_bench --workload sim_campaign --seed 1 --seconds 3 \
+  --trace 0
 
 if [[ "${FAST}" == "0" ]]; then
   configure_and_test build-asan -DACCELRING_SANITIZE=address
