@@ -10,6 +10,10 @@
 //   $ ./spread_daemon /tmp/ring.conf 0 /tmp/ring0.sock &
 //   $ ./spread_daemon /tmp/ring.conf 1 /tmp/ring1.sock &
 //
+// At startup each daemon prints its data path: "multicast <group>:<port>"
+// when every daemon in the config shares one address, else "unicast
+// fan-out" (see transport/udp_transport.hpp).
+//
 // Clients connect to the unix socket with daemon::RemoteClient (or any
 // program speaking the ipc.hpp framing). With no --duration the daemon runs
 // until killed; the demo default exits after a few seconds so the examples
@@ -83,6 +87,9 @@ int main(int argc, char** argv) {
                   ? "accelerated"
                   : "original",
               argv[3]);
+  std::printf("daemon %u data path: %s\n", unsigned{pid},
+              transport.data_path().c_str());
+  std::fflush(stdout);
   loop.run_for(util::sec(duration));
 
   const auto& stats = engine.stats();

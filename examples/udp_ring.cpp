@@ -1,10 +1,11 @@
 // The engine over real UDP sockets.
 //
-// Runs a 3-process ring on loopback (unicast fan-out logical multicast, data
-// and token on separate ports — the paper's §III-D implementation choices),
-// pushes a burst of messages through it, and reports real-time throughput
-// and delivery consistency. The identical protocol::Engine code runs here
-// and under the simulator — the engine is sans-io.
+// Runs a 3-process ring on loopback (data by IP multicast, the token by
+// unicast, data and token on separate ports — the paper's §III-D
+// implementation choices), pushes a burst of messages through it, and
+// reports real-time throughput and delivery consistency. The identical
+// protocol::Engine code runs here and under the simulator — the engine is
+// sans-io.
 //
 //   $ ./udp_ring [seconds]
 #include <unistd.h>
@@ -86,8 +87,8 @@ int main(int argc, char** argv) {
 
   loop.run_for(util::sec(seconds));
 
-  std::printf("real UDP ring, %d processes on loopback, %d s:\n", kNodes,
-              seconds);
+  std::printf("real UDP ring, %d processes on loopback, %d s, data by %s:\n",
+              kNodes, seconds, nodes[0].transport->data_path().c_str());
   const double elapsed = util::to_sec(loop.now() - started);
   bool consistent = true;
   for (int i = 0; i < kNodes; ++i) {

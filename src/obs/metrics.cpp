@@ -1,5 +1,7 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
+
 namespace accelring::obs {
 
 int64_t Histogram::quantile(double q) const {
@@ -22,18 +24,18 @@ int64_t Histogram::quantile(double q) const {
       continue;
     }
     // Interpolate by rank position within [lo, hi); clamp to the true
-    // extrema so single-bucket distributions report exact values.
-    const int64_t lo = i == 0 ? 0 : (int64_t{1} << i);
-    const int64_t hi = (int64_t{1} << (i + 1));
+    // extrema so single-bucket distributions report exact values. Unsigned:
+    // the top bucket's hi is 2^63. Every sample here is >= 0, so max_ is.
+    const uint64_t lo = i == 0 ? 0 : (uint64_t{1} << i);
+    const uint64_t hi = uint64_t{1} << (i + 1);
     const double frac = in_bucket <= 1
                             ? 0.0
                             : static_cast<double>(rank - seen - 1) /
                                   static_cast<double>(in_bucket - 1);
-    int64_t est =
-        lo + static_cast<int64_t>(frac * static_cast<double>(hi - 1 - lo));
-    if (est > max_) est = max_;
-    if (est < min_) est = min_;
-    return est;
+    const uint64_t est =
+        lo + static_cast<uint64_t>(frac * static_cast<double>(hi - 1 - lo));
+    if (est > static_cast<uint64_t>(max_)) return max_;
+    return std::max(static_cast<int64_t>(est), min_);
   }
   return max();
 }

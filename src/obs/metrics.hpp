@@ -129,7 +129,9 @@ class Histogram {
   uint64_t buckets_[kBuckets] = {};
   uint64_t underflow_ = 0;
   uint64_t count_ = 0;
-  int64_t sum_ = 0;
+  /// Wide enough for 2^64 samples of any int64_t, so the sum never
+  /// overflows and mean() stays exact up to the double's rounding.
+  __int128 sum_ = 0;
   int64_t min_ = 0;
   int64_t max_ = 0;
 };

@@ -110,8 +110,18 @@ echo "=== build-bench: accel_bench smoke ==="
 cmake --build build-bench -j --target accel_bench
 for workload in ring_agreed_1350 ring_safe_200 sim_kv_k4; do
   ./build-bench/accel_bench --workload "${workload}" --seed 1 --seconds 3 \
-    --trace 1
+    --trace 1 | tee "build-bench/smoke_${workload}.txt"
 done
+# The ring on 127.0.0.1 multicasts its data: one datagram per message plus
+# the token's share, about 1.05 at ring_safe_200. Unicast fan-out to the two
+# other nodes reads about 2.05, so a silent fall back to it fails here.
+python3 - build-bench/smoke_ring_safe_200.txt <<'EOF'
+import json, sys
+lines = open(sys.argv[1]).read().splitlines()
+per_msg = json.loads(lines[-1])["metrics"]["transport.datagrams_per_msg"]["value"]
+print(f"ring_safe_200 transport.datagrams_per_msg = {per_msg}")
+sys.exit(0 if per_msg <= 1.5 else "above 1.5: the ring is not multicasting")
+EOF
 # sim_campaign is not in BENCHMARK.json, but it runs every campaign scenario
 # under the oracles and checks that its repeated units reproduce the same
 # counts, so a simulator change that breaks either fails here.
