@@ -17,6 +17,11 @@ constexpr uint8_t kAck = 13;      // receiver -> sequencer
 // How many messages a stall-heal or NAK answer resends at once.
 constexpr SeqNum kResendBurst = 32;
 
+constexpr Nanos kNakDelay = util::usec(500);
+constexpr Nanos kAckInterval = util::msec(1);
+// Re-send forwards the sequencer has not ordered yet (lost forwards).
+constexpr Nanos kForwardRetransmit = util::msec(5);
+
 /// Unseal `packet` and check its type byte; the reader starts after it.
 std::optional<util::Reader> unseal(std::span<const std::byte> packet,
                                    uint8_t expected_type) {
@@ -44,7 +49,7 @@ SequencerProtocol::SequencerProtocol(ProcessId self, RingConfig members,
                                      SequencerConfig cfg, Host& host)
     : self_(self), members_(std::move(members)), cfg_(cfg), host_(host) {
   if (!is_sequencer()) {
-    host_.set_timer(protocol::kTimerBaselineAck, cfg_.ack_interval);
+    host_.set_timer(protocol::kTimerBaselineAck, kAckInterval);
   }
 }
 
@@ -73,7 +78,7 @@ void SequencerProtocol::try_send_pending() {
     unacked_.emplace(sender_seq_, std::move(payload));
     if (!forward_timer_armed_) {
       forward_timer_armed_ = true;
-      host_.set_timer(protocol::kTimerBaselineFlush, cfg_.forward_retransmit);
+      host_.set_timer(protocol::kTimerBaselineFlush, kForwardRetransmit);
     }
   }
 }
@@ -221,7 +226,7 @@ void SequencerProtocol::handle_ordered(SeqNum seq, ProcessId sender,
   deliver_ready();
   if (aru_ < high_seq_ && !nak_timer_armed_ && !is_sequencer()) {
     nak_timer_armed_ = true;
-    host_.set_timer(protocol::kTimerBaselineNak, cfg_.nak_delay);
+    host_.set_timer(protocol::kTimerBaselineNak, kNakDelay);
   }
 }
 
@@ -270,7 +275,7 @@ void SequencerProtocol::on_timer(protocol::TimerKind kind) {
       if (aru_ < high_seq_) {
         send_naks();
         nak_timer_armed_ = true;
-        host_.set_timer(protocol::kTimerBaselineNak, cfg_.nak_delay);
+        host_.set_timer(protocol::kTimerBaselineNak, kNakDelay);
       }
       break;
     case protocol::kTimerBaselineAck: {
@@ -281,7 +286,7 @@ void SequencerProtocol::on_timer(protocol::TimerKind kind) {
       util::seal(w);
       host_.unicast(members_.members.front(), protocol::kSockData,
                     std::move(w).take());
-      host_.set_timer(protocol::kTimerBaselineAck, cfg_.ack_interval);
+      host_.set_timer(protocol::kTimerBaselineAck, kAckInterval);
       break;
     }
     case protocol::kTimerBaselineFlush: {
@@ -294,8 +299,7 @@ void SequencerProtocol::on_timer(protocol::TimerKind kind) {
           send_forward(sender_seq, body);
         }
         forward_timer_armed_ = true;
-        host_.set_timer(protocol::kTimerBaselineFlush,
-                        cfg_.forward_retransmit);
+        host_.set_timer(protocol::kTimerBaselineFlush, kForwardRetransmit);
       }
       break;
     }

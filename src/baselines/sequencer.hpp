@@ -40,10 +40,6 @@ using protocol::SocketId;
 struct SequencerConfig {
   uint32_t sender_window = 400;  ///< max own messages awaiting ordering
   size_t max_pending = 10'000;   ///< submit() backpressure bound
-  Nanos nak_delay = util::usec(500);
-  Nanos ack_interval = util::msec(1);
-  /// Re-send forwards the sequencer has not ordered yet (lost forwards).
-  Nanos forward_retransmit = util::msec(5);
 };
 
 struct SequencerStats {

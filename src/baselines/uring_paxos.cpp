@@ -17,6 +17,15 @@ constexpr uint8_t kNakB = 23;   // anyone -> coordinator
 // How many delivered batches the coordinator keeps for NAK service.
 constexpr uint64_t kCoordinatorHistory = 512;
 
+// Keep batch datagrams near the 8KB values Ring Paxos uses; very large UDP
+// datagrams fragment heavily and amplify loss.
+constexpr size_t kBatchMaxBytes = 8 * 1024;
+constexpr Nanos kFlushInterval = util::usec(150);  // batch/idle timer
+constexpr uint32_t kWindow = 8;  // undecided batches in flight
+constexpr Nanos kNakDelay = util::usec(700);
+// Client-side re-send of values the coordinator has not sequenced yet.
+constexpr Nanos kValueRetransmit = util::msec(5);
+
 /// Unseal `packet` and check its type byte; the reader starts after it.
 std::optional<util::Reader> unseal(std::span<const std::byte> packet,
                                    uint8_t expected_type) {
@@ -31,7 +40,7 @@ URingProtocol::URingProtocol(ProcessId self, RingConfig members,
                              URingConfig cfg, Host& host)
     : self_(self), members_(std::move(members)), cfg_(cfg), host_(host) {
   if (is_coordinator()) {
-    host_.set_timer(protocol::kTimerBaselineFlush, cfg_.flush_interval);
+    host_.set_timer(protocol::kTimerBaselineFlush, kFlushInterval);
   }
 }
 
@@ -56,7 +65,7 @@ bool URingProtocol::submit(std::vector<std::byte> payload) {
   unacked_values_.emplace(seq, std::move(payload));
   if (!value_timer_armed_) {
     value_timer_armed_ = true;
-    host_.set_timer(protocol::kTimerBaselineFlush, cfg_.value_retransmit);
+    host_.set_timer(protocol::kTimerBaselineFlush, kValueRetransmit);
   }
   return true;
 }
@@ -78,12 +87,12 @@ void URingProtocol::flush_pending(bool force) {
   // Batch formation: wait for a full batch unless forced by the flush timer
   // — this is what amortizes per-instance cost ("with batching", §V).
   if (!force && pending_.size() < cfg_.batch_max_msgs) return;
-  while (!pending_.empty() && next_batch_ - decided_ < cfg_.window) {
+  while (!pending_.empty() && next_batch_ - decided_ < kWindow) {
     Batch batch;
     batch.id = ++next_batch_;
     size_t bytes = 0;
     while (!pending_.empty() && batch.entries.size() < cfg_.batch_max_msgs &&
-           bytes < cfg_.batch_max_bytes) {
+           bytes < kBatchMaxBytes) {
       bytes += pending_.front().payload.size();
       batch.entries.push_back(std::move(pending_.front()));
       pending_.pop_front();
@@ -254,7 +263,7 @@ void URingProtocol::handle_batch(Batch batch, uint64_t decided_upto) {
   }
   if (gap && !nak_armed_ && !is_coordinator()) {
     nak_armed_ = true;
-    host_.set_timer(protocol::kTimerBaselineNak, cfg_.nak_delay);
+    host_.set_timer(protocol::kTimerBaselineNak, kNakDelay);
   }
 }
 
@@ -271,7 +280,7 @@ void URingProtocol::deliver_decided() {
       // it will not be re-sent on its own, so request it.
       if (!nak_armed_ && !is_coordinator()) {
         nak_armed_ = true;
-        host_.set_timer(protocol::kTimerBaselineNak, cfg_.nak_delay);
+        host_.set_timer(protocol::kTimerBaselineNak, kNakDelay);
       }
       return;
     }
@@ -321,8 +330,7 @@ void URingProtocol::on_timer(protocol::TimerKind kind) {
             send_value(seq, body);
           }
           value_timer_armed_ = true;
-          host_.set_timer(protocol::kTimerBaselineFlush,
-                          cfg_.value_retransmit);
+          host_.set_timer(protocol::kTimerBaselineFlush, kValueRetransmit);
         }
         break;
       }
@@ -361,7 +369,7 @@ void URingProtocol::on_timer(protocol::TimerKind kind) {
         }
       }
       advance_decided(decided_);
-      host_.set_timer(protocol::kTimerBaselineFlush, cfg_.flush_interval);
+      host_.set_timer(protocol::kTimerBaselineFlush, kFlushInterval);
       break;
     }
     case protocol::kTimerBaselineNak: {
@@ -382,7 +390,7 @@ void URingProtocol::on_timer(protocol::TimerKind kind) {
         host_.unicast(members_.members.front(), protocol::kSockData,
                       std::move(w).take());
         nak_armed_ = true;
-        host_.set_timer(protocol::kTimerBaselineNak, cfg_.nak_delay);
+        host_.set_timer(protocol::kTimerBaselineNak, kNakDelay);
       }
       break;
     }

@@ -42,15 +42,7 @@ using protocol::SocketId;
 
 struct URingConfig {
   size_t batch_max_msgs = 24;
-  /// Keep batch datagrams near the 8KB values Ring Paxos uses; very large
-  /// UDP datagrams fragment heavily and amplify loss.
-  size_t batch_max_bytes = 8 * 1024;
-  Nanos flush_interval = util::usec(150);  ///< coordinator batch/idle timer
-  uint32_t window = 8;        ///< undecided batches in flight
   size_t max_pending = 10'000;
-  Nanos nak_delay = util::usec(700);
-  /// Client-side re-send of values the coordinator has not sequenced yet.
-  Nanos value_retransmit = util::msec(5);
 };
 
 struct URingStats {

@@ -21,6 +21,9 @@
 namespace accelring::check {
 namespace {
 
+/// Per-node submit cadence of the campaign workload.
+constexpr Nanos kSubmitInterval = util::msec(2);
+
 protocol::Service pick_service(uint32_t index) {
   // Mostly Agreed with a steady trickle of Safe, so both delivery paths and
   // both sides of the safe line are exercised under faults.
@@ -32,13 +35,12 @@ protocol::Service pick_service(uint32_t index) {
 template <typename SubmitFn>
 void arm_workload(simnet::EventQueue& eq, const RunOptions& opt,
                   SubmitFn submit) {
-  const int64_t shots = opt.horizon / opt.submit_interval;
+  const int64_t shots = opt.horizon / kSubmitInterval;
   for (int node = 0; node < opt.nodes; ++node) {
     // Phase-shift nodes so submissions do not synchronize.
-    const Nanos phase =
-        opt.submit_interval * node / std::max(opt.nodes, 1);
+    const Nanos phase = kSubmitInterval * node / std::max(opt.nodes, 1);
     for (int64_t k = 0; k < shots; ++k) {
-      const Nanos at = opt.submit_interval * k + phase + util::usec(50);
+      const Nanos at = kSubmitInterval * k + phase + util::usec(50);
       eq.schedule_after(at, [submit, node, k] {
         submit(node, static_cast<uint32_t>(k));
       });

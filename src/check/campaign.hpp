@@ -50,7 +50,6 @@ struct RunOptions {
   int rings = 1;  ///< 1 = single cluster; >1 = RingSet with K rings
   Nanos horizon = util::msec(250);     ///< workload + fault window
   Nanos drain = util::msec(300);       ///< heal-all, then quiesce
-  Nanos submit_interval = util::msec(2);  ///< per-node submit cadence
   size_t payload_size = 64;
   simnet::FabricParams fabric = simnet::FabricParams::one_gig();
   harness::ImplProfile profile = harness::ImplProfile::kLibrary;

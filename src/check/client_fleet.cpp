@@ -9,6 +9,14 @@
 namespace accelring::check {
 namespace {
 
+/// Reconnect backoff floor and ceiling.
+constexpr Nanos kBackoffBase = util::msec(2);
+constexpr Nanos kBackoffCap = util::msec(40);
+/// Sends start this late, so the joins order first, then go out at this
+/// per-client cadence.
+constexpr Nanos kWorkloadStart = util::msec(20);
+constexpr Nanos kSendInterval = util::msec(2);
+
 /// Application payload: [u64 uuid][u64 accepted-send index][zero padding].
 std::vector<std::byte> stamp_payload(uint64_t uuid, uint64_t index,
                                      size_t size) {
@@ -79,7 +87,7 @@ ClientFleet::ClientFleet(harness::SimCluster& cluster, FleetOptions opt)
             cluster_.eq().schedule_after(delay, std::move(fn));
           },
           "c" + std::to_string(node) + "." + std::to_string(k), rec->uuid,
-          util::Backoff(opt_.backoff_base, opt_.backoff_cap, seeder.next()),
+          util::Backoff(kBackoffBase, kBackoffCap, seeder.next()),
           [raw](const std::string&, const std::string&, daemon::Service,
                 std::span<const std::byte> payload) {
             uint64_t uuid = 0;
@@ -103,13 +111,12 @@ void ClientFleet::start(Nanos horizon) {
     });
   }
   const int total = static_cast<int>(clients_.size());
-  const int64_t shots =
-      (horizon - opt_.workload_start) / opt_.send_interval;
+  const int64_t shots = (horizon - kWorkloadStart) / kSendInterval;
   for (int c = 0; c < total; ++c) {
     ClientRec* rec = clients_[static_cast<size_t>(c)].get();
-    const Nanos phase = opt_.send_interval * c / std::max(total, 1);
+    const Nanos phase = kSendInterval * c / std::max(total, 1);
     for (int64_t k = 0; k < shots; ++k) {
-      eq.schedule_after(opt_.workload_start + opt_.send_interval * k + phase,
+      eq.schedule_after(kWorkloadStart + kSendInterval * k + phase,
                         [this, rec] { send_one(*rec); });
     }
   }

@@ -43,11 +43,7 @@ namespace accelring::check {
 struct FleetOptions {
   int clients_per_node = 2;
   daemon::DaemonConfig daemon;
-  Nanos backoff_base = util::msec(2);   ///< reconnect backoff floor
-  Nanos backoff_cap = util::msec(40);   ///< reconnect backoff ceiling
-  uint64_t seed = 1;                    ///< jitter seeds (per client)
-  Nanos workload_start = util::msec(20);  ///< lets the joins order first
-  Nanos send_interval = util::msec(2);    ///< per-client send cadence
+  uint64_t seed = 1;  ///< jitter seeds (per client)
   size_t payload_size = 48;
 };
 
@@ -69,7 +65,8 @@ class ClientFleet {
   ClientFleet(harness::SimCluster& cluster, FleetOptions opt);
 
   /// Connect and join every client now, then arm the per-client send chains
-  /// over [workload_start, horizon]. Call once, before the run.
+  /// from 20 ms (after the joins order) until `horizon`. Call once, before
+  /// the run.
   void start(Nanos horizon);
 
   /// `node` was crashed: tear down its daemon, tell its clients.

@@ -134,30 +134,18 @@ void KvOracle::on_lease_grant(int node, int shard, const kv::LeaseId& id,
   last_grant_seen_[n][s] = ordinal;
 }
 
-void KvOracle::note_map_change(uint64_t to_version) {
-  ++map_epoch_;
-  map_version_ = to_version;
-}
-
 void KvOracle::on_outcome(int node, const kv::Frontend::Outcome& outcome) {
   ++observed_;
   const auto s = static_cast<size_t>(outcome.shard);
 
-  // Routing continuity: a key may change serving shard only across a map
-  // change (Frontend::apply_map). Two outcomes for one key on different
-  // shards inside one routing epoch mean some node routed with a stale map.
-  const auto route = std::make_pair(outcome.shard, map_epoch_);
-  const auto [rit, fresh] = key_route_.try_emplace(outcome.key, route);
-  if (!fresh) {
-    if (rit->second.first != outcome.shard && rit->second.second == map_epoch_) {
-      std::ostringstream os;
-      os << "node " << node << " key '" << outcome.key
-         << "': rerouted shard " << rit->second.first << " -> "
-         << outcome.shard << " with no shard-map change (routing epoch "
-         << map_epoch_ << ", map version " << map_version_ << ")";
-      fail(os.str());
-    }
-    rit->second = route;
+  // Routing continuity: every node routes with the same fixed shard map, so
+  // a key's outcomes all come from one shard.
+  const auto [rit, fresh] = key_route_.try_emplace(outcome.key, outcome.shard);
+  if (!fresh && rit->second != outcome.shard) {
+    std::ostringstream os;
+    os << "node " << node << " key '" << outcome.key << "': rerouted shard "
+       << rit->second << " -> " << outcome.shard;
+    fail(os.str());
   }
 
   if (outcome.lease_served) {

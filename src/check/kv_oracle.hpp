@@ -22,6 +22,9 @@
 //  * Session guarantees — per session and shard: reads never return a
 //    version below the session's last acked write (read-your-writes), and
 //    read versions never regress (monotonic reads).
+//  * Routing continuity — a key is served by one shard for the whole run
+//    (KV shards do not follow ring migrations); a key seen on two shards
+//    means some node routed with a different map.
 //  * Lease exclusivity, the "zero stale lease reads" property — grants are
 //    totally ordered per shard; once any read has been served under grant
 //    g, no read may ever be served under an earlier grant. A deposed or
@@ -66,14 +69,6 @@ class KvOracle {
   /// `node` was cold-restarted: its replicas' versions restart from a state
   /// transfer, so its per-node monotonicity floors reset.
   void note_restart(int node);
-
-  /// The service installed a shard-map handoff (KvService::apply_map):
-  /// routing for moved keys may switch shards exactly at this point, and
-  /// moved keys start fresh histories on their new shard. The oracle's
-  /// routing-continuity check uses these epochs: a key whose outcomes hop
-  /// shards with *no* intervening map change was rerouted outside any
-  /// handoff — the KV-level stale-map bug — and is a violation.
-  void note_map_change(uint64_t to_version);
 
   /// Cluster-wide recovery rolled `shard`'s authoritative history back to
   /// `version` (the highest durable position across the recovered nodes).
@@ -129,12 +124,8 @@ class KvOracle {
   /// Per session: per shard, last acked write version and last read version.
   std::map<uint64_t, std::map<int, uint64_t>> write_floor_;
   std::map<uint64_t, std::map<int, uint64_t>> read_floor_;
-  /// Routing continuity: map epoch (count of note_map_change calls, with the
-  /// last announced map version), and per key the (shard, epoch) of its most
-  /// recent outcome.
-  uint64_t map_epoch_ = 0;
-  uint64_t map_version_ = 0;
-  std::map<std::string, std::pair<int, uint64_t>> key_route_;
+  /// Routing continuity: per key, the shard of its first outcome.
+  std::map<std::string, int> key_route_;
 
   std::vector<Violation> violations_;
   uint64_t suppressed_ = 0;  ///< violations beyond the report cap

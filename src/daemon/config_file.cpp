@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -34,40 +35,71 @@ bool parse_number(const std::string& s, T& out) {
   return ec == std::errc{} && ptr == s.data() + s.size();
 }
 
-bool apply_option(const std::string& key, uint64_t value,
-                  protocol::ProtocolConfig& proto) {
-  if (key == "personal_window") {
-    proto.personal_window = static_cast<uint32_t>(value);
-  } else if (key == "global_window") {
-    proto.global_window = static_cast<uint32_t>(value);
-  } else if (key == "accelerated_window") {
-    proto.accelerated_window = static_cast<uint32_t>(value);
-  } else if (key == "max_seq_gap") {
-    proto.max_seq_gap = static_cast<protocol::SeqNum>(value);
-  } else if (key == "max_pending") {
-    proto.max_pending = value;
-  } else if (key == "token_retransmit_timeout_ms") {
-    proto.timeouts.token_retransmit = util::msec(static_cast<int64_t>(value));
-  } else if (key == "token_loss_timeout_ms") {
-    proto.timeouts.token_loss = util::msec(static_cast<int64_t>(value));
-  } else if (key == "join_timeout_ms") {
-    proto.timeouts.join = util::msec(static_cast<int64_t>(value));
-  } else if (key == "consensus_timeout_ms") {
-    proto.timeouts.consensus = util::msec(static_cast<int64_t>(value));
-  } else if (key == "idle_token_hold_us") {
-    proto.timeouts.idle_token_hold = util::usec(static_cast<int64_t>(value));
-  } else if (key == "packing") {
-    proto.enable_packing = value != 0;
-  } else if (key == "packing_budget") {
-    proto.packing_budget = value;
-  } else if (key == "auto_tune") {
-    proto.auto_tune = value != 0;
-  } else if (key == "adaptive_timeouts") {
-    proto.adaptive_timeouts = value != 0;
-  } else {
+/// Store `value` in `field` if it fits the field's type.
+template <typename T>
+bool store(uint64_t value, T& field) {
+  if (value > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
     return false;
   }
+  field = static_cast<T>(value);
   return true;
+}
+
+/// Store a 0/1 switch.
+bool store(uint64_t value, bool& field) {
+  if (value > 1) return false;
+  field = value == 1;
+  return true;
+}
+
+/// Store `value` units of `unit` ns if the product fits util::Nanos.
+bool store_duration(uint64_t value, util::Nanos unit, util::Nanos& field) {
+  if (value > static_cast<uint64_t>(std::numeric_limits<util::Nanos>::max() /
+                                    unit)) {
+    return false;
+  }
+  field = static_cast<util::Nanos>(value) * unit;
+  return true;
+}
+
+/// Apply one `option` line; returns an error message, empty on success.
+std::string apply_option(const std::string& key, uint64_t value,
+                         protocol::ProtocolConfig& proto) {
+  protocol::Timeouts& t = proto.timeouts;
+  bool fits = false;
+  if (key == "personal_window") {
+    fits = store(value, proto.personal_window);
+  } else if (key == "global_window") {
+    fits = store(value, proto.global_window);
+  } else if (key == "accelerated_window") {
+    fits = store(value, proto.accelerated_window);
+  } else if (key == "max_seq_gap") {
+    fits = store(value, proto.max_seq_gap);
+  } else if (key == "max_pending") {
+    fits = store(value, proto.max_pending);
+  } else if (key == "token_retransmit_timeout_ms") {
+    fits = store_duration(value, util::kMillisecond, t.token_retransmit);
+  } else if (key == "token_loss_timeout_ms") {
+    fits = store_duration(value, util::kMillisecond, t.token_loss);
+  } else if (key == "join_timeout_ms") {
+    fits = store_duration(value, util::kMillisecond, t.join);
+  } else if (key == "consensus_timeout_ms") {
+    fits = store_duration(value, util::kMillisecond, t.consensus);
+  } else if (key == "idle_token_hold_us") {
+    fits = store_duration(value, util::kMicrosecond, t.idle_token_hold);
+  } else if (key == "packing") {
+    fits = store(value, proto.enable_packing);
+  } else if (key == "packing_budget") {
+    fits = store(value, proto.packing_budget);
+  } else if (key == "auto_tune") {
+    fits = store(value, proto.auto_tune);
+  } else if (key == "adaptive_timeouts") {
+    fits = store(value, proto.adaptive_timeouts);
+  } else {
+    return "unknown option: " + key;
+  }
+  if (!fits) return "option " + key + " out of range: " + std::to_string(value);
+  return {};
 }
 
 }  // namespace
@@ -124,8 +156,9 @@ std::optional<DeploymentConfig> parse_config_text(std::string_view text,
         error = {line_number, "option needs: name numeric_value"};
         return std::nullopt;
       }
-      if (!apply_option(tokens[1], value, config.proto)) {
-        error = {line_number, "unknown option: " + tokens[1]};
+      std::string problem = apply_option(tokens[1], value, config.proto);
+      if (!problem.empty()) {
+        error = {line_number, std::move(problem)};
         return std::nullopt;
       }
     } else {

@@ -12,7 +12,9 @@
 //     option token_loss_timeout_ms 100
 //
 // parse_config_text() works on a string (unit-testable); load_config_file()
-// reads from disk. Errors carry line numbers.
+// reads from disk. Errors carry line numbers. An option value must fit its
+// field: a window no larger than the field's type, a timeout whose
+// nanoseconds fit util::Nanos, a switch of 0 or 1.
 #pragma once
 
 #include <map>

@@ -4,6 +4,16 @@
 
 namespace accelring::daemon {
 
+namespace {
+
+/// Engine occupancy, as fractions of its max_pending: stop draining session
+/// queues into the engine at kHighWater, and send RESUME once occupancy
+/// falls back to kLowWater.
+constexpr double kHighWater = 0.75;
+constexpr double kLowWater = 0.50;
+
+}  // namespace
+
 DaemonMetrics DaemonMetrics::bind(obs::MetricsRegistry& registry) {
   DaemonMetrics m;
   m.queue_depth = &registry.gauge("daemon", "queue_depth");
@@ -78,7 +88,7 @@ bool Daemon::leave(ClientId client, const std::string& group) {
 
 bool Daemon::overloaded() const {
   const auto limit = static_cast<double>(engine_.config().max_pending);
-  return static_cast<double>(engine_.pending()) >= config_.high_water * limit;
+  return static_cast<double>(engine_.pending()) >= kHighWater * limit;
 }
 
 bool Daemon::send(ClientId client, const std::vector<std::string>& groups,
@@ -140,7 +150,7 @@ void Daemon::pump() {
   // RESUME only once the engine is comfortably below the pause line, so a
   // session is not flapped between slow and resumed every round.
   const auto limit = static_cast<double>(engine_.config().max_pending);
-  if (static_cast<double>(engine_.pending()) > config_.low_water * limit) {
+  if (static_cast<double>(engine_.pending()) > kLowWater * limit) {
     return;
   }
   for (auto& [id, state] : sessions_) {

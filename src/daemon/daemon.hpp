@@ -49,14 +49,10 @@ struct Session {
   std::function<void(const protocol::ConfigurationChange&)> on_membership;
 };
 
-/// Backpressure tuning. Fractions are of the engine's max_pending.
+/// Backpressure tuning.
 struct DaemonConfig {
   /// Max queued sends per session before shedding (and SLOWDOWN).
   size_t session_queue_limit = 256;
-  /// Stop draining session queues into the engine above this occupancy.
-  double high_water = 0.75;
-  /// Send RESUME once engine occupancy falls back below this.
-  double low_water = 0.50;
 };
 
 struct DaemonStats {

@@ -17,22 +17,6 @@ std::string take_blob(util::Reader& r) {
 
 }  // namespace
 
-const char* op_name(OpType t) {
-  switch (t) {
-    case OpType::kPut:
-      return "put";
-    case OpType::kDel:
-      return "del";
-    case OpType::kCas:
-      return "cas";
-    case OpType::kGet:
-      return "get";
-    case OpType::kScan:
-      return "scan";
-  }
-  return "?";
-}
-
 std::vector<std::byte> encode_op(const KvOp& op) {
   util::Writer w(op.key.size() + op.value.size() + op.expect.size() + 24);
   w.u8(static_cast<uint8_t>(op.type));

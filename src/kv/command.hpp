@@ -30,8 +30,6 @@ enum class OpType : uint8_t {
   return t == OpType::kPut || t == OpType::kDel || t == OpType::kCas;
 }
 
-[[nodiscard]] const char* op_name(OpType t);
-
 struct KvOp {
   OpType type = OpType::kGet;
   std::string key;

@@ -15,8 +15,7 @@ Frontend::Frontend(ProcessId self, int shards, LeaseConfig lease,
       now_(std::move(now)),
       machines_(static_cast<size_t>(shards), nullptr),
       leases_(static_cast<size_t>(shards), nullptr),
-      replicas_(static_cast<size_t>(shards), nullptr),
-      lease_resume_(static_cast<size_t>(shards), 0) {}
+      replicas_(static_cast<size_t>(shards), nullptr) {}
 
 void Frontend::attach_shard(int shard, const KvStateMachine* machine,
                             const LeaseTable* lease,
@@ -42,10 +41,9 @@ bool Frontend::issue(uint64_t uuid, uint64_t seq, const KvOp& op,
   const Nanos now = now_();
 
   if (!is_mutation(op.type) && lease_cfg_.enabled && leases_[s] != nullptr &&
-      machines_[s] != nullptr && leases_[s]->can_serve(self_, now, lease_cfg_) &&
+      machines_[s] != nullptr && leases_[s]->can_serve(self_, now) &&
       replicas_[s] != nullptr && !replicas_[s]->catching_up() &&
-      machines_[s]->version() >= min_version &&
-      machines_[s]->version() >= lease_resume_[s]) {
+      machines_[s]->version() >= min_version) {
     // Lease fast path: serve from local state, no ordered round trip. The
     // version floor keeps read-your-writes across a lease handover to a
     // node that has not yet applied this session's last write.
@@ -87,29 +85,6 @@ bool Frontend::issue(uint64_t uuid, uint64_t seq, const KvOp& op,
     ++stats_.submit_shed;
   }
   return true;
-}
-
-size_t Frontend::apply_map(const multiring::MigrationPlan& plan) {
-  if (plan.empty() || plan.from_version != map_.version()) return 0;
-  map_.apply(plan);
-  for (const int dst : plan.dests()) {
-    const auto d = static_cast<size_t>(dst);
-    if (d >= machines_.size() || machines_[d] == nullptr) continue;
-    // Local state as of the handoff cannot yet reflect the moved keys:
-    // require at least one post-handoff apply before lease-serving again.
-    lease_resume_[d] = machines_[d]->version() + 1;
-  }
-  size_t remapped = 0;
-  for (auto& [uuid, p] : pending_) {
-    const int shard = shard_of(p.key);
-    if (shard == p.shard) continue;
-    p.shard = shard;
-    ++p.retries;
-    ++remapped;
-    if (!submit_(shard, p.frame)) ++stats_.submit_shed;
-  }
-  stats_.remapped += remapped;
-  return remapped;
 }
 
 bool Frontend::retry(uint64_t uuid) {

@@ -67,7 +67,6 @@ class Frontend {
     uint64_t retries = 0;
     uint64_t cancelled = 0;
     uint64_t submit_shed = 0;    ///< submits rejected by backpressure
-    uint64_t remapped = 0;       ///< pending ops rerouted by apply_map
   };
 
   Frontend(ProcessId self, int shards, LeaseConfig lease, SubmitFn submit,
@@ -85,25 +84,6 @@ class Frontend {
   [[nodiscard]] int shard_of(const std::string& key) const {
     return map_.ring_of(key);
   }
-
-  /// Install a routing-map transition (a completed shard handoff, planned
-  /// against this frontend's current map). Three things move with the shard:
-  ///  * routing — shard_of() answers with the new owner immediately;
-  ///  * in-flight ops — pending ops whose key moved are re-submitted to the
-  ///    new shard's stream (the per-session dedup floor makes the extra
-  ///    frame harmless) so no op strands on the old deliverer;
-  ///  * leases — the fast path on every destination shard is suppressed
-  ///    until its local machine applies past the handoff point, so a
-  ///    leaseholder cannot serve moved keys from state that predates it.
-  /// Session read floors (`min_version`) are shard-scoped, so a moved key's
-  /// floor disarms with the route change and re-arms at the next write.
-  /// Migrating the moved keys' *data* between shard state machines is the
-  /// caller's contract (quiesced handoff, or moved ranges empty of data).
-  /// Returns the number of pending ops remapped; stale or empty plans are
-  /// ignored.
-  size_t apply_map(const multiring::MigrationPlan& plan);
-  /// Routing epoch of this frontend's map (+1 per applied plan).
-  [[nodiscard]] uint64_t map_version() const { return map_.version(); }
 
   /// Issue one op for a session. `min_version` is the session's read floor
   /// for the key's shard (0 = none). `done` fires exactly once, possibly
@@ -152,9 +132,6 @@ class Frontend {
   std::vector<const KvStateMachine*> machines_;  ///< per shard
   std::vector<const LeaseTable*> leases_;        ///< per shard
   std::vector<const rsm::Replica*> replicas_;    ///< per shard
-  /// Per shard: minimum machine version before the lease fast path resumes
-  /// (set by apply_map on handoff destinations; 0 = no suppression).
-  std::vector<uint64_t> lease_resume_;
   std::map<uint64_t, Pending> pending_;          ///< by session uuid
   CompleteFn observer_;
   Stats stats_;

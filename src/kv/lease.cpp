@@ -5,25 +5,24 @@
 
 namespace accelring::kv {
 
-void LeaseTable::on_grant(const LeaseId& id, Nanos at,
-                          const LeaseConfig& cfg) {
+void LeaseTable::on_grant(const LeaseId& id, Nanos at) {
   if (id.holder == id_.holder && id_.holder != protocol::kNoProcess) {
     // Renewal (same holder, possibly a fresh grant after its own lapse):
     // extend; activation is already settled.
     id_ = id;
-    expiry_ = std::max(expiry_, at + cfg.ttl);
+    expiry_ = std::max(expiry_, at + kLeaseTtl);
     return;
   }
   // Handover: the new lease activates only after the outgoing holder's
   // window — as this replica bounds it — has lapsed, plus the skew guard.
   const Nanos prior = std::max(prior_expiry_, expiry_);
   id_ = id;
-  active_from_ = std::max(at, prior + cfg.guard);
-  expiry_ = at + cfg.ttl;
+  active_from_ = std::max(at, prior + kLeaseGuard);
+  expiry_ = at + kLeaseTtl;
   prior_expiry_ = prior;
 }
 
-void LeaseTable::on_config_change(Nanos at, const LeaseConfig& cfg) {
+void LeaseTable::on_config_change(Nanos at) {
   // Revoke: the view changed, so the holder rule may designate someone
   // else. Keep the expiry bound — a partitioned ex-holder that never saw
   // this view change still stops at its own expiry, and the next grant's
@@ -32,7 +31,7 @@ void LeaseTable::on_config_change(Nanos at, const LeaseConfig& cfg) {
     // First install after a restart/join: some ex-member may hold a lease
     // this table never observed. Its last ordered renewal predates this
     // install, so it lapses by at + ttl (see taint()).
-    prior_expiry_ = std::max(prior_expiry_, at + cfg.ttl);
+    prior_expiry_ = std::max(prior_expiry_, at + kLeaseTtl);
     tainted_ = false;
   }
   prior_expiry_ = std::max(prior_expiry_, expiry_);
@@ -41,12 +40,9 @@ void LeaseTable::on_config_change(Nanos at, const LeaseConfig& cfg) {
   expiry_ = 0;
 }
 
-ProcessId designated_holder(const std::vector<ProcessId>& members, int shard,
-                            const LeaseConfig& cfg) {
+ProcessId designated_holder(const std::vector<ProcessId>& members, int shard) {
   if (members.empty()) return protocol::kNoProcess;
-  const size_t i =
-      cfg.rotate_holders ? static_cast<size_t>(shard) % members.size() : 0;
-  return members[i];
+  return members[static_cast<size_t>(shard) % members.size()];
 }
 
 }  // namespace accelring::kv

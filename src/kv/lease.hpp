@@ -34,18 +34,18 @@ namespace accelring::kv {
 using protocol::ProcessId;
 using util::Nanos;
 
+/// Lease timing, fixed for every shard.
+inline constexpr Nanos kLeaseTtl = util::msec(40);
+/// Clock-skew guard: the holder under-serves its window by this much and a
+/// successor over-waits by it. Must exceed half the worst-case receipt
+/// spread of one ordered message across replicas.
+inline constexpr Nanos kLeaseGuard = util::msec(4);
+/// The holder re-multicasts its grant this often.
+inline constexpr Nanos kLeaseRenewEvery = util::msec(12);
+
 struct LeaseConfig {
+  /// Off: every read goes through the total order.
   bool enabled = true;
-  Nanos ttl = util::msec(40);
-  /// Clock-skew guard: the holder under-serves its window by this much and
-  /// a successor over-waits by it. Must exceed half the worst-case receipt
-  /// spread of one ordered message across replicas.
-  Nanos guard = util::msec(4);
-  Nanos renew_every = util::msec(12);
-  /// Holder = sorted view members[shard % size] instead of members[0], so K
-  /// shards spread their leaseholders across the view. With one shard the
-  /// rule reduces to the lowest-id member either way.
-  bool rotate_holders = true;
 };
 
 /// Grant identity, unique per grant across the run: the holder plus the
@@ -63,14 +63,14 @@ struct LeaseId {
 class LeaseTable {
  public:
   /// A totally ordered grant/renewal observed at local time `at`.
-  void on_grant(const LeaseId& id, Nanos at, const LeaseConfig& cfg);
+  void on_grant(const LeaseId& id, Nanos at);
 
   /// An EVS regular configuration change observed at local time `at`:
   /// revoke. The expiry bound of the outgoing lease is kept so the next
   /// grant's activation still waits out a holder that missed the view
   /// change. A tainted table (see taint()) additionally bounds the lease it
   /// never saw at `at + ttl` here.
-  void on_config_change(Nanos at, const LeaseConfig& cfg);
+  void on_config_change(Nanos at);
 
   /// Mark this table as having possibly missed an outstanding lease: a
   /// restarted or late-joining node's table is empty, but the view it is
@@ -82,9 +82,9 @@ class LeaseTable {
   void taint() { tainted_ = true; }
 
   /// May `self` serve a linearizable local read now?
-  [[nodiscard]] bool can_serve(ProcessId self, Nanos now,
-                               const LeaseConfig& cfg) const {
-    return id_.holder == self && now >= active_from_ && now < expiry_ - cfg.guard;
+  [[nodiscard]] bool can_serve(ProcessId self, Nanos now) const {
+    return id_.holder == self && now >= active_from_ &&
+           now < expiry_ - kLeaseGuard;
   }
 
   [[nodiscard]] ProcessId holder() const { return id_.holder; }
@@ -99,9 +99,12 @@ class LeaseTable {
   bool tainted_ = false;   ///< possible unobserved outstanding lease
 };
 
-/// The deterministic holder rule every replica evaluates on its view.
-/// `members` must be the sorted members of the shard's regular view.
+/// The deterministic holder rule every replica evaluates on its view:
+/// sorted view members[shard % size], so K shards spread their
+/// leaseholders across the view. With one shard the rule reduces to the
+/// lowest-id member. `members` must be the sorted members of the shard's
+/// regular view.
 [[nodiscard]] ProcessId designated_holder(
-    const std::vector<ProcessId>& members, int shard, const LeaseConfig& cfg);
+    const std::vector<ProcessId>& members, int shard);
 
 }  // namespace accelring::kv

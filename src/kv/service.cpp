@@ -216,12 +216,12 @@ void KvService::on_ring_delivery(int node, int shard,
         views_[static_cast<size_t>(node)][static_cast<size_t>(shard)];
     if (view.empty() ||
         in_transitional_[static_cast<size_t>(node)][static_cast<size_t>(shard)] ||
-        designated_holder(view, shard, cfg_.lease) != id.holder) {
+        designated_holder(view, shard) != id.holder) {
       ++stats_.grants_rejected;
       return;
     }
-    leases_[static_cast<size_t>(node)][static_cast<size_t>(shard)]->on_grant(
-        id, at, cfg_.lease);
+    leases_[static_cast<size_t>(node)][static_cast<size_t>(shard)]
+        ->on_grant(id, at);
     ++stats_.grants_applied;
     if (lease_obs_) lease_obs_(node, shard, id, at);
     return;
@@ -243,12 +243,11 @@ void KvService::on_ring_config(int node, int shard,
   std::sort(members.begin(), members.end());
   views_[static_cast<size_t>(node)][static_cast<size_t>(shard)] = members;
   leases_[static_cast<size_t>(node)][static_cast<size_t>(shard)]
-      ->on_config_change(eq_->now(), cfg_.lease);
+      ->on_config_change(eq_->now());
   const uint64_t gen =
       ++lease_gen_[static_cast<size_t>(node)][static_cast<size_t>(shard)];
   if (!cfg_.lease.enabled) return;
-  if (designated_holder(members, shard, cfg_.lease) ==
-      static_cast<ProcessId>(node)) {
+  if (designated_holder(members, shard) == static_cast<ProcessId>(node)) {
     submit_grant(node, shard);
     arm_renewal(node, shard, gen);
   }
@@ -269,26 +268,17 @@ void KvService::submit_grant(int node, int shard) {
 }
 
 void KvService::arm_renewal(int node, int shard, uint64_t gen) {
-  eq_->schedule_after(cfg_.lease.renew_every, [this, node, shard, gen] {
+  eq_->schedule_after(kLeaseRenewEvery, [this, node, shard, gen] {
     const auto n = static_cast<size_t>(node);
     const auto s = static_cast<size_t>(shard);
     if (down_[n] || lease_gen_[n][s] != gen) return;
-    if (designated_holder(views_[n][s], shard, cfg_.lease) !=
+    if (designated_holder(views_[n][s], shard) !=
         static_cast<ProcessId>(node)) {
       return;
     }
     submit_grant(node, shard);
     arm_renewal(node, shard, gen);
   });
-}
-
-size_t KvService::apply_map(const multiring::MigrationPlan& plan) {
-  size_t remapped = 0;
-  for (int n = 0; n < nodes_; ++n) {
-    if (down_[static_cast<size_t>(n)]) continue;
-    remapped += frontends_[static_cast<size_t>(n)]->apply_map(plan);
-  }
-  return remapped;
 }
 
 void KvService::on_crash(int node) {

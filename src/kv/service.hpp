@@ -96,13 +96,6 @@ class KvService {
   void on_crash(int node);
   void on_restart(int node);
 
-  /// Install a completed shard-map handoff on every live node's frontend
-  /// (see Frontend::apply_map): routing, in-flight ops, and lease authority
-  /// move with the shard at all nodes at once. The plan must be built
-  /// against the frontends' current map version. Returns the total number
-  /// of pending ops remapped across nodes.
-  size_t apply_map(const multiring::MigrationPlan& plan);
-
   /// Observers (oracle / workload taps). The applied observer fires before
   /// the frontend resolves the op, so mutation history is recorded before
   /// any dependent outcome is examined.

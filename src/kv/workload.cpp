@@ -8,6 +8,8 @@ namespace accelring::kv {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+/// Timeout-driven resubmits of one op before its session gives up.
+constexpr uint32_t kMaxRetries = 3;
 
 }  // namespace
 
@@ -226,7 +228,7 @@ void SessionWorkload::arm_timeout(uint64_t session_index, int node,
     Session& session = sessions_[session_index];
     if (!session.inflight || session.issue_count != token) return;
     const uint64_t uuid = session_index + 1;
-    if (session.retries < cfg_.max_retries && service_.node_up(node)) {
+    if (session.retries < kMaxRetries && service_.node_up(node)) {
       ++session.retries;
       ++stats_.retries;
       service_.frontend(node).retry(uuid);

@@ -15,7 +15,7 @@
 // at most one op in flight (the session protocol's ordering unit); an
 // arrival drawn for a busy session is counted (`busy_skips`) and dropped.
 // Per-op timeout chains resubmit through Frontend::retry (exactly-once
-// makes the duplicates harmless) and give up after `max_retries`; reconnect
+// makes the duplicates harmless) and give up after three retries; reconnect
 // churn picks random sessions and resubmits their in-flight op, modelling
 // clients that reconnect and replay, at `churn_per_sec`.
 #pragma once
@@ -42,7 +42,6 @@ struct WorkloadConfig {
   Nanos stop = util::sec(2);
   double churn_per_sec = 0;    ///< reconnect-and-replay events per second
   Nanos op_timeout = util::msec(50);
-  uint32_t max_retries = 3;
   uint64_t seed = 1;
   /// Completions before this time are warmup and not measured.
   Nanos measure_from = util::msec(100);
@@ -75,7 +74,7 @@ struct WorkloadStats {
   uint64_t mutations = 0;
   uint64_t busy_skips = 0;
   uint64_t down_skips = 0;   ///< arrivals at a crashed node
-  uint64_t timeouts = 0;     ///< ops abandoned after max_retries
+  uint64_t timeouts = 0;     ///< ops abandoned after three retries
   uint64_t retries = 0;
   uint64_t reconnects = 0;
   uint64_t sessions_touched = 0;  ///< distinct sessions that issued >= 1 op

@@ -61,8 +61,7 @@ using protocol::SeqNum;
 
 class Membership {
  public:
-  explicit Membership(protocol::Engine& engine)
-      : engine_(engine), quarantine_(engine.cfg_.gray) {}
+  explicit Membership(protocol::Engine& engine) : engine_(engine) {}
 
   /// Static membership (benchmarks): remember `ring` as the installed
   /// configuration without running the algorithm.

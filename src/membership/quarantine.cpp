@@ -7,10 +7,9 @@ namespace accelring::membership {
 uint32_t QuarantineManager::quarantine(ProcessId pid) {
   const uint32_t strikes = std::min(strikes_[pid], 4u);
   ++strikes_[pid];
-  const uint32_t hold = cfg_.quarantine_rotations << strikes;
   Entry& e = entries_[pid];
   e.state = QuarantineState::kQuarantined;
-  e.hold = std::max(hold, 1u);
+  e.hold = kQuarantineRotations << strikes;
   e.clean = 0;
   victims_.push_back(pid);
   return e.hold;
@@ -24,7 +23,7 @@ bool QuarantineManager::filter_probe(ProcessId pid, bool& entered_probation) {
   if (e.state == QuarantineState::kQuarantined) {
     if (--e.hold == 0) {
       e.state = QuarantineState::kProbation;
-      e.clean = std::max(cfg_.probation_rotations, 1u);
+      e.clean = kProbationRotations;
       entered_probation = true;
     }
     return true;

@@ -14,9 +14,9 @@
 //
 //  * kQuarantined: the member's Join messages are ignored (but counted as
 //    probes — they prove it is alive and still wants in). After
-//    `quarantine_rotations` probes the member moves to probation. Repeat
+//    `kQuarantineRotations` probes the member moves to probation. Repeat
 //    offenders double the hold each time (exponential anti-flap backoff).
-//  * kProbation: still blocked while `probation_rotations` further probes
+//  * kProbation: still blocked while `kProbationRotations` further probes
 //    arrive cleanly; then the next Join is admitted through the normal
 //    gather and the entry is cleared when the configuration installs.
 //
@@ -42,9 +42,11 @@ enum class QuarantineState : uint8_t { kHealthy = 0, kQuarantined, kProbation };
 class QuarantineManager {
  public:
   using ProcessId = protocol::ProcessId;
-  using GrayConfig = protocol::ProtocolConfig::GrayConfig;
 
-  explicit QuarantineManager(const GrayConfig& cfg) : cfg_(cfg) {}
+  /// Probe rotations a quarantined member sits out before probation.
+  static constexpr uint32_t kQuarantineRotations = 24;
+  /// Clean observations on probation before the verdict is forgotten.
+  static constexpr uint32_t kProbationRotations = 8;
 
   /// Local detector verdict: begin (or restart) quarantine. Returns the
   /// probe hold, doubled per prior offense, capped at 16x.
@@ -90,7 +92,6 @@ class QuarantineManager {
     uint32_t clean = 0;  ///< probation probes left before re-admission
   };
 
-  const GrayConfig& cfg_;
   std::map<ProcessId, Entry> entries_;
   std::map<ProcessId, uint32_t> strikes_;
   std::vector<ProcessId> victims_;

@@ -5,9 +5,16 @@
 
 namespace accelring::multiring {
 
+namespace {
+
+/// Poll period of the migration controller.
+constexpr Nanos kMigrationTick = util::usec(300);
+
+}  // namespace
+
 RingSet::RingSet(const MultiRingConfig& cfg)
     : cfg_(cfg),
-      shards_(cfg.rings, cfg.vnodes >= 1 ? cfg.vnodes : 1,
+      shards_(cfg.rings, ShardMap::kDefaultVnodes,
               cfg.active_rings > 0 ? cfg.active_rings : cfg.rings) {
   assert(cfg_.rings >= 1 && cfg_.nodes_per_ring >= 2);
   ordered_at_probe_.assign(static_cast<size_t>(cfg_.rings), 0);
@@ -186,7 +193,7 @@ bool RingSet::start_migration(const MigrationPlan& plan) {
     m.moves = plan_->moves;
     submit_marker(src, m);
   }
-  eq_.schedule_after(cfg_.migration_tick, [this] { migration_tick(); });
+  eq_.schedule_after(kMigrationTick, [this] { migration_tick(); });
   return true;
 }
 
@@ -246,7 +253,7 @@ void RingSet::migration_tick() {
     ++completed_migrations_;
     return;  // stop ticking; the next start_migration re-arms
   }
-  eq_.schedule_after(cfg_.migration_tick, [this] { migration_tick(); });
+  eq_.schedule_after(kMigrationTick, [this] { migration_tick(); });
 }
 
 void RingSet::flush_held(int node) {

@@ -62,8 +62,6 @@ struct MultiRingConfig {
   /// keyed traffic until a migration moves ranges in — the "ring add under
   /// load" setup.
   int active_rings = 0;
-  int vnodes = ShardMap::kDefaultVnodes;   ///< virtual nodes per ring
-  Nanos migration_tick = util::usec(300);  ///< controller poll period
 };
 
 class RingSet {

@@ -1,7 +1,5 @@
 #include "obs/export.hpp"
 
-#include <cstdio>
-
 namespace accelring::obs {
 
 namespace {
@@ -62,40 +60,6 @@ std::string registry_to_json(const MetricsRegistry& registry) {
   JsonWriter w;
   append_registry(w, registry);
   return std::move(w).take();
-}
-
-std::string registry_to_csv(const MetricsRegistry& registry) {
-  std::string out =
-      "kind,component,name,count,min,mean,p50,p90,p99,p999,max,value\n";
-  char buf[256];
-  for (const auto& [key, metric] : registry.counters()) {
-    std::snprintf(buf, sizeof(buf), "counter,%s,%s,,,,,,,,,%llu\n",
-                  key.first.c_str(), key.second.c_str(),
-                  static_cast<unsigned long long>(metric->value()));
-    out += buf;
-  }
-  for (const auto& [key, metric] : registry.gauges()) {
-    std::snprintf(buf, sizeof(buf), "gauge,%s,%s,,,,,,,,%lld,%lld\n",
-                  key.first.c_str(), key.second.c_str(),
-                  static_cast<long long>(metric->peak()),
-                  static_cast<long long>(metric->value()));
-    out += buf;
-  }
-  for (const auto& [key, metric] : registry.histograms()) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "histogram,%s,%s,%llu,%lld,%.1f,%lld,%lld,%lld,%lld,%lld,\n",
-        key.first.c_str(), key.second.c_str(),
-        static_cast<unsigned long long>(metric->count()),
-        static_cast<long long>(metric->min()), metric->mean(),
-        static_cast<long long>(metric->quantile(0.50)),
-        static_cast<long long>(metric->quantile(0.90)),
-        static_cast<long long>(metric->quantile(0.99)),
-        static_cast<long long>(metric->quantile(0.999)),
-        static_cast<long long>(metric->max()));
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace accelring::obs

@@ -31,9 +31,4 @@ void append_registry(JsonWriter& w, const MetricsRegistry& registry);
 /// The registry alone as a complete JSON document.
 [[nodiscard]] std::string registry_to_json(const MetricsRegistry& registry);
 
-/// Flat CSV: kind,component,name,count,min,mean,p50,p90,p99,p999,max,value.
-/// Counters/gauges fill only the `value` column; histograms only the latency
-/// columns. One header row.
-[[nodiscard]] std::string registry_to_csv(const MetricsRegistry& registry);
-
 }  // namespace accelring::obs

@@ -19,7 +19,7 @@ Engine::Engine(ProcessId self, const ProtocolConfig& cfg, Host& host)
       membership_(std::make_unique<membership::Membership>(*this)),
       flow_(cfg_),
       timers_(cfg_),
-      gray_(self, cfg_.gray) {}
+      gray_(self) {}
 
 Engine::~Engine() = default;
 

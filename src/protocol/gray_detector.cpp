@@ -21,7 +21,7 @@ void GrayFailureDetector::reset() {
 }
 
 double GrayFailureDetector::rtr_share(const MemberScore& m) const {
-  const uint32_t window = std::min(cfg_.rtr_window, m.rtr_seen);
+  const uint32_t window = std::min(kRtrWindow, m.rtr_seen);
   if (window == 0) return 0.0;
   uint32_t hits = 0;
   for (uint32_t i = 0; i < window; ++i) hits += (m.rtr_bits >> i) & 1u;
@@ -54,7 +54,7 @@ void GrayFailureDetector::observe(const std::vector<TokenHealth>& health) {
       m.unit_ewma = s.unit;
       m.initialized = true;
     } else {
-      m.unit_ewma += cfg_.alpha * (s.unit - m.unit_ewma);
+      m.unit_ewma += kAlpha * (s.unit - m.unit_ewma);
     }
     m.rtr_bits = (m.rtr_bits << 1) | (s.rtr ? 1u : 0u);
     if (m.rtr_seen < 32) ++m.rtr_seen;
@@ -77,11 +77,11 @@ void GrayFailureDetector::observe(const std::vector<TokenHealth>& health) {
   for (const Sample& s : samples) {
     MemberScore& m = scores_[s.pid];
     const bool slow_cpu =
-        m.unit_ewma > cfg_.hold_ratio * median_unit &&
-        m.unit_ewma >= static_cast<double>(cfg_.min_unit_cost_us);
-    const bool lossy_rx = m.rtr_seen >= cfg_.rtr_window &&
-                          rtr_share(m) >= cfg_.rtr_share &&
-                          median_share <= cfg_.rtr_share * 0.5;
+        m.unit_ewma > kHoldRatio * median_unit &&
+        m.unit_ewma >= static_cast<double>(kMinUnitCostUs);
+    const bool lossy_rx = m.rtr_seen >= kRtrWindow &&
+                          rtr_share(m) >= kRtrShare &&
+                          median_share <= kRtrShare * 0.5;
     if (slow_cpu || lossy_rx) {
       ++m.streak;
     } else {
@@ -98,7 +98,7 @@ std::optional<ProcessId> GrayFailureDetector::verdict() const {
   uint32_t best = 0;
   for (const auto& [pid, m] : scores_) {
     if (pid == self_) continue;  // never self-evict; peers judge us
-    if (m.streak >= cfg_.suspect_rounds && m.streak > best) {
+    if (m.streak >= kSuspectRounds && m.streak > best) {
       victim = pid;
       best = m.streak;
     }

@@ -42,8 +42,27 @@ namespace accelring::protocol {
 
 class GrayFailureDetector {
  public:
-  GrayFailureDetector(ProcessId self, const ProtocolConfig::GrayConfig& cfg)
-      : self_(self), cfg_(cfg) {}
+  /// EWMA smoothing factor for the per-member unit-cost ratio.
+  static constexpr double kAlpha = 0.25;
+  /// Suspect when smoothed unit cost exceeds `kHoldRatio` × ring median.
+  static constexpr double kHoldRatio = 3.0;
+  /// Absolute floor (µs of rotation CPU per datagram of work) below which
+  /// a member is never suspected, however skewed the ratio — an idle
+  /// healthy ring has tiny costs where ratios are all noise. A healthy
+  /// loaded member measures ~5 µs/unit in the simulator, so 15 µs is ~3x
+  /// headroom yet still convicts a 4x CPU straggler (~22 µs/unit).
+  static constexpr uint32_t kMinUnitCostUs = 15;
+  /// Alternative signal: fraction of recent rotations in which the member
+  /// requested retransmissions (a lossy receive path shows up as rtr
+  /// pressure, not hold time).
+  static constexpr double kRtrShare = 0.6;
+  /// Rotations of history the rtr-share window covers.
+  static constexpr uint32_t kRtrWindow = 16;
+  /// Hysteresis: a member must be suspect this many *consecutive*
+  /// rotations before quarantine fires.
+  static constexpr uint32_t kSuspectRounds = 12;
+
+  explicit GrayFailureDetector(ProcessId self) : self_(self) {}
 
   /// Ring changed: all history is about the old ring — drop it.
   void reset();
@@ -72,7 +91,6 @@ class GrayFailureDetector {
   [[nodiscard]] double rtr_share(const MemberScore& m) const;
 
   ProcessId self_;
-  const ProtocolConfig::GrayConfig& cfg_;
   std::map<ProcessId, MemberScore> scores_;
   uint64_t observations_ = 0;
 };

@@ -163,37 +163,15 @@ struct ProtocolConfig {
   bool naive_rtr_guard = false;
 
   /// Gray-failure detection: score ring members from the token's health
-  /// vector and quarantine a persistently degraded one (gray_detector.hpp,
-  /// membership/quarantine.hpp). All signals are *relative* to the ring
+  /// vector and quarantine a persistently degraded one (gray_detector.hpp
+  /// holds the detector's thresholds, membership/quarantine.hpp the
+  /// quarantine and probation holds). All signals are *relative* to the ring
   /// median so a ring-wide condition (uniform loss, congestion) never looks
   /// like one bad member.
   struct GrayConfig {
     /// Master switch. Off by default: detection costs nothing when disabled
     /// and the baseline benches stay bit-identical.
     bool enabled = false;
-    /// EWMA smoothing factor for the per-member unit-cost ratio.
-    double alpha = 0.25;
-    /// Suspect when smoothed unit cost exceeds `hold_ratio` × ring median.
-    double hold_ratio = 3.0;
-    /// Absolute floor (µs of rotation CPU per datagram of work) below which
-    /// a member is never suspected, however skewed the ratio — an idle
-    /// healthy ring has tiny costs where ratios are all noise. A healthy
-    /// loaded member measures ~5 µs/unit in the simulator, so 15 µs is ~3x
-    /// headroom yet still convicts a 4x CPU straggler (~22 µs/unit).
-    uint32_t min_unit_cost_us = 15;
-    /// Alternative signal: fraction of recent rotations in which the member
-    /// requested retransmissions (a lossy receive path shows up as rtr
-    /// pressure, not hold time).
-    double rtr_share = 0.6;
-    /// Rotations of history the rtr-share window covers.
-    uint32_t rtr_window = 16;
-    /// Hysteresis: a member must be suspect this many *consecutive*
-    /// rotations before quarantine fires.
-    uint32_t suspect_rounds = 12;
-    /// Probe rotations a quarantined member sits out before probation.
-    uint32_t quarantine_rotations = 24;
-    /// Clean observations on probation before the verdict is forgotten.
-    uint32_t probation_rotations = 8;
   };
   GrayConfig gray;
 

@@ -18,6 +18,11 @@ constexpr uint8_t kXferChunk = 3;     ///< one checkpoint chunk
 constexpr uint8_t kXferCmd = 4;       ///< one retained-log suffix command
 constexpr uint8_t kXferAnnounce = 5;  ///< per-member basis announcement
 
+/// Bound on commands buffered for replay across a state transfer. A replica
+/// that overflows it while uninitialized cannot catch up from that transfer
+/// and waits for the next membership change.
+constexpr size_t kMaxReplayLog = 16384;
+
 }  // namespace
 
 RsmMetrics RsmMetrics::bind(obs::MetricsRegistry& registry) {
@@ -361,7 +366,7 @@ void Replica::on_delivery(const protocol::Delivery& delivery) {
   switch (static_cast<uint8_t>(delivery.payload[0])) {
     case kCommand: {
       if (recording_) {
-        if (replay_log_.size() < opt_.max_replay_log) {
+        if (replay_log_.size() < kMaxReplayLog) {
           // Buffered, not applied: every member defers during the announce
           // round; a needer keeps deferring until its transfer lands.
           replay_log_.push_back(util::to_vector(body));

@@ -96,10 +96,6 @@ struct ReplicaOptions {
   /// the retained log never exceeds one interval, so a transfer ships one
   /// checkpoint plus at most this many suffix commands.
   uint64_t checkpoint_interval = 256;
-  /// Bound on commands buffered for replay across a state transfer. A
-  /// replica that overflows it while uninitialized cannot catch up from
-  /// that transfer and waits for the next membership change.
-  size_t max_replay_log = 16384;
 };
 
 struct ReplicaStats {

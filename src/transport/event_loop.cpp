@@ -86,15 +86,9 @@ void EventLoop::poll_once(Nanos max_wait) {
   }
 }
 
-void EventLoop::run() {
-  stopped_ = false;
-  while (!stopped_) poll_once(util::msec(100));
-}
-
 void EventLoop::run_for(Nanos duration) {
-  stopped_ = false;
   const Nanos deadline = now() + duration;
-  while (!stopped_ && now() < deadline) {
+  while (now() < deadline) {
     poll_once(std::max<Nanos>(deadline - now(), 0));
   }
 }

@@ -43,11 +43,8 @@ class EventLoop {
   /// Monotonic nanoseconds since loop construction.
   [[nodiscard]] Nanos now() const;
 
-  /// Process events until stop() is called.
-  void run();
   /// Process events for (approximately) `duration`.
   void run_for(Nanos duration);
-  void stop() { stopped_ = true; }
 
  private:
   struct Timer {
@@ -77,7 +74,6 @@ class EventLoop {
   std::map<int, Timer> timers_;
   uint64_t next_serial_ = 1;  ///< for timer armings and fd registrations
   int next_reserved_id_ = kFirstReservedTimerId;
-  bool stopped_ = false;
 };
 
 }  // namespace accelring::transport

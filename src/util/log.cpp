@@ -1,12 +1,12 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 namespace accelring::util {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
+/// Messages below this level are suppressed.
+constexpr LogLevel kLogLevel = LogLevel::kWarn;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -18,20 +18,14 @@ const char* level_name(LogLevel level) {
       return "WARN";
     case LogLevel::kError:
       return "ERROR";
-    case LogLevel::kOff:
-      return "OFF";
   }
   return "?";
 }
 
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
-
-LogLevel log_level() { return g_level.load(); }
-
 void logf(LogLevel level, const char* tag, const char* fmt, ...) {
-  if (level < g_level.load(std::memory_order_relaxed)) return;
+  if (level < kLogLevel) return;
   char msg[1024];
   va_list ap;
   va_start(ap, fmt);

@@ -10,13 +10,9 @@
 
 namespace accelring::util {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
+enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Global threshold; messages below it are suppressed. Default: kWarn.
-void set_log_level(LogLevel level);
-[[nodiscard]] LogLevel log_level();
-
-/// printf-style logging. `tag` names the subsystem ("membership", "daemon").
+/// printf-style logging to stderr; messages below kWarn are suppressed. `tag` names the subsystem ("membership", "daemon").
 void logf(LogLevel level, const char* tag, const char* fmt, ...)
     __attribute__((format(printf, 3, 4)));
 

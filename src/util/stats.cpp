@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace accelring::util {
 
@@ -59,34 +58,10 @@ Nanos LatencyStats::stddev() const {
       std::sqrt(static_cast<double>(acc / static_cast<long double>(samples_.size() - 1))));
 }
 
-std::string LatencyStats::summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "mean=%s p50=%s p99=%s max=%s n=%zu",
-                format_nanos(mean()).c_str(),
-                format_nanos(percentile(0.5)).c_str(),
-                format_nanos(percentile(0.99)).c_str(),
-                format_nanos(max()).c_str(), samples_.size());
-  return buf;
-}
-
 double Meter::mbps(Nanos window) const {
   if (window <= 0) return 0;
   return static_cast<double>(bytes_) * 8.0 / (static_cast<double>(window) / 1e9) /
          1e6;
-}
-
-std::string format_nanos(Nanos n) {
-  char buf[64];
-  if (n < 10 * kMicrosecond) {
-    std::snprintf(buf, sizeof(buf), "%.2fus", to_usec(n));
-  } else if (n < kMillisecond) {
-    std::snprintf(buf, sizeof(buf), "%.0fus", to_usec(n));
-  } else if (n < kSecond) {
-    std::snprintf(buf, sizeof(buf), "%.2fms", to_msec(n));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.3fs", to_sec(n));
-  }
-  return buf;
 }
 
 }  // namespace accelring::util

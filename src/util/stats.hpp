@@ -7,8 +7,8 @@
 // do not need sketches.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/time.hpp"
@@ -28,9 +28,6 @@ class LatencyStats {
   /// q in [0,1]; e.g. 0.5 for median, 0.99 for p99. Sorts lazily.
   [[nodiscard]] Nanos percentile(double q) const;
   [[nodiscard]] Nanos stddev() const;
-
-  /// "mean=312us p50=298us p99=711us n=52344" — for human-readable reports.
-  [[nodiscard]] std::string summary() const;
 
   /// Raw samples (ordering unspecified: percentile() sorts in place).
   [[nodiscard]] const std::vector<Nanos>& samples() const { return samples_; }
@@ -61,9 +58,6 @@ class Meter {
   uint64_t messages_ = 0;
   uint64_t bytes_ = 0;
 };
-
-/// Formats nanoseconds as a short human-readable string ("312us", "1.24ms").
-[[nodiscard]] std::string format_nanos(Nanos n);
 
 /// Converts a stream of nanosecond deltas into whole-microsecond installments
 /// without losing sub-microsecond remainders. Each consume() returns the

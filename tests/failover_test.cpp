@@ -186,6 +186,11 @@ TEST(FileEpochStore, PersistsAcrossReopen) {
   {
     membership::FileEpochStore store(path);
     EXPECT_EQ(store.load(), 7u);
+    store.store(8);  // a larger epoch replaces the stored one
+  }
+  {
+    membership::FileEpochStore store(path);
+    EXPECT_EQ(store.load(), 8u);
   }
   std::remove(path.c_str());
 }

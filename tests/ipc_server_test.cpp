@@ -202,6 +202,57 @@ TEST(ConfigFile, RejectsDuplicatesAndBadNumbers) {
       parse_config_text("daemon 0 127.0.0.1 99999 2\n", error).has_value());
 }
 
+/// Parse one deployment line plus `option`; expect a rejection on line 2.
+void expect_option_rejected(const std::string& option) {
+  ConfigError error;
+  EXPECT_FALSE(
+      parse_config_text("daemon 0 127.0.0.1 1 2\noption " + option + "\n",
+                        error)
+          .has_value())
+      << option;
+  EXPECT_EQ(error.line, 2) << option;
+  EXPECT_NE(error.message.find("out of range"), std::string::npos)
+      << option << ": " << error.message;
+}
+
+TEST(ConfigFile, RejectsOptionValuesThatDoNotFit) {
+  // 2^32 would wrap a uint32_t window to 0.
+  expect_option_rejected("personal_window 4294967296");
+  expect_option_rejected("global_window 4294967296");
+  expect_option_rejected("accelerated_window 4294967296");
+  // 2^63 would turn the signed sequence gap negative.
+  expect_option_rejected("max_seq_gap 9223372036854775808");
+  // UINT64_MAX would become msec(-1), a negative timeout.
+  expect_option_rejected("token_loss_timeout_ms 18446744073709551615");
+  // Just above INT64_MAX / 1e6: the ms-to-ns product overflows int64_t.
+  expect_option_rejected("token_retransmit_timeout_ms 9223372036855");
+  expect_option_rejected("join_timeout_ms 9223372036855");
+  expect_option_rejected("consensus_timeout_ms 9223372036855");
+  expect_option_rejected("idle_token_hold_us 9223372036854776");
+  expect_option_rejected("packing 2");
+  expect_option_rejected("auto_tune 2");
+  expect_option_rejected("adaptive_timeouts 2");
+}
+
+TEST(ConfigFile, AcceptsOptionValuesAtTheirLimits) {
+  ConfigError error;
+  const auto config = parse_config_text(R"(daemon 0 127.0.0.1 1 2
+option personal_window 4294967295
+option max_seq_gap 9223372036854775807
+option consensus_timeout_ms 9223372036854
+option idle_token_hold_us 9223372036854775
+option adaptive_timeouts 0
+)",
+                                        error);
+  ASSERT_TRUE(config.has_value()) << error.message;
+  EXPECT_EQ(config->proto.personal_window, 4294967295u);
+  EXPECT_EQ(config->proto.max_seq_gap, INT64_MAX);
+  EXPECT_EQ(config->proto.timeouts.consensus, util::msec(9223372036854));
+  EXPECT_EQ(config->proto.timeouts.idle_token_hold,
+            util::usec(9223372036854775));
+  EXPECT_FALSE(config->proto.adaptive_timeouts);
+}
+
 TEST(ConfigFile, LoadFromDisk) {
   const std::string path =
       "/tmp/accelring-conf-" + std::to_string(::getpid()) + ".conf";

@@ -290,5 +290,32 @@ TEST(KvService, RestartRecoversViaStateTransferNotFullReplay) {
   EXPECT_EQ(service.machine(2, 0).snapshot(), service.machine(0, 0).snapshot());
 }
 
+TEST(KvOracleRouting, KeyServedByTwoShardsIsAViolation) {
+  // Direct feeds, no service: write outcomes touch no per-shard state, so
+  // the routing check is all that judges them.
+  auto put = [](uint64_t uuid, int shard, std::string key) {
+    Frontend::Outcome outcome;
+    outcome.uuid = uuid;
+    outcome.seq = 1;
+    outcome.type = OpType::kPut;
+    outcome.shard = shard;
+    outcome.key = std::move(key);
+    outcome.version = 1;
+    return outcome;
+  };
+  KvOracle oracle;
+  oracle.on_outcome(0, put(1, 0, "a"));
+  oracle.on_outcome(1, put(2, 0, "a"));  // same key, same shard: fine
+  oracle.on_outcome(0, put(3, 1, "b"));  // another key on another shard
+  EXPECT_TRUE(oracle.ok()) << oracle.report();
+
+  oracle.on_outcome(2, put(4, 1, "a"));
+  ASSERT_FALSE(oracle.ok());
+  ASSERT_EQ(oracle.violations().size(), 1u);
+  EXPECT_NE(oracle.violations()[0].what.find("rerouted shard 0 -> 1"),
+            std::string::npos)
+      << oracle.violations()[0].what;
+}
+
 }  // namespace
 }  // namespace accelring::kv

@@ -28,11 +28,9 @@ using protocol::TokenHealth;
 // GrayFailureDetector
 // ---------------------------------------------------------------------------
 
-ProtocolConfig::GrayConfig detector_cfg() {
-  ProtocolConfig::GrayConfig cfg;
-  cfg.enabled = true;
-  return cfg;
-}
+constexpr uint32_t kSuspectRounds = GrayFailureDetector::kSuspectRounds;
+constexpr uint32_t kRtrWindow = GrayFailureDetector::kRtrWindow;
+constexpr uint32_t kHold = QuarantineManager::kQuarantineRotations;
 
 /// Health vector for a 5-member ring where member `slow` (if >= 0) has
 /// `slow_unit` µs of hold per datagram and everyone else `unit`.
@@ -53,30 +51,28 @@ std::vector<TokenHealth> health_vec(double unit, int slow = -1,
 }
 
 TEST(GrayDetector, SustainedSlownessConvictsAfterStreak) {
-  const auto cfg = detector_cfg();
-  GrayFailureDetector det(0, cfg);
+  GrayFailureDetector det(0);
   // Member 3 at ~12x the healthy unit cost, above the absolute floor.
-  for (uint32_t i = 0; i + 1 < cfg.suspect_rounds; ++i) {
+  for (uint32_t i = 0; i + 1 < kSuspectRounds; ++i) {
     det.observe(health_vec(2.0, 3, 24.0));
     EXPECT_FALSE(det.verdict().has_value()) << "round " << i;
   }
   // The EWMA needs a couple of rounds to converge past the threshold, so
   // the streak may start late — but it must fire within a small multiple.
   std::optional<ProcessId> verdict;
-  for (uint32_t i = 0; i < 3 * cfg.suspect_rounds && !verdict; ++i) {
+  for (uint32_t i = 0; i < 3 * kSuspectRounds && !verdict; ++i) {
     det.observe(health_vec(2.0, 3, 24.0));
     verdict = det.verdict();
   }
   ASSERT_TRUE(verdict.has_value());
   EXPECT_EQ(*verdict, 3);
-  EXPECT_GE(det.streak(3), cfg.suspect_rounds);
+  EXPECT_GE(det.streak(3), kSuspectRounds);
 }
 
 TEST(GrayDetector, OneSlowRotationResetsTheStreak) {
-  const auto cfg = detector_cfg();
-  GrayFailureDetector det(0, cfg);
+  GrayFailureDetector det(0);
   // Warm up the EWMA with the member solidly suspect...
-  for (uint32_t i = 0; i + 2 < cfg.suspect_rounds; ++i) {
+  for (uint32_t i = 0; i + 2 < kSuspectRounds; ++i) {
     det.observe(health_vec(2.0, 3, 40.0));
   }
   // ...then one healthy rotation (EWMA snaps down fast enough at the edge
@@ -87,41 +83,37 @@ TEST(GrayDetector, OneSlowRotationResetsTheStreak) {
 }
 
 TEST(GrayDetector, RingWideSlownessIsInvisible) {
-  const auto cfg = detector_cfg();
-  GrayFailureDetector det(0, cfg);
+  GrayFailureDetector det(0);
   // Everyone at 30x: the median moves with the ring, nobody stands out.
-  for (uint32_t i = 0; i < 4 * cfg.suspect_rounds; ++i) {
+  for (uint32_t i = 0; i < 4 * kSuspectRounds; ++i) {
     det.observe(health_vec(60.0));
     EXPECT_FALSE(det.verdict().has_value());
   }
 }
 
 TEST(GrayDetector, IdleRingRatiosBelowFloorNeverConvict) {
-  const auto cfg = detector_cfg();
-  GrayFailureDetector det(0, cfg);
-  // 10x ratio but everything under min_unit_cost_us: noise, not a verdict.
-  const double floor_us = static_cast<double>(cfg.min_unit_cost_us);
-  for (uint32_t i = 0; i < 4 * cfg.suspect_rounds; ++i) {
+  GrayFailureDetector det(0);
+  // 10x ratio but everything under kMinUnitCostUs: noise, not a verdict.
+  const double floor_us = GrayFailureDetector::kMinUnitCostUs;
+  for (uint32_t i = 0; i < 4 * kSuspectRounds; ++i) {
     det.observe(health_vec(floor_us / 100.0, 3, floor_us / 10.0));
     EXPECT_FALSE(det.verdict().has_value());
   }
 }
 
 TEST(GrayDetector, NeverConvictsSelf) {
-  const auto cfg = detector_cfg();
-  GrayFailureDetector det(3, cfg);  // the slow member's own detector
-  for (uint32_t i = 0; i < 4 * cfg.suspect_rounds; ++i) {
+  GrayFailureDetector det(3);  // the slow member's own detector
+  for (uint32_t i = 0; i < 4 * kSuspectRounds; ++i) {
     det.observe(health_vec(2.0, 3, 40.0));
   }
-  EXPECT_GE(det.streak(3), cfg.suspect_rounds);  // it knows it is slow...
+  EXPECT_GE(det.streak(3), kSuspectRounds);  // it knows it is slow...
   EXPECT_FALSE(det.verdict().has_value());       // ...but peers must act
 }
 
 TEST(GrayDetector, SustainedRtrPressureConvictsLossyReceiver) {
-  const auto cfg = detector_cfg();
-  GrayFailureDetector det(0, cfg);
+  GrayFailureDetector det(0);
   std::optional<ProcessId> verdict;
-  for (uint32_t i = 0; i < cfg.rtr_window + 3 * cfg.suspect_rounds && !verdict;
+  for (uint32_t i = 0; i < kRtrWindow + 3 * kSuspectRounds && !verdict;
        ++i) {
     det.observe(health_vec(2.0, -1, 0.0, /*rtr_member=*/2));
     verdict = det.verdict();
@@ -131,9 +123,8 @@ TEST(GrayDetector, SustainedRtrPressureConvictsLossyReceiver) {
 }
 
 TEST(GrayDetector, UniformLossConvictsNobody) {
-  const auto cfg = detector_cfg();
-  GrayFailureDetector det(0, cfg);
-  for (uint32_t i = 0; i < cfg.rtr_window + 4 * cfg.suspect_rounds; ++i) {
+  GrayFailureDetector det(0);
+  for (uint32_t i = 0; i < kRtrWindow + 4 * kSuspectRounds; ++i) {
     auto v = health_vec(2.0);
     for (auto& h : v) h.rtr_count = 1;  // iid loss: everyone asks
     det.observe(v);
@@ -142,9 +133,8 @@ TEST(GrayDetector, UniformLossConvictsNobody) {
 }
 
 TEST(GrayDetector, ResetDropsAllHistory) {
-  const auto cfg = detector_cfg();
-  GrayFailureDetector det(0, cfg);
-  for (uint32_t i = 0; i < 2 * cfg.suspect_rounds; ++i) {
+  GrayFailureDetector det(0);
+  for (uint32_t i = 0; i < 2 * kSuspectRounds; ++i) {
     det.observe(health_vec(2.0, 3, 40.0));
   }
   ASSERT_TRUE(det.verdict().has_value());
@@ -159,12 +149,11 @@ TEST(GrayDetector, ResetDropsAllHistory) {
 // ---------------------------------------------------------------------------
 
 TEST(Quarantine, LifecycleQuarantineProbationReadmit) {
-  const auto cfg = detector_cfg();
-  QuarantineManager q(cfg);
+  QuarantineManager q;
   EXPECT_EQ(q.state(7), QuarantineState::kHealthy);
 
   const uint32_t hold = q.quarantine(7);
-  EXPECT_EQ(hold, cfg.quarantine_rotations);
+  EXPECT_EQ(hold, kHold);
   EXPECT_TRUE(q.blocked(7));
   EXPECT_EQ(q.state(7), QuarantineState::kQuarantined);
 
@@ -177,7 +166,7 @@ TEST(Quarantine, LifecycleQuarantineProbationReadmit) {
   EXPECT_EQ(q.state(7), QuarantineState::kProbation);
 
   // Probation: still blocked until the clean-probe quota is met.
-  for (uint32_t i = 0; i + 1 < cfg.probation_rotations; ++i) {
+  for (uint32_t i = 0; i + 1 < QuarantineManager::kProbationRotations; ++i) {
     EXPECT_TRUE(q.filter_probe(7, entered_probation));
   }
   EXPECT_FALSE(q.filter_probe(7, entered_probation));  // finally admitted
@@ -191,24 +180,22 @@ TEST(Quarantine, LifecycleQuarantineProbationReadmit) {
 }
 
 TEST(Quarantine, RepeatOffendersDoubleTheHoldCappedAt16x) {
-  const auto cfg = detector_cfg();
-  QuarantineManager q(cfg);
-  EXPECT_EQ(q.quarantine(7), cfg.quarantine_rotations);
+  QuarantineManager q;
+  EXPECT_EQ(q.quarantine(7), kHold);
   q.release(7);
-  EXPECT_EQ(q.quarantine(7), cfg.quarantine_rotations * 2);
+  EXPECT_EQ(q.quarantine(7), kHold * 2);
   q.release(7);
-  EXPECT_EQ(q.quarantine(7), cfg.quarantine_rotations * 4);
+  EXPECT_EQ(q.quarantine(7), kHold * 4);
   q.release(7);
-  EXPECT_EQ(q.quarantine(7), cfg.quarantine_rotations * 8);
+  EXPECT_EQ(q.quarantine(7), kHold * 8);
   q.release(7);
-  EXPECT_EQ(q.quarantine(7), cfg.quarantine_rotations * 16);
+  EXPECT_EQ(q.quarantine(7), kHold * 16);
   q.release(7);
-  EXPECT_EQ(q.quarantine(7), cfg.quarantine_rotations * 16);  // capped
+  EXPECT_EQ(q.quarantine(7), kHold * 16);  // capped
 }
 
 TEST(Quarantine, AdoptTakesTheStricterView) {
-  const auto cfg = detector_cfg();
-  QuarantineManager q(cfg);
+  QuarantineManager q;
   EXPECT_TRUE(q.adopt(5, 10));  // newly blocks a healthy pid
   EXPECT_TRUE(q.blocked(5));
   EXPECT_FALSE(q.adopt(5, 3));  // weaker peer view changes nothing
@@ -222,8 +209,7 @@ TEST(Quarantine, AdoptTakesTheStricterView) {
 }
 
 TEST(Quarantine, ExportCarriesQuarantinedButNotProbation) {
-  const auto cfg = detector_cfg();
-  QuarantineManager q(cfg);
+  QuarantineManager q;
   q.adopt(3, 2);
   q.adopt(4, 9);
   EXPECT_EQ(q.export_set().size(), 2u);

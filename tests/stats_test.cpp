@@ -67,12 +67,5 @@ TEST(Meter, ZeroWindowIsZero) {
   EXPECT_DOUBLE_EQ(m.mbps(0), 0.0);
 }
 
-TEST(FormatNanos, HumanReadableRanges) {
-  EXPECT_EQ(format_nanos(1'500), "1.50us");
-  EXPECT_EQ(format_nanos(312'000), "312us");
-  EXPECT_EQ(format_nanos(1'240'000), "1.24ms");
-  EXPECT_EQ(format_nanos(2'500'000'000), "2.500s");
-}
-
 }  // namespace
 }  // namespace accelring::util

@@ -1,7 +1,7 @@
 // Storage layer unit tests: SimDisk crash/fault semantics (the simnet-style
 // deterministic disk), ReplicaStore WAL+checkpoint round-trips with
-// torn-write and bit-rot rejection, and the real-file backends (FileDisk,
-// FileEpochStore) against an actual temp directory.
+// torn-write and bit-rot rejection, and the real-file FileDisk against an
+// actual temp directory (failover_test covers FileEpochStore).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "membership/epoch_store.hpp"
 #include "storage/epoch_store.hpp"
 #include "storage/file_disk.hpp"
 #include "storage/replica_store.hpp"
@@ -420,20 +419,6 @@ TEST(FileDiskTest, ReplicaStoreRunsUnchangedOnRealFiles) {
   EXPECT_EQ(str(r.state), "real-state");
   ASSERT_EQ(r.commands.size(), 1u);
   EXPECT_EQ(str(r.commands[0]), "real-cmd");
-}
-
-TEST(FileEpochStoreTest, PersistsAcrossReopen) {
-  TempDir tmp;
-  ASSERT_FALSE(tmp.path().empty());
-  const std::string path = tmp.path() + "/epoch";
-  {
-    membership::FileEpochStore store(path);
-    EXPECT_EQ(store.load(), 0u);
-    store.store(41);
-    store.store(42);
-  }
-  membership::FileEpochStore reopened(path);
-  EXPECT_EQ(reopened.load(), 42u);
 }
 
 TEST(DiskEpochStoreTest, CorruptFileLoadsAsAbsentAndMonotonicGuardHolds) {
