@@ -12,6 +12,7 @@ constexpr uint8_t kFlagPostToken = 0x08;
 constexpr uint8_t kFlagRecovered = 0x10;
 constexpr uint8_t kFlagPacked = 0x20;
 constexpr uint8_t kServiceMask = 0x07;
+constexpr uint8_t kFlagsUndefined = 0xC0;
 
 }  // namespace
 
@@ -56,6 +57,10 @@ std::optional<DataMsg> decode_data(std::span<const std::byte> packet) {
   if (r.u8() != static_cast<uint8_t>(PacketType::kData)) return std::nullopt;
   DataMsg msg;
   const uint8_t flags = r.u8();
+  if ((flags & kFlagsUndefined) != 0) return std::nullopt;
+  if ((flags & kServiceMask) > static_cast<uint8_t>(Service::kSafe)) {
+    return std::nullopt;
+  }
   msg.service = static_cast<Service>(flags & kServiceMask);
   msg.post_token = (flags & kFlagPostToken) != 0;
   msg.recovered = (flags & kFlagRecovered) != 0;

@@ -1,5 +1,6 @@
-// Unit tests for CRC-32: known-answer vectors, properties, a differential
-// test of the slicing-by-8 implementation against the bytewise reference
+// Unit tests for CRC-32: known-answer vectors, properties, differential
+// tests of crc32() (which folds with carry-less multiplies where the CPU
+// can) and of the slicing-by-8 table loop against the bytewise reference
 // loop, and the seal/unseal framing.
 #include "util/crc32.hpp"
 
@@ -70,14 +71,26 @@ TEST(Crc32, OrderSensitive) {
 }
 
 TEST(Crc32, MatchesBytewiseAtEveryLengthAndAlignment) {
-  // Lengths 0..4096 from each start offset 0..7 cover every tail length and
-  // every alignment of the 8-byte loads.
-  const auto buf = random_bytes(4096 + 8, 1);
+  // Lengths 0..4096 from each start offset 0..15 cover every tail length and
+  // every alignment of the 8-byte table loads and the 16-byte fold loads.
+  const auto buf = random_bytes(4096 + 16, 1);
   const std::span<const std::byte> all(buf);
-  for (size_t offset = 0; offset < 8; ++offset) {
+  for (size_t offset = 0; offset < 16; ++offset) {
     for (size_t len = 0; len <= 4096; ++len) {
       const auto s = all.subspan(offset, len);
       ASSERT_EQ(crc32(s), crc32_bytewise(s))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, TableLoopMatchesBytewiseAtEveryLengthAndAlignment) {
+  const auto buf = random_bytes(4096 + 16, 4);
+  const std::span<const std::byte> all(buf);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      const auto s = all.subspan(offset, len);
+      ASSERT_EQ(detail::crc32_tables(s), crc32_bytewise(s))
           << "offset " << offset << " length " << len;
     }
   }
@@ -124,6 +137,25 @@ TEST(Seal, RejectsCorruptionAndShortPackets) {
   }
   // A CRC alone, with no body byte, is not a packet.
   EXPECT_FALSE(unseal(std::span<const std::byte>(packet).subspan(1)));
+}
+
+TEST(Seal, RejectsEverySingleBitFlipOfAnMtuDatagram) {
+  // 1374 B: a data message with a 1350 B payload, CRC excluded. CRC-32 has
+  // Hamming distance >= 4 at this length, so none of the 10,992 body flips
+  // nor the 32 CRC flips may pass.
+  const auto body = random_bytes(1374, 5);
+  Writer w;
+  w.raw(body);
+  seal(w);
+  const auto packet = std::move(w).take();
+  ASSERT_TRUE(unseal(packet));
+  int accepted = 0;
+  for (size_t bit = 0; bit < packet.size() * 8; ++bit) {
+    auto bad = packet;
+    bad[bit / 8] ^= std::byte{static_cast<uint8_t>(1u << (bit % 8))};
+    if (unseal(bad)) ++accepted;
+  }
+  EXPECT_EQ(accepted, 0);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "util/bytes.hpp"
+#include "util/crc32.hpp"
 
 namespace accelring::protocol {
 namespace {
@@ -82,6 +83,23 @@ TEST(DataCodec, TrailingGarbageRejected) {
   auto bytes = encode(sample_data());
   bytes.push_back(std::byte{0});
   EXPECT_FALSE(decode_data(bytes).has_value());
+}
+
+TEST(DataCodec, UndefinedFlagBitsRejected) {
+  // The flags byte (offset 1) carries the service in its low three bits;
+  // 5-7 name no service, and bits 0x40 and 0x80 are undefined. A packet
+  // re-sealed with either must not decode, CRC notwithstanding.
+  const auto packet = encode(sample_data());
+  for (uint8_t bad : {uint8_t{5}, uint8_t{6}, uint8_t{7}, uint8_t{0x43},
+                      uint8_t{0x83}}) {
+    std::vector<std::byte> body(packet.begin(), packet.end() - 4);
+    body[1] = std::byte{bad};
+    util::Writer w;
+    w.raw(body);
+    util::seal(w);
+    EXPECT_FALSE(decode_data(std::move(w).take()).has_value())
+        << "flags 0x" << std::hex << int{bad};
+  }
 }
 
 TokenMsg sample_token() {

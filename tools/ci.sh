@@ -126,6 +126,20 @@ per_msg = json.loads(lines[-1])["metrics"]["transport.datagrams_per_msg"]["value
 print(f"ring_safe_200 transport.datagrams_per_msg = {per_msg}")
 sys.exit(0 if per_msg <= 1.5 else "above 1.5: the ring is not multicasting")
 EOF
+# On a CPU with PCLMULQDQ, util::crc32 folds every input of 64 B or more, so
+# decoding a 1350 B message costs about 2x a 200 B one; the table loop
+# alone reads about 5. Above 3 there, the fold has silently stopped running.
+python3 - build-bench/smoke_ring_agreed_1350.txt <<'EOF'
+import json, sys
+lines = open(sys.argv[1]).read().splitlines()
+m = json.loads(lines[-1])["metrics"]
+ratio = (m["wire.decode_data_1350_ns"]["value"] /
+         m["wire.decode_data_200_ns"]["value"])
+print(f"wire.decode_data_1350_ns / wire.decode_data_200_ns = {ratio:.2f}")
+clmul = "pclmulqdq" in open("/proc/cpuinfo").read().split()
+sys.exit(0 if ratio <= 3 or not clmul else
+         "above 3 on a CPU with pclmulqdq: the CRC fold is not running")
+EOF
 # sim_campaign is not in BENCHMARK.json, but it runs every campaign scenario
 # under the oracles and checks that its repeated units reproduce the same
 # counts, so a simulator change that breaks either fails here.
