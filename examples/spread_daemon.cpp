@@ -18,6 +18,7 @@
 // program speaking the ipc.hpp framing). With no --duration the daemon runs
 // until killed; the demo default exits after a few seconds so the examples
 // suite stays self-contained.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,8 +27,9 @@
 
 #include "daemon/config_file.hpp"
 #include "daemon/ipc_server.hpp"
-#include "membership/epoch_store.hpp"
 #include "membership/membership.hpp"
+#include "storage/epoch_store.hpp"
+#include "storage/file_disk.hpp"
 #include "transport/udp_transport.hpp"
 
 using namespace accelring;
@@ -60,7 +62,13 @@ int main(int argc, char** argv) {
   protocol::Engine engine(pid, config->proto, transport);
   // Durable epoch counter next to the IPC socket: a cold-restarted daemon
   // must never mint a ring id it used in a previous incarnation.
-  membership::FileEpochStore epochs(std::string(argv[3]) + ".epoch");
+  const std::string epoch_path = std::string(argv[3]) + ".epoch";
+  const size_t slash = epoch_path.rfind('/');
+  storage::FileDisk epoch_dir(
+      slash == std::string::npos
+          ? "."
+          : epoch_path.substr(0, std::max<size_t>(slash, 1)));
+  storage::EpochStore epochs(epoch_dir, epoch_path.substr(slash + 1));
   engine.set_epoch_store(&epochs);
   transport.bind(engine);
   daemon::Daemon daemon(pid, engine);

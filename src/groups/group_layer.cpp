@@ -49,23 +49,10 @@ std::optional<GroupMsg> decode_group(std::span<const std::byte> packet) {
   return msg;
 }
 
-size_t GroupLayer::ring_for(std::string_view group) const {
-  if (!route_ || submits_.size() == 1) return 0;
-  const int ring = route_(group);
-  return ring >= 0 && static_cast<size_t>(ring) < submits_.size()
-             ? static_cast<size_t>(ring)
-             : 0;
-}
-
-bool GroupLayer::submit_to_ring(size_t ring, Service service,
-                                std::vector<std::byte> payload) {
-  return submits_[ring](service, std::move(payload));
-}
-
 bool GroupLayer::submit_for_group(std::string_view group, Service service,
                                   std::vector<std::byte> payload) {
   if (keyed_submit_) return keyed_submit_(group, service, std::move(payload));
-  return submit_to_ring(ring_for(group), service, std::move(payload));
+  return submits_[0](service, std::move(payload));
 }
 
 bool GroupLayer::join(uint32_t client, const std::string& name,
@@ -111,8 +98,8 @@ bool GroupLayer::disconnect(uint32_t client, const std::string& name) {
   // memberships sharded across every ring, so fan the leave-all out to all
   // of them (GroupSet::drop_client is idempotent).
   bool ok = true;
-  for (size_t ring = 0; ring < submits_.size(); ++ring) {
-    ok = submit_to_ring(ring, Service::kAgreed, encode(msg)) && ok;
+  for (const SubmitFn& submit : submits_) {
+    ok = submit(Service::kAgreed, encode(msg)) && ok;
   }
   return ok;
 }

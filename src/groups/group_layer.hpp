@@ -50,10 +50,10 @@ struct GroupMsg {
 ///
 /// The layer can sit on a single ordered ring (the classic assembly) or on K
 /// sharded rings merged deterministically (src/multiring): in multi-ring
-/// mode every group's events are routed to the group's shard ring, so a
-/// group stays internally ordered on one ring, while cross-group positions
-/// are fixed — identically at every daemon — by the merge. on_delivery must
-/// then be fed from the merged stream.
+/// mode the substrate routes every group's events to the group's shard ring,
+/// so a group stays internally ordered on one ring, while cross-group
+/// positions are fixed — identically at every daemon — by the merge.
+/// on_delivery must then be fed from the merged stream.
 class GroupLayer {
  public:
   /// (local client id, view) — group membership notification.
@@ -64,8 +64,6 @@ class GroupLayer {
       Service service, std::span<const std::byte> payload)>;
   /// Submits one ordered message to a specific ring's stream.
   using SubmitFn = std::function<bool(Service, std::vector<std::byte>)>;
-  /// Maps a group name to the ring that orders it (e.g. ShardMap::ring_of).
-  using RouteFn = std::function<int(std::string_view group)>;
   /// Submits one ordered message under a group-name routing key; the
   /// substrate picks the ring (e.g. RingSet::submit_named, whose per-node
   /// ShardRouter holds messages for migrating ranges across a handoff).
@@ -81,21 +79,15 @@ class GroupLayer {
     });
   }
 
-  /// Multi-ring assembly: `ring_submits[i]` feeds ring i and `route` assigns
-  /// groups to rings. Multi-group sends go to the lowest destination group's
-  /// ring (deterministic whatever order the caller lists the groups);
-  /// leave-all disconnects fan out to every ring.
-  GroupLayer(protocol::ProcessId self, std::vector<SubmitFn> ring_submits,
-             RouteFn route)
-      : self_(self), submits_(std::move(ring_submits)),
-        route_(std::move(route)) {}
-
-  /// Elastic multi-ring assembly: routing lives in the substrate's versioned
+  /// Multi-ring assembly: routing lives in the substrate's versioned
   /// ShardRouter (RingSet::submit_named), so group->ring ownership migrates
   /// live under the layer — sends for a moving group are held across the
-  /// handoff and flushed to the new ring, with no layer involvement. The
-  /// per-ring submits remain for the operations that must reach *every*
-  /// ring regardless of ownership (leave-all disconnects).
+  /// handoff and flushed to the new ring, with no layer involvement.
+  /// Multi-group sends are keyed by the lowest destination group
+  /// (deterministic whatever order the caller lists the groups). The
+  /// per-ring submits (`ring_submits[i]` feeds ring i) remain for the
+  /// operations that must reach *every* ring regardless of ownership
+  /// (leave-all disconnects).
   GroupLayer(protocol::ProcessId self, std::vector<SubmitFn> ring_submits,
              KeyedSubmitFn keyed_submit)
       : self_(self), submits_(std::move(ring_submits)),
@@ -131,19 +123,14 @@ class GroupLayer {
  private:
   void emit_views(const std::vector<GroupView>& views);
   void emit_view(const GroupView& view);
-  /// Ring that orders `group` (always 0 in the single-ring assembly).
-  [[nodiscard]] size_t ring_for(std::string_view group) const;
-  bool submit_to_ring(size_t ring, Service service,
-                      std::vector<std::byte> payload);
-  /// Route by group name: the substrate's router in elastic mode, the
-  /// static RouteFn otherwise.
+  /// Route by group name: the substrate's router in multi-ring mode, the
+  /// one ring otherwise.
   bool submit_for_group(std::string_view group, Service service,
                         std::vector<std::byte> payload);
 
   protocol::ProcessId self_;
   std::vector<SubmitFn> submits_;  ///< one per ring
-  RouteFn route_;                  ///< unset => single ring
-  KeyedSubmitFn keyed_submit_;     ///< set => substrate-routed (elastic)
+  KeyedSubmitFn keyed_submit_;     ///< unset => single ring
   GroupSet set_;
   ViewFn on_view_;
   MessageFn on_message_;

@@ -94,8 +94,6 @@ void SimCluster::init(int num_nodes) {
                    static_cast<uint64_t>(i) + 0x6469736bULL;  // "disk"
     disks_.push_back(std::make_unique<storage::SimDisk>(util::splitmix64(mix)));
   }
-  epoch_stores_.clear();
-  epoch_stores_.resize(static_cast<size_t>(num_nodes));
   for (int i = 0; i < num_nodes; ++i) wire_node(i);
 }
 
@@ -119,13 +117,10 @@ void SimCluster::wire_node(int i) {
   node.tracer = std::make_unique<util::Tracer>(16384);
   node.engine->set_tracer(node.tracer.get());
   // Fresh epoch-store object per incarnation (daemon memory), over the
-  // node's surviving disk (the epoch file). The previous incarnation's
-  // store goes to the graveyard: its retired engine still points at it.
-  auto& store_slot = epoch_stores_[static_cast<size_t>(i)];
-  if (store_slot) retired_epoch_stores_.push_back(std::move(store_slot));
-  store_slot = std::make_unique<storage::DiskEpochStore>(
+  // node's surviving disk (the epoch file); a retired node keeps its own.
+  node.epochs = std::make_unique<storage::EpochStore>(
       *disks_[static_cast<size_t>(i)], "epoch");
-  node.engine->set_epoch_store(store_slot.get());
+  node.engine->set_epoch_store(node.epochs.get());
   if (metrics_enabled_) attach_metrics(i);
   node.host->bind(*node.engine);
   node.process->set_sink(node.host.get());

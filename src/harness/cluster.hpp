@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "membership/epoch_store.hpp"
 #include "obs/metrics.hpp"
 #include "storage/epoch_store.hpp"
 #include "storage/sim_disk.hpp"
@@ -68,6 +67,9 @@ struct NodeSetup {
 struct SimNode {
   std::unique_ptr<simnet::Process> process;
   std::unique_ptr<transport::SimHost> host;
+  /// This incarnation's epoch store (daemon memory) over the node's disk;
+  /// declared before `engine`, which holds a pointer to it.
+  std::unique_ptr<storage::EpochStore> epochs;
   std::unique_ptr<protocol::Engine> engine;
   std::unique_ptr<util::Tracer> tracer;
   /// Present only after SimCluster::enable_metrics() (null otherwise).
@@ -242,8 +244,8 @@ class SimCluster {
   /// restart_node, modelling the on-disk epoch file of a real daemon across
   /// a cold restart; the store *object* is recreated per incarnation, like
   /// the daemon's in-memory cache of it).
-  [[nodiscard]] membership::EpochStore& epoch_store(int node) {
-    return *epoch_stores_[static_cast<size_t>(node)];
+  [[nodiscard]] storage::EpochStore& epoch_store(int node) {
+    return *nodes_[node].epochs;
   }
   /// Per-node simulated disk. Survives restart_node (a reboot keeps the
   /// disk); crash_node power-cuts it, restart_node resolves the power loss
@@ -281,21 +283,17 @@ class SimCluster {
   NodeSetup setup_;
   uint64_t seed_;
   simnet::Network net_;
+  /// One per node index; deliberately NOT reset by restart_node (it is the
+  /// node's disk, and a cold restart keeps the disk). Declared before the
+  /// nodes so it outlives their epoch stores.
+  std::vector<std::unique_ptr<storage::SimDisk>> disks_;
   std::vector<SimNode> nodes_;
   /// Crashed-and-replaced nodes, kept alive for pointer stability (pending
-  /// simulator events may still reference their process/host/engine).
+  /// simulator events may still reference their process/host/engine/epoch
+  /// store).
   std::vector<SimNode> retired_;
   std::vector<int> restarts_;
   bool metrics_enabled_ = false;
-  /// One per node index; deliberately NOT reset by restart_node (it is the
-  /// node's disk, and a cold restart keeps the disk).
-  std::vector<std::unique_ptr<storage::SimDisk>> disks_;
-  /// One per node index, over the node's disk; recreated by wire_node per
-  /// incarnation (fresh daemon memory over the surviving disk).
-  std::vector<std::unique_ptr<storage::DiskEpochStore>> epoch_stores_;
-  /// Epoch stores of retired incarnations, kept alive for pointer stability
-  /// (the retired engine holds a raw pointer to its store).
-  std::vector<std::unique_ptr<storage::DiskEpochStore>> retired_epoch_stores_;
   DeliverFn on_deliver_;
   ConfigFn on_config_;
   std::vector<DeliverFn> deliver_observers_;

@@ -33,11 +33,11 @@
 #include <map>
 #include <set>
 
-#include "membership/epoch_store.hpp"
 #include "membership/quarantine.hpp"
 #include "protocol/engine.hpp"
 #include "protocol/recv_buffer.hpp"
 #include "protocol/wire.hpp"
+#include "storage/epoch_store.hpp"
 
 namespace accelring::membership {
 
@@ -58,6 +58,11 @@ using protocol::SeqNum;
   return (epoch << 16) | creator;
 }
 [[nodiscard]] constexpr uint64_t ring_epoch(RingId id) { return id >> 16; }
+// The epoch store refuses to load an epoch whose successor would not
+// survive this encoding.
+static_assert(ring_epoch(make_ring_id(storage::EpochStore::kMaxEpoch + 1,
+                                      0xffff)) ==
+              storage::EpochStore::kMaxEpoch + 1);
 
 class Membership {
  public:
@@ -75,7 +80,7 @@ class Membership {
   /// epoch becomes the floor for every ring id this process creates, so a
   /// cold-restarted daemon can never reuse a ring id from a previous
   /// incarnation. Attach before start_discovery()/start_with_ring().
-  void set_epoch_store(EpochStore* store) {
+  void set_epoch_store(storage::EpochStore* store) {
     epoch_store_ = store;
     if (store != nullptr) note_epoch(store->load());
   }
@@ -141,7 +146,7 @@ class Membership {
   std::set<ProcessId> fail_set_;
   std::map<ProcessId, JoinMsg> joins_;
   uint64_t max_epoch_seen_ = 0;
-  EpochStore* epoch_store_ = nullptr;
+  storage::EpochStore* epoch_store_ = nullptr;
 
   CommitTokenMsg commit_;      ///< in-progress commit token view
   uint64_t last_commit_id_ = 0;

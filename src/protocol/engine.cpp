@@ -103,7 +103,7 @@ void Engine::start_discovery() {
   membership_->start_discovery();
 }
 
-void Engine::set_epoch_store(membership::EpochStore* store) {
+void Engine::set_epoch_store(storage::EpochStore* store) {
   membership_->set_epoch_store(store);
 }
 

@@ -32,8 +32,10 @@
 #include "util/trace.hpp"
 
 namespace accelring::membership {
-class EpochStore;
 class Membership;
+}
+namespace accelring::storage {
+class EpochStore;
 }
 
 namespace accelring::protocol {
@@ -222,8 +224,8 @@ class Engine final : public PacketHandler {
   void set_header_pad(uint16_t pad) { header_pad_ = pad; }
 
   /// Attach durable epoch storage for membership ring-id generation (see
-  /// membership::EpochStore). Call before start_*; nullptr detaches.
-  void set_epoch_store(membership::EpochStore* store);
+  /// storage::EpochStore). Call before start_*; nullptr detaches.
+  void set_epoch_store(storage::EpochStore* store);
 
  private:
   friend class membership::Membership;

@@ -1,11 +1,13 @@
 // The storage abstraction: a tiny named-blob filesystem with explicit
 // durability barriers, mirroring simnet's sans-io idiom. Everything above
-// this interface (WAL, checkpoints, epoch files) is written once and runs
+// this interface (WAL, checkpoints, the epoch file) is written once and runs
 // unchanged against the deterministic fault-injecting SimDisk in tests and
-// against FileDisk (a directory of real files) in production.
+// against FileDisk (a directory of real files) in production. Blobs that
+// must never be seen torn (checkpoints, WAL resets, the epoch) go through
+// the one replace() sequence below.
 //
 // Durability contract (what survives a power loss):
-//   * write()/append()/truncate() data is NOT durable until fsync(name).
+//   * write()/append() data is NOT durable until fsync(name).
 //   * rename()/remove() and file *creation* are NOT durable until
 //     fsync_dir() — the namespace has its own barrier, exactly like a
 //     POSIX directory fsync.
@@ -51,9 +53,6 @@ class Disk {
   // Appends to the file (creating it if absent).
   [[nodiscard]] virtual IoStatus append(const std::string& name,
                                         std::span<const std::byte> data) = 0;
-  // Truncates the file to `size` bytes (no-op if already smaller).
-  [[nodiscard]] virtual IoStatus truncate(const std::string& name,
-                                          uint64_t size) = 0;
   // Durability barrier for the file's *data*.
   [[nodiscard]] virtual IoStatus fsync(const std::string& name) = 0;
   // Atomically renames `from` over `to` (replacing it).
@@ -64,8 +63,20 @@ class Disk {
   [[nodiscard]] virtual IoStatus fsync_dir() = 0;
 
   [[nodiscard]] virtual bool exists(const std::string& name) = 0;
-  // Size in bytes, or 0 if absent.
-  [[nodiscard]] virtual uint64_t size(const std::string& name) = 0;
+
+  // Atomically replaces the file with `data`: write `name`.tmp, fsync it,
+  // rename it over `name`, fsync_dir. Stops at the first failing op and
+  // returns its status. A crash leaves the old content or the new one,
+  // never a torn blob, and after kOk the rename itself is durable.
+  [[nodiscard]] IoStatus replace(const std::string& name,
+                                 std::span<const std::byte> data) {
+    const std::string tmp = name + ".tmp";
+    IoStatus status = write(tmp, data);
+    if (status == IoStatus::kOk) status = fsync(tmp);
+    if (status == IoStatus::kOk) status = rename(tmp, name);
+    if (status == IoStatus::kOk) status = fsync_dir();
+    return status;
+  }
 };
 
 }  // namespace accelring::storage

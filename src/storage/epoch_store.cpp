@@ -1,7 +1,9 @@
 #include "storage/epoch_store.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <utility>
+#include <vector>
 
 #include "util/log.hpp"
 
@@ -11,10 +13,10 @@ namespace {
 constexpr const char* kTag = "epoch_store";
 }
 
-DiskEpochStore::DiskEpochStore(Disk& disk, std::string name)
+EpochStore::EpochStore(Disk& disk, std::string name)
     : disk_(disk), name_(std::move(name)) {}
 
-uint64_t DiskEpochStore::load() {
+uint64_t EpochStore::load() {
   if (loaded_) return cached_;
   loaded_ = true;
   cached_ = 0;
@@ -32,6 +34,14 @@ uint64_t DiskEpochStore::load() {
     const char c = static_cast<char>(raw[i]);
     valid = c >= '0' && c <= '9';
   }
+  uint64_t epoch = 0;
+  if (valid) {
+    const std::string digits(reinterpret_cast<const char*>(raw.data()), n - 1);
+    // strtoull saturates a longer number to UINT64_MAX, which fails here
+    // too: the next ring id would wrap just the same.
+    epoch = std::strtoull(digits.c_str(), nullptr, 10);
+    valid = epoch <= kMaxEpoch;
+  }
   if (!valid) {
     ACCELRING_LOG_WARN(kTag,
                        "corrupt epoch blob %s (%zu bytes): treating as "
@@ -39,12 +49,11 @@ uint64_t DiskEpochStore::load() {
                        name_.c_str(), n);
     return cached_;
   }
-  std::string digits(reinterpret_cast<const char*>(raw.data()), n - 1);
-  cached_ = std::strtoull(digits.c_str(), nullptr, 10);
+  cached_ = epoch;
   return cached_;
 }
 
-void DiskEpochStore::store(uint64_t epoch) {
+void EpochStore::store(uint64_t epoch) {
   if (epoch <= load()) return;
   cached_ = epoch;
   char buf[32];
@@ -52,13 +61,7 @@ void DiskEpochStore::store(uint64_t epoch) {
                                 static_cast<unsigned long long>(epoch));
   const std::span<const std::byte> data(
       reinterpret_cast<const std::byte*>(buf), static_cast<size_t>(len));
-  // tmp → fsync → rename → fsync_dir: a crash leaves the old value or the
-  // new one, never a torn blob, and the rename itself is made durable.
-  const std::string tmp = name_ + ".tmp";
-  if (disk_.write(tmp, data) != IoStatus::kOk ||
-      disk_.fsync(tmp) != IoStatus::kOk ||
-      disk_.rename(tmp, name_) != IoStatus::kOk ||
-      disk_.fsync_dir() != IoStatus::kOk) {
+  if (disk_.replace(name_, data) != IoStatus::kOk) {
     ACCELRING_LOG_WARN(kTag, "failed to persist epoch %llu to %s",
                        static_cast<unsigned long long>(epoch), name_.c_str());
   }

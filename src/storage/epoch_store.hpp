@@ -1,26 +1,41 @@
-// membership::EpochStore over the storage::Disk layer.
+// Durable storage for the membership epoch counter.
 //
-// Same strict format as the original FileEpochStore (ASCII digits + '\n';
-// anything else loads as absent — the store only ever raises the epoch
-// floor, it must never stop a daemon from booting), but the write path now
-// goes through the full durability protocol: tmp → fsync → rename →
-// fsync_dir. The directory barrier is the fix this layer exists for —
-// rename alone is not power-loss durable.
+// Ring identifiers encode (epoch, creator); stale-ring and stale-incarnation
+// rejection both rely on the epoch growing monotonically along any merge
+// lineage. That holds in memory, but a daemon that crashes and cold-restarts
+// forgets its highest epoch and can mint a ring id it already used in a
+// previous life — which the survivors would then (correctly!) reject as
+// stale, or worse, confuse with the dead ring. Persisting the high-water
+// epoch across restarts closes the hole: a reborn daemon resumes counting
+// from strictly above everything it ever created or saw.
+//
+// The blob is ASCII digits + '\n', written with Disk::replace (tmp → fsync
+// → rename → fsync_dir; rename alone is not power-loss durable). Anything
+// else loads as absent: the store only ever raises the epoch floor, it must
+// never stop a daemon from booting. The same class runs over SimDisk in
+// simulated clusters and over FileDisk in spread_daemon.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
-#include "membership/epoch_store.hpp"
 #include "storage/disk.hpp"
 
 namespace accelring::storage {
 
-class DiskEpochStore final : public membership::EpochStore {
+class EpochStore {
  public:
-  DiskEpochStore(Disk& disk, std::string name);
+  /// Largest epoch load() accepts: ring ids keep 48 epoch bits
+  /// (membership::make_ring_id), so the next ring id after a larger one
+  /// would wrap to a low epoch that was already used.
+  static constexpr uint64_t kMaxEpoch = (uint64_t{1} << 48) - 2;
 
-  [[nodiscard]] uint64_t load() override;
-  void store(uint64_t epoch) override;
+  EpochStore(Disk& disk, std::string name);
+
+  /// Highest epoch ever stored; 0 when nothing valid was persisted yet.
+  [[nodiscard]] uint64_t load();
+  /// Persist `epoch` if it exceeds the stored value (monotonic).
+  void store(uint64_t epoch);
 
  private:
   Disk& disk_;

@@ -94,16 +94,6 @@ IoStatus FileDisk::append(const std::string& name,
   return IoStatus::kOk;
 }
 
-IoStatus FileDisk::truncate(const std::string& name, uint64_t size) {
-  struct stat st{};
-  if (::stat(path(name).c_str(), &st) != 0) return from_errno(errno);
-  if (static_cast<uint64_t>(st.st_size) <= size) return IoStatus::kOk;
-  if (::truncate(path(name).c_str(), static_cast<off_t>(size)) != 0) {
-    return from_errno(errno);
-  }
-  return IoStatus::kOk;
-}
-
 IoStatus FileDisk::fsync(const std::string& name) {
   const int fd = ::open(path(name).c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return from_errno(errno);
@@ -143,12 +133,6 @@ IoStatus FileDisk::fsync_dir() {
 bool FileDisk::exists(const std::string& name) {
   struct stat st{};
   return ::stat(path(name).c_str(), &st) == 0;
-}
-
-uint64_t FileDisk::size(const std::string& name) {
-  struct stat st{};
-  if (::stat(path(name).c_str(), &st) != 0) return 0;
-  return static_cast<uint64_t>(st.st_size);
 }
 
 }  // namespace accelring::storage

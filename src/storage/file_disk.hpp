@@ -1,7 +1,7 @@
 // The production Disk: a directory of real files with honest POSIX
 // durability — fsync() on data, fsync() of the directory fd for namespace
-// barriers (rename alone is not power-loss durable; that was the
-// FileEpochStore bug this layer fixes).
+// barriers (rename alone is not power-loss durable, which is why
+// Disk::replace ends with fsync_dir()).
 #pragma once
 
 #include <string>
@@ -21,13 +21,11 @@ class FileDisk final : public Disk {
                  std::span<const std::byte> data) override;
   IoStatus append(const std::string& name,
                   std::span<const std::byte> data) override;
-  IoStatus truncate(const std::string& name, uint64_t size) override;
   IoStatus fsync(const std::string& name) override;
   IoStatus rename(const std::string& from, const std::string& to) override;
   IoStatus remove(const std::string& name) override;
   IoStatus fsync_dir() override;
   bool exists(const std::string& name) override;
-  uint64_t size(const std::string& name) override;
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
 

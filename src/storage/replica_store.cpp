@@ -157,16 +157,12 @@ bool ReplicaStore::append(std::span<const std::byte> command) {
 
 bool ReplicaStore::reset_wal(
     uint64_t base, const std::vector<std::vector<std::byte>>& records) {
-  const std::string tmp = wal_name() + ".tmp";
   std::vector<std::byte> blob = encode_wal_header(base);
   for (const auto& rec : records) {
     const auto encoded = encode_record(rec);
     blob.insert(blob.end(), encoded.begin(), encoded.end());
   }
-  if (disk_.write(tmp, blob) != IoStatus::kOk) return false;
-  if (disk_.fsync(tmp) != IoStatus::kOk) return false;
-  if (disk_.rename(tmp, wal_name()) != IoStatus::kOk) return false;
-  return disk_.fsync_dir() == IoStatus::kOk;
+  return disk_.replace(wal_name(), blob) == IoStatus::kOk;
 }
 
 bool ReplicaStore::save_checkpoint(uint64_t position,
@@ -178,13 +174,7 @@ bool ReplicaStore::save_checkpoint(uint64_t position,
   w.u64(position);
   w.bytes(state);
   util::seal(w);
-  const auto blob = std::move(w).take();
-  const std::string tmp = ckpt_name() + ".tmp";
-  const bool ckpt_ok = disk_.write(tmp, blob) == IoStatus::kOk &&
-                       disk_.fsync(tmp) == IoStatus::kOk &&
-                       disk_.rename(tmp, ckpt_name()) == IoStatus::kOk &&
-                       disk_.fsync_dir() == IoStatus::kOk;
-  if (!ckpt_ok) {
+  if (disk_.replace(ckpt_name(), std::move(w).take()) != IoStatus::kOk) {
     ++stats_.checkpoint_failures;
     return false;
   }

@@ -12,9 +12,10 @@
 //            holes left by lost writes.
 //
 // Invariants the write protocol maintains (and recovery re-establishes):
-//   * The checkpoint is replaced atomically: tmp → fsync → rename →
-//     fsync_dir. A crash leaves either the old or the new checkpoint,
-//     never a torn one (a torn blob fails its CRC and counts as absent).
+//   * The checkpoint is replaced atomically (Disk::replace: tmp → fsync →
+//     rename → fsync_dir). A crash leaves either the old or the new
+//     checkpoint, never a torn one (a torn blob fails its CRC and counts
+//     as absent).
 //   * The WAL is reset the same way *after* the checkpoint is durable, so
 //     wal.base > ckpt.position never holds on an honest disk.
 //   * Every append is fsynced before it is acknowledged; the first append

@@ -102,7 +102,7 @@ IoStatus SimDisk::write(const std::string& name,
   }
   inode->data.assign(data.begin(), data.end());
   inode->pending.push_back(
-      Op{Op::Kind::kSet, 0, {data.begin(), data.end()}});
+      Op{Op::Kind::kSet, {data.begin(), data.end()}});
   return IoStatus::kOk;
 }
 
@@ -122,18 +122,7 @@ IoStatus SimDisk::append(const std::string& name,
   }
   inode->data.insert(inode->data.end(), data.begin(), data.end());
   inode->pending.push_back(
-      Op{Op::Kind::kAppend, 0, {data.begin(), data.end()}});
-  return IoStatus::kOk;
-}
-
-IoStatus SimDisk::truncate(const std::string& name, uint64_t size) {
-  IoStatus status = IoStatus::kOk;
-  if (!gate(&status)) return status;
-  Inode* inode = visible(name);
-  if (inode == nullptr) return IoStatus::kNotFound;
-  if (size >= inode->data.size()) return IoStatus::kOk;
-  inode->data.resize(size);
-  inode->pending.push_back(Op{Op::Kind::kTrunc, size, {}});
+      Op{Op::Kind::kAppend, {data.begin(), data.end()}});
   return IoStatus::kOk;
 }
 
@@ -180,11 +169,6 @@ IoStatus SimDisk::fsync_dir() {
 
 bool SimDisk::exists(const std::string& name) {
   return ns_.find(name) != ns_.end();
-}
-
-uint64_t SimDisk::size(const std::string& name) {
-  Inode* inode = visible(name);
-  return inode != nullptr ? inode->data.size() : 0;
 }
 
 void SimDisk::set_crash_mode(CrashMode mode) {
@@ -259,9 +243,6 @@ std::vector<std::byte> SimDisk::resolve_crash(const Inode& inode, CrashMode mode
       case Op::Kind::kAppend:
         buf.insert(buf.end(), op.data.begin(), op.data.begin() + static_cast<std::ptrdiff_t>(cut));
         break;
-      case Op::Kind::kTrunc:
-        if (op.trunc_size < buf.size()) buf.resize(op.trunc_size);
-        break;
     }
   };
   std::vector<std::byte> buf = inode.durable;
@@ -277,9 +258,7 @@ std::vector<std::byte> SimDisk::resolve_crash(const Inode& inode, CrashMode mode
       uint64_t cut = 0;
       if (survive < inode.pending.size()) {
         const Op& op = inode.pending[survive];
-        if (op.kind == Op::Kind::kTrunc) {
-          if (rng.chance(0.5)) apply(buf, op, 0);
-        } else if (!op.data.empty()) {
+        if (!op.data.empty()) {
           cut = rng.below(op.data.size() + 1);
           if (cut > 0) apply(buf, op, cut);
         }
@@ -291,8 +270,8 @@ std::vector<std::byte> SimDisk::resolve_crash(const Inode& inode, CrashMode mode
     }
     case CrashMode::kReorder: {
       // Each append survives independently; a dropped append beneath a
-      // surviving later one becomes a zero gap. kSet/kTrunc act as applied
-      // barriers (they reach the platter before the cache starts lying
+      // surviving later one becomes a zero gap. A kSet acts as an applied
+      // barrier (it reaches the platter before the cache starts lying
       // about ordering of the appends that follow).
       struct Extent {
         uint64_t start = 0;

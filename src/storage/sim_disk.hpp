@@ -58,13 +58,11 @@ class SimDisk final : public Disk {
                  std::span<const std::byte> data) override;
   IoStatus append(const std::string& name,
                   std::span<const std::byte> data) override;
-  IoStatus truncate(const std::string& name, uint64_t size) override;
   IoStatus fsync(const std::string& name) override;
   IoStatus rename(const std::string& from, const std::string& to) override;
   IoStatus remove(const std::string& name) override;
   IoStatus fsync_dir() override;
   bool exists(const std::string& name) override;
-  uint64_t size(const std::string& name) override;
 
   // --- fault injection -----------------------------------------------------
 
@@ -101,9 +99,8 @@ class SimDisk final : public Disk {
 
  private:
   struct Op {
-    enum class Kind : uint8_t { kSet, kAppend, kTrunc } kind;
-    uint64_t trunc_size = 0;    // kTrunc
-    std::vector<std::byte> data;  // kSet / kAppend
+    enum class Kind : uint8_t { kSet, kAppend } kind;
+    std::vector<std::byte> data;
   };
   struct Inode {
     std::vector<std::byte> durable;  // content as of last honored fsync

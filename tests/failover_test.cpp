@@ -13,7 +13,8 @@
 #include "check/oracle.hpp"
 #include "daemon/failover_client.hpp"
 #include "harness/cluster.hpp"
-#include "membership/epoch_store.hpp"
+#include "storage/epoch_store.hpp"
+#include "storage/file_disk.hpp"
 #include "util/bytes.hpp"
 
 namespace accelring {
@@ -174,29 +175,42 @@ TEST(EpochStore, ColdRestartOfRingCreatorNeverReusesARingId) {
   EXPECT_GT(cluster.epoch_store(0).load(), 1u);
 }
 
+// spread_daemon's epoch file: storage::EpochStore over a FileDisk. Each
+// block is one daemon incarnation (a fresh store over the same directory).
 TEST(FileEpochStore, PersistsAcrossReopen) {
-  const std::string path = ::testing::TempDir() + "/accelring_epoch_test";
+  const std::string name = "accelring_epoch_test";
+  const std::string path = ::testing::TempDir() + "/" + name;
+  storage::FileDisk disk(::testing::TempDir());
   std::remove(path.c_str());
   {
-    membership::FileEpochStore store(path);
+    storage::EpochStore store(disk, name);
     EXPECT_EQ(store.load(), 0u);
     store.store(7);
     store.store(3);  // regressions are ignored
   }
   {
-    membership::FileEpochStore store(path);
+    storage::EpochStore store(disk, name);
     EXPECT_EQ(store.load(), 7u);
     store.store(8);  // a larger epoch replaces the stored one
   }
   {
-    membership::FileEpochStore store(path);
+    storage::EpochStore store(disk, name);
     EXPECT_EQ(store.load(), 8u);
   }
+  // The file format is ASCII digits and a newline, nothing else.
+  char raw[16] = {};
+  FILE* f = std::fopen(path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  const size_t n = std::fread(raw, 1, sizeof(raw), f);
+  std::fclose(f);
+  EXPECT_EQ(std::string(raw, n), "8\n");
   std::remove(path.c_str());
 }
 
 TEST(FileEpochStore, CorruptFileTreatedAsAbsentAndRecoverable) {
-  const std::string path = ::testing::TempDir() + "/accelring_epoch_corrupt";
+  const std::string name = "accelring_epoch_corrupt";
+  const std::string path = ::testing::TempDir() + "/" + name;
+  storage::FileDisk disk(::testing::TempDir());
   const auto write_raw = [&](const char* bytes, size_t n) {
     FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
@@ -207,29 +221,29 @@ TEST(FileEpochStore, CorruptFileTreatedAsAbsentAndRecoverable) {
   // lowered epoch floor is the stale-ring-id bug the store exists to close.
   write_raw("45", 2);
   {
-    membership::FileEpochStore store(path);
+    storage::EpochStore store(disk, name);
     EXPECT_EQ(store.load(), 0u);
   }
   write_raw("not-a-number\n", 13);
   {
-    membership::FileEpochStore store(path);
+    storage::EpochStore store(disk, name);
     EXPECT_EQ(store.load(), 0u);
   }
   write_raw("", 0);
   {
-    membership::FileEpochStore store(path);
+    storage::EpochStore store(disk, name);
     EXPECT_EQ(store.load(), 0u);
   }
   // Round trip: a store that loaded a corrupt file re-mints and persists a
   // fresh epoch, and the next incarnation reads it back cleanly.
   write_raw("12garbage\n", 10);
   {
-    membership::FileEpochStore store(path);
+    storage::EpochStore store(disk, name);
     EXPECT_EQ(store.load(), 0u);
     store.store(9);
   }
   {
-    membership::FileEpochStore store(path);
+    storage::EpochStore store(disk, name);
     EXPECT_EQ(store.load(), 9u);
   }
   std::remove(path.c_str());

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <fstream>
+#include <stdexcept>
 
 #include "daemon/config_file.hpp"
 #include "membership/membership.hpp"
@@ -33,21 +34,32 @@ struct TwoDaemonStack {
   std::vector<Node> nodes;
 
   TwoDaemonStack() {
-    const auto base =
-        static_cast<uint16_t>(30000 + (::getpid() % 8000) * 2 % 30000);
-    for (int i = 0; i < 2; ++i) {
-      peers[static_cast<protocol::ProcessId>(i)] = transport::PeerAddress{
-          "127.0.0.1", static_cast<uint16_t>(base + i * 2),
-          static_cast<uint16_t>(base + i * 2 + 1)};
+    nodes.resize(2);
+    // The transports bind their ports exclusively, so a port another
+    // process holds throws: try the next pid-derived block.
+    for (int attempt = 0;; ++attempt) {
+      const auto base = static_cast<uint16_t>(
+          30000 + (::getpid() % 8000 * 2 + attempt * 211) % 30000);
+      for (int i = 0; i < 2; ++i) {
+        peers[static_cast<protocol::ProcessId>(i)] = transport::PeerAddress{
+            "127.0.0.1", static_cast<uint16_t>(base + i * 2),
+            static_cast<uint16_t>(base + i * 2 + 1)};
+      }
+      try {
+        for (int i = 0; i < 2; ++i) {
+          nodes[i].transport = std::make_unique<transport::UdpTransport>(
+              static_cast<protocol::ProcessId>(i), peers, loop);
+        }
+        break;
+      } catch (const std::runtime_error&) {
+        if (attempt == 20) throw;
+      }
     }
     protocol::RingConfig ring;
     ring.ring_id = membership::make_ring_id(1, 0);
     ring.members = {0, 1};
-    nodes.resize(2);
     for (int i = 0; i < 2; ++i) {
       auto& node = nodes[i];
-      node.transport = std::make_unique<transport::UdpTransport>(
-          static_cast<protocol::ProcessId>(i), peers, loop);
       node.engine = std::make_unique<protocol::Engine>(
           static_cast<protocol::ProcessId>(i), protocol::ProtocolConfig{},
           *node.transport);

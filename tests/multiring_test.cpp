@@ -451,8 +451,8 @@ TEST(RingSetMigration, SecondMigrationRejectedWhileInFlight) {
 // --- GroupLayer over sharded rings ------------------------------------------
 
 /// N logical daemons over a RingSet: every daemon runs one GroupLayer whose
-/// sends are routed to each group's shard ring and whose deliveries come
-/// from the merged stream.
+/// sends RingSet::submit_named routes to each group's shard ring and whose
+/// deliveries come from the merged stream.
 struct ShardedGroups {
   RingSet set;
   std::vector<std::unique_ptr<groups::GroupLayer>> layers;
@@ -472,7 +472,12 @@ struct ShardedGroups {
       }
       layers.push_back(std::make_unique<groups::GroupLayer>(
           static_cast<protocol::ProcessId>(n), std::move(submits),
-          [this](std::string_view group) { return set.shards().ring_of(group); }));
+          groups::GroupLayer::KeyedSubmitFn(
+              [this, n](std::string_view group, Service service,
+                        std::vector<std::byte> payload) {
+                set.submit_named(n, group, service, std::move(payload));
+                return true;
+              })));
       layers.back()->set_on_message(
           [this, n](uint32_t client, const std::string& group,
                     const std::string&, Service,

@@ -1,7 +1,8 @@
 // Storage layer unit tests: SimDisk crash/fault semantics (the simnet-style
 // deterministic disk), ReplicaStore WAL+checkpoint round-trips with
-// torn-write and bit-rot rejection, and the real-file FileDisk against an
-// actual temp directory (failover_test covers FileEpochStore).
+// torn-write and bit-rot rejection, the epoch store's format checks, and
+// the real-file FileDisk against an actual temp directory (failover_test
+// covers the epoch store over FileDisk).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -29,6 +30,12 @@ std::vector<std::byte> blob(const std::string& s) {
 std::string str(const std::vector<std::byte>& b) {
   std::string out(b.size(), '\0');
   for (size_t i = 0; i < b.size(); ++i) out[i] = static_cast<char>(b[i]);
+  return out;
+}
+
+std::vector<std::byte> contents(Disk& disk, const std::string& name) {
+  std::vector<std::byte> out;
+  EXPECT_EQ(disk.read(name, out), IoStatus::kOk) << name;
   return out;
 }
 
@@ -80,6 +87,24 @@ TEST(SimDiskTest, FullProtocolSurvivesPowerLoss) {
   std::vector<std::byte> out;
   ASSERT_EQ(disk.read("f", out), IoStatus::kOk);
   EXPECT_EQ(str(out), "payload");
+}
+
+TEST(SimDiskTest, ReplaceRunsTheFullProtocolAndStopsAtTheFirstFailure) {
+  SimDisk disk(12);
+  ASSERT_EQ(disk.replace("f", blob("v1")), IoStatus::kOk);
+  EXPECT_EQ(disk.op_count(), 4u);  // write, fsync, rename, fsync_dir
+  EXPECT_FALSE(disk.exists("f.tmp"));
+  // A failed tmp write issues nothing after it.
+  disk.stall_ops(1);
+  EXPECT_EQ(disk.replace("f", blob("v2")), IoStatus::kIoError);
+  EXPECT_EQ(disk.op_count(), 5u);
+  EXPECT_FALSE(disk.exists("f.tmp"));
+  // Power cut at the rename: the old content survives the power loss.
+  disk.cut_after(2);
+  EXPECT_EQ(disk.replace("f", blob("v3")), IoStatus::kIoError);
+  EXPECT_EQ(disk.op_count(), 8u);
+  disk.power_loss();
+  EXPECT_EQ(str(contents(disk, "f")), "v1");
 }
 
 TEST(SimDiskTest, TornModeKeepsOnlyAPrefixOfPendingOps) {
@@ -239,9 +264,9 @@ TEST(ReplicaStoreTest, NewCheckpointTruncatesWal) {
   (void)store.recover();
   ASSERT_TRUE(store.save_checkpoint(0, blob("s0")));
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(store.append(blob("c")));
-  const uint64_t wal_before = disk.size("shard0.wal");
+  const size_t wal_before = contents(disk, "shard0.wal").size();
   ASSERT_TRUE(store.save_checkpoint(5, blob("s5")));
-  EXPECT_LT(disk.size("shard0.wal"), wal_before);
+  EXPECT_LT(contents(disk, "shard0.wal").size(), wal_before);
   disk.power_loss();
   ReplicaStore fresh(disk, "shard0");
   const RecoverResult r = fresh.recover();
@@ -257,9 +282,10 @@ TEST(ReplicaStoreTest, TornWalTailIsDroppedNotAccepted) {
   ASSERT_TRUE(store.save_checkpoint(0, blob("s")));
   ASSERT_TRUE(store.append(blob("first-command")));
   ASSERT_TRUE(store.append(blob("second-command")));
-  // Tear the last record: cut the WAL a few bytes short.
-  const uint64_t sz = disk.size("shard0.wal");
-  ASSERT_EQ(disk.truncate("shard0.wal", sz - 3), IoStatus::kOk);
+  // Tear the last record: rewrite the WAL a few bytes short.
+  std::vector<std::byte> wal = contents(disk, "shard0.wal");
+  wal.resize(wal.size() - 3);
+  ASSERT_EQ(disk.write("shard0.wal", wal), IoStatus::kOk);
   ASSERT_EQ(disk.fsync("shard0.wal"), IoStatus::kOk);
   disk.power_loss();
   ReplicaStore fresh(disk, "shard0");
@@ -386,16 +412,15 @@ TEST(FileDiskTest, WriteReadRenameRemoveRoundTrip) {
   ASSERT_EQ(disk.fsync_dir(), IoStatus::kOk);
   EXPECT_TRUE(disk.exists("f"));
   EXPECT_FALSE(disk.exists("f.tmp"));
-  EXPECT_EQ(disk.size("f"), 7u);
   std::vector<std::byte> out;
   ASSERT_EQ(disk.read("f", out), IoStatus::kOk);
   EXPECT_EQ(str(out), "content");
   ASSERT_EQ(disk.append("f", blob("+more")), IoStatus::kOk);
   ASSERT_EQ(disk.read("f", out), IoStatus::kOk);
   EXPECT_EQ(str(out), "content+more");
-  ASSERT_EQ(disk.truncate("f", 7), IoStatus::kOk);
+  ASSERT_EQ(disk.write("f", blob("new")), IoStatus::kOk);  // replaces
   ASSERT_EQ(disk.read("f", out), IoStatus::kOk);
-  EXPECT_EQ(str(out), "content");
+  EXPECT_EQ(str(out), "new");
   ASSERT_EQ(disk.remove("f"), IoStatus::kOk);
   EXPECT_FALSE(disk.exists("f"));
   EXPECT_EQ(disk.read("f", out), IoStatus::kNotFound);
@@ -421,17 +446,37 @@ TEST(FileDiskTest, ReplicaStoreRunsUnchangedOnRealFiles) {
   EXPECT_EQ(str(r.commands[0]), "real-cmd");
 }
 
-TEST(DiskEpochStoreTest, CorruptFileLoadsAsAbsentAndMonotonicGuardHolds) {
+// ---------------------------------------------------------------------------
+// EpochStore: strict format, monotonic writes.
+
+TEST(EpochStoreTest, CorruptFileLoadsAsAbsentAndMonotonicGuardHolds) {
   SimDisk disk(30);
-  ASSERT_EQ(disk.write("epoch", blob("not-a-number\n")), IoStatus::kOk);
-  ASSERT_EQ(disk.fsync("epoch"), IoStatus::kOk);
-  ASSERT_EQ(disk.fsync_dir(), IoStatus::kOk);
-  DiskEpochStore store(disk, "epoch");
+  ASSERT_EQ(disk.replace("epoch", blob("not-a-number\n")), IoStatus::kOk);
+  EpochStore store(disk, "epoch");
   EXPECT_EQ(store.load(), 0u);  // corrupt ⇒ absent, never a boot stopper
   store.store(10);
   store.store(5);  // lower than cached: must not regress
-  DiskEpochStore fresh(disk, "epoch");
+  EpochStore fresh(disk, "epoch");
   EXPECT_EQ(fresh.load(), 10u);
+  EXPECT_EQ(str(contents(disk, "epoch")), "10\n");
+}
+
+TEST(EpochStoreTest, EpochWhoseSuccessorOverflowsTheRingIdLoadsAsAbsent) {
+  // Ring ids keep 48 epoch bits. Loading 2^48 would make the next ring id
+  // wrap to epoch 1; a 23-digit number saturates strtoull to UINT64_MAX and
+  // would wrap it to epoch 0. Both reuse a ring id, so both are corrupt.
+  for (const char* text : {"281474976710655\n", "281474976710656\n",
+                           "99999999999999999999999\n"}) {
+    SimDisk disk(31);
+    ASSERT_EQ(disk.replace("epoch", blob(text)), IoStatus::kOk);
+    EpochStore store(disk, "epoch");
+    EXPECT_EQ(store.load(), 0u) << text;
+  }
+  // The largest epoch whose successor still fits loads as itself.
+  SimDisk disk(32);
+  ASSERT_EQ(disk.replace("epoch", blob("281474976710654\n")), IoStatus::kOk);
+  EpochStore store(disk, "epoch");
+  EXPECT_EQ(store.load(), EpochStore::kMaxEpoch);
 }
 
 }  // namespace
