@@ -104,7 +104,6 @@ KvPoint run_kv_point(int shards, double base_rate, uint64_t sessions,
     };
   }
   kv::KvService service(rings, scfg);
-  service.bind_metrics();
   rings.start_static();
 
   // Per-shard tap: the service's outcome observer sees every resolution
@@ -167,7 +166,8 @@ KvPoint run_kv_point(int shards, double base_rate, uint64_t sessions,
   p.ordered_read = workload.ordered_read_latency();
   p.write = workload.write_latency();
   p.per_shard = std::move(per_shard);
-  auto merged = std::make_shared<obs::MetricsRegistry>(rings.merged_metrics());
+  auto merged =
+      std::make_shared<obs::MetricsRegistry>(service.merged_metrics());
   // The validator's instrumentation guard keys on this histogram; for an
   // op-oriented figure the client-observed completion latency is the
   // delivery latency of interest.

@@ -401,7 +401,6 @@ void build_cluster(Target& t, const RunOptions& opt,
   }
   t.service = std::make_unique<kv::KvService>(cluster, scfg);
   kv::KvService& service = *t.service;
-  if (!opt.artifact_dir.empty()) service.bind_metrics();
   t.kv_oracle = std::make_unique<KvOracle>();
   t.kv_oracle->bind(service);
   if (t.stack == Stack::kDurableKv) {
@@ -650,9 +649,10 @@ RunResult verdict(Target& t, const RunOptions& opt, const Blame& blamed,
 std::string dump_flight(Target& t, const RunOptions& opt,
                         const Schedule& schedule, uint64_t seed,
                         const RunResult& res) {
-  const obs::MetricsRegistry metrics = t.ring_set
-                                           ? t.ring_set->merged_metrics()
-                                           : t.cluster->merged_metrics();
+  const obs::MetricsRegistry metrics =
+      t.service    ? t.service->merged_metrics()
+      : t.ring_set ? t.ring_set->merged_metrics()
+                   : t.cluster->merged_metrics();
   obs::FlightRecord record;
   record.scenario = schedule.scenario;
   record.seed = seed;

@@ -18,9 +18,6 @@ DaemonMetrics DaemonMetrics::bind(obs::MetricsRegistry& registry) {
   DaemonMetrics m;
   m.queue_depth = &registry.gauge("daemon", "queue_depth");
   m.enqueue_depth = &registry.histogram("daemon", "enqueue_depth");
-  m.shed = &registry.counter("daemon", "shed");
-  m.slowdowns = &registry.counter("daemon", "slowdowns");
-  m.resumes = &registry.counter("daemon", "resumes");
   return m;
 }
 
@@ -110,7 +107,6 @@ bool Daemon::send(ClientId client, const std::vector<std::string>& groups,
 
   if (state.queue.size() >= config_.session_queue_limit) {
     ++stats_.shed;
-    if (metrics_.shed != nullptr) metrics_.shed->inc();
     set_slowed(state, true);
     return false;
   }
@@ -163,10 +159,8 @@ void Daemon::set_slowed(SessionState& state, bool slowed) {
   state.slowed = slowed;
   if (slowed) {
     ++stats_.slowdowns;
-    if (metrics_.slowdowns != nullptr) metrics_.slowdowns->inc();
   } else {
     ++stats_.resumes;
-    if (metrics_.resumes != nullptr) metrics_.resumes->inc();
   }
   if (state.session.on_flow) state.session.on_flow(slowed);
 }

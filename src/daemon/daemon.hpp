@@ -71,9 +71,6 @@ struct DaemonStats {
 struct DaemonMetrics {
   obs::Gauge* queue_depth = nullptr;
   obs::Histogram* enqueue_depth = nullptr;
-  obs::Counter* shed = nullptr;
-  obs::Counter* slowdowns = nullptr;
-  obs::Counter* resumes = nullptr;
 
   [[nodiscard]] static DaemonMetrics bind(obs::MetricsRegistry& registry);
 };

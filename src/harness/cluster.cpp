@@ -162,20 +162,27 @@ void SimCluster::enable_metrics() {
 
 obs::MetricsRegistry SimCluster::merged_metrics() const {
   obs::MetricsRegistry merged;
-  for (const SimNode& n : retired_) {
-    if (n.metrics) merged.merge_from(*n.metrics);
-  }
-  for (const SimNode& n : nodes_) {
-    if (n.metrics) merged.merge_from(*n.metrics);
-  }
-  // Mirror the cluster-level counters stats() computes, so one registry
-  // export carries the full picture.
+  // Every incarnation counts: a restarted node's earlier ones are retired.
+  uint64_t socket_drops = 0;
+  uint64_t submit_rejected = 0;
+  auto add = [&](const SimNode& n) {
+    if (n.metrics) {
+      merged.merge_from(*n.metrics);
+      protocol::add_counters(merged, n.engine->stats());
+    }
+    socket_drops += n.process->socket_drops();
+    submit_rejected += n.engine->stats().submit_rejected;
+  };
+  for (const SimNode& n : retired_) add(n);
+  for (const SimNode& n : nodes_) add(n);
+  // Cluster-level totals, so one registry export carries the full picture.
+  // delivered is cumulative already: restart_node carries it over.
   const ClusterStats s = stats();
-  merged.counter("cluster", "delivered").set(s.delivered_total());
-  merged.counter("cluster", "socket_drops").set(s.socket_drops());
-  merged.counter("cluster", "submit_rejected").set(s.submit_rejected());
-  merged.counter("net", "datagrams_sent").set(s.net.datagrams_sent);
-  merged.counter("net", "wire_bytes").set(s.net.wire_bytes);
+  merged.counter("cluster", "delivered").inc(s.delivered_total());
+  merged.counter("cluster", "socket_drops").inc(socket_drops);
+  merged.counter("cluster", "submit_rejected").inc(submit_rejected);
+  merged.counter("net", "datagrams_sent").inc(s.net.datagrams_sent);
+  merged.counter("net", "wire_bytes").inc(s.net.wire_bytes);
   obs::Gauge& cpu = merged.gauge("cluster", "max_cpu_microutil");
   cpu.set(static_cast<int64_t>(s.max_cpu_utilization() * 1e6));
   return merged;

@@ -229,16 +229,19 @@ class SimCluster {
 
   /// Attach a per-node MetricsRegistry to every engine (and to every future
   /// incarnation created by restart_node). Recording never perturbs the run
-  /// (see obs/metrics.hpp); call any time before or during a simulation.
+  /// (see obs/metrics.hpp). Histograms record from this call on; the
+  /// counters in merged_metrics() come from EngineStats, which count from
+  /// each engine's construction, so enable before the run starts.
   void enable_metrics();
   [[nodiscard]] bool metrics_enabled() const { return metrics_enabled_; }
   /// Node's registry, or nullptr when metrics are not enabled.
   [[nodiscard]] obs::MetricsRegistry* metrics(int node) {
     return nodes_[node].metrics.get();
   }
-  /// Cluster-wide aggregate: every node's registry merged (current and
-  /// retired incarnations), plus cluster-level counters mirrored from
-  /// stats() — delivery counts, socket drops, and fabric volume.
+  /// Cluster-wide aggregate: every node's registry merged with its
+  /// engine's counters (see protocol::add_counters), current and retired
+  /// incarnations alike, plus cluster-level totals over every incarnation —
+  /// deliveries, socket drops, rejected submits — and fabric volume.
   [[nodiscard]] obs::MetricsRegistry merged_metrics() const;
   /// Per-node epoch store, backed by the node's SimDisk (the file survives
   /// restart_node, modelling the on-disk epoch file of a real daemon across

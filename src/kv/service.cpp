@@ -91,12 +91,10 @@ void KvService::setup_node(int node, bool founder) {
   auto& replicas = replicas_[static_cast<size_t>(node)];
   auto& stores = stores_[static_cast<size_t>(node)];
   auto& leases = leases_[static_cast<size_t>(node)];
-  // A retiring incarnation's divergence audits must stay visible: they are
+  // A retiring incarnation's counts stay visible: its divergence audits are
   // the proof obligation that disk recovery never resurrects a forked
   // lineage (see total_divergence()).
-  for (const auto& replica : replicas) {
-    stats_.divergence_carried += replica->stats().divergence_detected;
-  }
+  for (const auto& replica : replicas) retired_ += replica->stats();
   machines.clear();
   replicas.clear();
   stores.clear();  // after the replicas that point into them
@@ -150,17 +148,29 @@ void KvService::setup_node(int node, bool founder) {
           machines[static_cast<size_t>(shard)]->version();
     }
   }
-  if (metrics_bound_) bind_node_metrics(node);
+}
+
+rsm::ReplicaStats KvService::replica_totals() const {
+  rsm::ReplicaStats total = retired_;
+  for (const auto& per_node : replicas_) {
+    for (const auto& replica : per_node) total += replica->stats();
+  }
+  return total;
 }
 
 uint64_t KvService::total_divergence() const {
-  uint64_t total = stats_.divergence_carried;
-  for (const auto& per_node : replicas_) {
-    for (const auto& replica : per_node) {
-      if (replica != nullptr) total += replica->stats().divergence_detected;
-    }
+  return replica_totals().divergence_detected;
+}
+
+obs::MetricsRegistry KvService::merged_metrics() const {
+  obs::MetricsRegistry merged = cluster_ != nullptr
+                                    ? cluster_->merged_metrics()
+                                    : rings_->merged_metrics();
+  if (cluster_ != nullptr ? cluster_->metrics_enabled()
+                          : rings_->metrics_enabled()) {
+    rsm::add_counters(merged, replica_totals());
   }
-  return total;
+  return merged;
 }
 
 void KvService::wire_shard(int node, int shard) {
@@ -309,22 +319,6 @@ void KvService::set_on_outcome(OutcomeFn fn) {
           if (outcome_obs_) outcome_obs_(node, outcome);
         });
   }
-}
-
-void KvService::bind_node_metrics(int node) {
-  for (int shard = 0; shard < cfg_.shards; ++shard) {
-    obs::MetricsRegistry* registry =
-        cluster_ != nullptr ? cluster_->metrics(node)
-                            : rings_->ring(shard).metrics(node);
-    if (registry == nullptr) continue;
-    replicas_[static_cast<size_t>(node)][static_cast<size_t>(shard)]
-        ->set_metrics(rsm::RsmMetrics::bind(*registry));
-  }
-}
-
-void KvService::bind_metrics() {
-  metrics_bound_ = true;
-  for (int node = 0; node < nodes_; ++node) bind_node_metrics(node);
 }
 
 }  // namespace accelring::kv

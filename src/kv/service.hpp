@@ -79,9 +79,6 @@ class KvService {
     /// Grant frames whose sender was not the designated holder of the
     /// receiver's current view (stale holder racing a view change).
     uint64_t grants_rejected = 0;
-    /// divergence_detected carried over from replicas retired by restarts
-    /// (see total_divergence()).
-    uint64_t divergence_carried = 0;
   };
 
   /// Single-shard service over one cluster. Requires cfg.shards == 1.
@@ -102,11 +99,6 @@ class KvService {
   void set_on_applied(AppliedFn fn) { applied_obs_ = std::move(fn); }
   void set_on_lease_grant(LeaseGrantFn fn) { lease_obs_ = std::move(fn); }
   void set_on_outcome(OutcomeFn fn);
-
-  /// Bind every replica's stats into the substrate's per-node metrics
-  /// registries (component "rsm"). Requires metrics enabled on the
-  /// substrate first; restarted nodes are re-bound automatically.
-  void bind_metrics();
 
   [[nodiscard]] Frontend& frontend(int node) { return *frontends_[node]; }
   [[nodiscard]] const KvStateMachine& machine(int node, int shard) const {
@@ -130,6 +122,10 @@ class KvService {
   /// run, including ones retired by restarts. In a durable run this must
   /// stay 0: recovering from disk must never resurrect a diverged lineage.
   [[nodiscard]] uint64_t total_divergence() const;
+  /// The substrate's merged registry, plus the rsm.* counters (see
+  /// rsm::add_counters) summed over every replica incarnation when the
+  /// substrate has metrics enabled.
+  [[nodiscard]] obs::MetricsRegistry merged_metrics() const;
 
  private:
   void init();
@@ -142,7 +138,8 @@ class KvService {
                       const protocol::ConfigurationChange& change);
   void submit_grant(int node, int shard);
   void arm_renewal(int node, int shard, uint64_t gen);
-  void bind_node_metrics(int node);
+  /// Every replica's stats summed, live and retired by restarts.
+  [[nodiscard]] rsm::ReplicaStats replica_totals() const;
 
   ServiceConfig cfg_;
   harness::SimCluster* cluster_ = nullptr;  ///< single-shard substrate
@@ -172,7 +169,8 @@ class KvService {
   /// events, and are not re-surfaced. Reset with the node on restart.
   std::vector<std::vector<uint64_t>> exposed_version_;
   std::vector<bool> down_;
-  bool metrics_bound_ = false;
+  /// Stats of the replicas restarts retired, summed.
+  rsm::ReplicaStats retired_;
 
   AppliedFn applied_obs_;
   LeaseGrantFn lease_obs_;

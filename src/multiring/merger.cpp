@@ -35,12 +35,15 @@ std::optional<uint32_t> decode_skip(std::span<const std::byte> payload) {
 MergerMetrics MergerMetrics::bind(obs::MetricsRegistry& registry) {
   MergerMetrics m;
   m.merge_stall_ns = &registry.histogram("merger", "merge_stall_ns");
-  m.merged = &registry.counter("merger", "merged");
-  m.skip_msgs = &registry.counter("merger", "skip_msgs");
-  m.skipped_slots = &registry.counter("merger", "skipped_slots");
-  m.rotations = &registry.counter("merger", "rotations");
-  m.handoff_markers = &registry.counter("merger", "handoff_markers");
   return m;
+}
+
+void add_counters(obs::MetricsRegistry& registry, const MergerStats& stats) {
+  registry.counter("merger", "merged").inc(stats.merged);
+  registry.counter("merger", "skip_msgs").inc(stats.skip_msgs);
+  registry.counter("merger", "skipped_slots").inc(stats.skipped_slots);
+  registry.counter("merger", "rotations").inc(stats.rotations);
+  registry.counter("merger", "handoff_markers").inc(stats.handoff_markers);
 }
 
 void DeterministicMerger::push(int ring, const protocol::Delivery& delivery) {
@@ -66,24 +69,16 @@ void DeterministicMerger::pump() {
       ++stats_.skip_msgs;
       stats_.skipped_slots += *slots;
       credit_ += *slots;
-      if (metrics_.skip_msgs != nullptr) metrics_.skip_msgs->inc();
-      if (metrics_.skipped_slots != nullptr) {
-        metrics_.skipped_slots->inc(*slots);
-      }
     } else {
       trace(util::TraceEvent::kMergeDeliver, cursor_, d.seq);
       ++stats_.merged;
       credit_ += 1;
-      if (metrics_.merged != nullptr) metrics_.merged->inc();
       // Handoff markers are ordinary merged data (one credit, emitted to the
       // subscriber like anything else), but the merger tracks the map epoch
       // they announce: after an activate marker, deliveries for the moved
       // ranges come from the new owner ring.
       if (const auto marker = decode_marker(d.payload)) {
         ++stats_.handoff_markers;
-        if (metrics_.handoff_markers != nullptr) {
-          metrics_.handoff_markers->inc();
-        }
         if (marker->kind == MarkerKind::kActivate &&
             marker->version > map_version_) {
           map_version_ = marker->version;
@@ -97,7 +92,6 @@ void DeterministicMerger::pump() {
       credit_ = 0;
       cursor_ = (cursor_ + 1) % num_rings();
       ++stats_.rotations;
-      if (metrics_.rotations != nullptr) metrics_.rotations->inc();
       queue = &queues_[static_cast<size_t>(cursor_)];
     }
   }

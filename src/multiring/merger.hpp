@@ -44,17 +44,15 @@ struct MergerStats {
   uint64_t handoff_markers = 0;  ///< migration markers merged (migration.hpp)
 };
 
-/// Observation points for the merge (all optional; see obs/metrics.hpp for
-/// the zero-perturbation contract). merge_stall_ns measures head-of-line
+/// Add every `stats` field to `registry` as merger.<field>.
+void add_counters(obs::MetricsRegistry& registry, const MergerStats& stats);
+
+/// Observation point for the merge (optional; see obs/metrics.hpp for the
+/// zero-perturbation contract). merge_stall_ns measures head-of-line
 /// blocking: how long messages from other rings sat queued while the cursor
 /// ring had nothing ordered — the cost skip messages exist to bound.
 struct MergerMetrics {
   obs::Histogram* merge_stall_ns = nullptr;
-  obs::Counter* merged = nullptr;
-  obs::Counter* skip_msgs = nullptr;
-  obs::Counter* skipped_slots = nullptr;
-  obs::Counter* rotations = nullptr;
-  obs::Counter* handoff_markers = nullptr;
 
   [[nodiscard]] static MergerMetrics bind(obs::MetricsRegistry& registry);
 };

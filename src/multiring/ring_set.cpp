@@ -310,7 +310,10 @@ obs::MetricsRegistry RingSet::merged_metrics() const {
   for (const auto& cluster : clusters_) {
     if (cluster->metrics_enabled()) merged.merge_from(cluster->merged_metrics());
   }
-  for (const auto& reg : node_metrics_) merged.merge_from(*reg);
+  for (size_t node = 0; node < node_metrics_.size(); ++node) {
+    merged.merge_from(*node_metrics_[node]);
+    add_counters(merged, mergers_[node]->stats());
+  }
   return merged;
 }
 

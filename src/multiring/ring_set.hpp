@@ -147,11 +147,13 @@ class RingSet {
   [[nodiscard]] std::vector<harness::ClusterStats> ring_stats() const;
 
   /// Attach metrics to every ring's engines and every node's merger (see
-  /// SimCluster::enable_metrics; recording never perturbs the run).
+  /// SimCluster::enable_metrics; recording never perturbs the run). The
+  /// counters count from each component's construction: enable before the
+  /// run starts.
   void enable_metrics();
   [[nodiscard]] bool metrics_enabled() const { return !node_metrics_.empty(); }
-  /// Everything merged: all rings' engine registries plus all nodes' merger
-  /// registries, in one aggregate.
+  /// Everything merged: all rings' merged registries plus all nodes' merger
+  /// registries and MergerStats, in one aggregate.
   [[nodiscard]] obs::MetricsRegistry merged_metrics() const;
 
  private:

@@ -17,6 +17,12 @@
 //     the merge — which is exactly as accurate as recording into one shared
 //     histogram would have been.
 //
+// A count lives only in its component's *Stats struct (EngineStats,
+// MergerStats, ReplicaStats, ...). Instrumentation sites record here only
+// what has no Stats twin, histograms and gauges; the add_counters() declared
+// next to each Stats struct copies its counts into a registry when a merged
+// one is built.
+//
 // Histogram buckets are powers of two: bucket i counts values in
 // [2^i, 2^(i+1)). Quantile estimates interpolate linearly inside the bucket,
 // so the error is bounded by the bucket width (a fixed relative error of at
@@ -41,8 +47,6 @@ using util::Nanos;
 class Counter {
  public:
   void inc(uint64_t n = 1) { value_ += n; }
-  /// Overwrite (snapshot-style mirroring of an externally kept counter).
-  void set(uint64_t v) { value_ = v; }
   [[nodiscard]] uint64_t value() const { return value_; }
   void merge(const Counter& other) { value_ += other.value_; }
 

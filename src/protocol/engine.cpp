@@ -35,10 +35,14 @@ EngineMetrics EngineMetrics::bind(obs::MetricsRegistry& registry) {
   m.dwell_recover_ns = &registry.histogram("membership", "dwell_recover_ns");
   m.dwell_operational_ns =
       &registry.histogram("membership", "dwell_operational_ns");
-  m.retrans_answered = &registry.counter("protocol", "retrans_answered");
-  m.retrans_requested = &registry.counter("protocol", "retrans_requested");
-  m.token_retransmits = &registry.counter("protocol", "token_retransmits");
   return m;
+}
+
+void add_counters(obs::MetricsRegistry& registry, const EngineStats& stats) {
+  registry.counter("protocol", "retrans_answered").inc(stats.retransmitted);
+  registry.counter("protocol", "retrans_requested").inc(stats.rtr_requested);
+  registry.counter("protocol", "token_retransmits")
+      .inc(stats.token_retransmits);
 }
 
 void Engine::set_metrics(const EngineMetrics& metrics) {
@@ -193,9 +197,6 @@ void Engine::on_timer(TimerKind kind) {
       if ((state_ == State::kOperational || state_ == State::kRecover) &&
           !last_token_sent_.empty()) {
         ++stats_.token_retransmits;
-        if (metrics_.token_retransmits != nullptr) {
-          metrics_.token_retransmits->inc();
-        }
         host_.unicast(ring_.successor_of(self_), kSockToken,
                       last_token_sent_);
         host_.set_timer(kTimerTokenRetransmit, cfg_.timeouts.token_retransmit);
@@ -409,9 +410,6 @@ void Engine::handle_token(const TokenMsg& received) {
   const auto missing = buffer_.missing_up_to(rtr_bound, token.rtr);
   for (SeqNum seq : missing) trace(util::TraceEvent::kRtrAdd, seq);
   stats_.rtr_requested += missing.size();
-  if (metrics_.retrans_requested != nullptr) {
-    metrics_.retrans_requested->inc(missing.size());
-  }
   token.rtr.insert(token.rtr.end(), missing.begin(), missing.end());
   prev_token_seq_ = received.seq;
 
@@ -524,7 +522,6 @@ uint32_t Engine::answer_retransmissions(std::vector<SeqNum>& rtr) {
     }
   }
   stats_.retransmitted += sent;
-  if (metrics_.retrans_answered != nullptr) metrics_.retrans_answered->inc(sent);
   rtr = std::move(unanswered);
   return sent;
 }

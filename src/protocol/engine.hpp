@@ -119,6 +119,11 @@ struct EngineStats {
   uint64_t readmits = 0;         ///< quarantined members re-admitted here
 };
 
+/// Add the retransmission counts of `stats` to `registry`:
+/// protocol.retrans_answered (retransmitted), protocol.retrans_requested
+/// (rtr_requested) and protocol.token_retransmits.
+void add_counters(obs::MetricsRegistry& registry, const EngineStats& stats);
+
 /// Observation points the engine records into when attached (all pointers
 /// may be null — unset metrics are simply not recorded). Recording is plain
 /// memory writes against clocks the engine reads anyway, so an attached
@@ -134,9 +139,6 @@ struct EngineMetrics {
   obs::Histogram* dwell_commit_ns = nullptr;
   obs::Histogram* dwell_recover_ns = nullptr;
   obs::Histogram* dwell_operational_ns = nullptr;
-  obs::Counter* retrans_answered = nullptr;
-  obs::Counter* retrans_requested = nullptr;
-  obs::Counter* token_retransmits = nullptr;
 
   /// Intern the full set in `registry` under components "protocol" and
   /// "membership" and return the bound pointer table.

@@ -25,19 +25,41 @@ constexpr size_t kMaxReplayLog = 16384;
 
 }  // namespace
 
-RsmMetrics RsmMetrics::bind(obs::MetricsRegistry& registry) {
-  RsmMetrics m;
-  m.proposed = &registry.counter("rsm", "proposed");
-  m.applied = &registry.counter("rsm", "applied");
-  m.snapshots_sent = &registry.counter("rsm", "snapshots_sent");
-  m.snapshots_restored = &registry.counter("rsm", "snapshots_restored");
-  m.snapshots_verified = &registry.counter("rsm", "snapshots_verified");
-  m.divergence_detected = &registry.counter("rsm", "divergence_detected");
-  m.snapshot_bytes = &registry.counter("rsm", "snapshot_bytes");
-  m.chunks_sent = &registry.counter("rsm", "chunks_sent");
-  m.checkpoints = &registry.counter("rsm", "checkpoints");
-  m.suffix_replayed = &registry.counter("rsm", "suffix_replayed");
-  return m;
+void add_counters(obs::MetricsRegistry& registry, const ReplicaStats& stats) {
+  registry.counter("rsm", "proposed").inc(stats.proposed);
+  registry.counter("rsm", "applied").inc(stats.applied);
+  registry.counter("rsm", "snapshots_sent").inc(stats.snapshots_sent);
+  registry.counter("rsm", "snapshots_restored").inc(stats.snapshots_restored);
+  registry.counter("rsm", "snapshots_verified").inc(stats.snapshots_verified);
+  registry.counter("rsm", "divergence_detected").inc(stats.divergence_detected);
+  registry.counter("rsm", "snapshot_bytes").inc(stats.snapshot_bytes);
+  registry.counter("rsm", "chunks_sent").inc(stats.chunks_sent);
+  registry.counter("rsm", "checkpoints").inc(stats.checkpoints);
+  registry.counter("rsm", "suffix_replayed").inc(stats.suffix_replayed);
+}
+
+ReplicaStats& ReplicaStats::operator+=(const ReplicaStats& other) {
+  proposed += other.proposed;
+  applied += other.applied;
+  dropped_uninitialized += other.dropped_uninitialized;
+  snapshots_sent += other.snapshots_sent;
+  snapshots_restored += other.snapshots_restored;
+  snapshots_verified += other.snapshots_verified;
+  divergence_detected += other.divergence_detected;
+  snapshot_bytes += other.snapshot_bytes;
+  chunks_sent += other.chunks_sent;
+  checkpoints += other.checkpoints;
+  log_truncated += other.log_truncated;
+  suffix_replayed += other.suffix_replayed;
+  replayed_buffered += other.replayed_buffered;
+  transfers_aborted += other.transfers_aborted;
+  transfers_corrupt += other.transfers_corrupt;
+  send_failures += other.send_failures;
+  deferred_flushed += other.deferred_flushed;
+  recovered_from_disk += other.recovered_from_disk;
+  recovered_commands += other.recovered_commands;
+  wal_append_failures += other.wal_append_failures;
+  return *this;
 }
 
 Replica::Replica(ProcessId self, StateMachine& machine, SubmitFn submit,
@@ -89,7 +111,6 @@ bool Replica::submit(std::span<const std::byte> command) {
   w.u8(kCommand);
   w.raw(command);
   ++stats_.proposed;
-  if (metrics_.proposed != nullptr) metrics_.proposed->inc();
   return submit_(std::move(w).take());
 }
 
@@ -103,7 +124,6 @@ void Replica::apply_command(std::span<const std::byte> command) {
   machine_.apply(command);
   ++position_;
   ++stats_.applied;
-  if (metrics_.applied != nullptr) metrics_.applied->inc();
   log_.push_back(util::to_vector(command));
   maybe_checkpoint();
 }
@@ -120,7 +140,6 @@ void Replica::take_checkpoint() {
   stats_.log_truncated += log_.size();
   log_.clear();
   ++stats_.checkpoints;
-  if (metrics_.checkpoints != nullptr) metrics_.checkpoints->inc();
   // Durable checkpoint + WAL truncation; also heals a latched-broken WAL
   // (the store refuses appends after one failure so the on-disk log stays
   // an exact prefix — the next checkpoint re-roots durability here).
@@ -160,13 +179,11 @@ void Replica::send_transfer() {
       return false;
     }
     stats_.snapshot_bytes += size;
-    if (metrics_.snapshot_bytes != nullptr) metrics_.snapshot_bytes->inc(size);
     return true;
   };
 
   if (!ship(std::move(begin))) return;
   ++stats_.snapshots_sent;
-  if (metrics_.snapshots_sent != nullptr) metrics_.snapshots_sent->inc();
 
   for (uint32_t i = 0; i < chunk_count; ++i) {
     const size_t off = static_cast<size_t>(i) * chunk_bytes;
@@ -178,7 +195,6 @@ void Replica::send_transfer() {
     w.bytes(std::span(checkpoint_state_).subspan(off, len));
     if (!ship(std::move(w))) return;
     ++stats_.chunks_sent;
-    if (metrics_.chunks_sent != nullptr) metrics_.chunks_sent->inc();
   }
   uint32_t index = 0;
   for (const std::vector<std::byte>& cmd : log_) {
@@ -267,9 +283,6 @@ void Replica::finish_round() {
       // Cross-checked against another replica's boundary CRC: the
       // continuous consistency audit passed.
       ++stats_.snapshots_verified;
-      if (metrics_.snapshots_verified != nullptr) {
-        metrics_.snapshots_verified->inc();
-      }
     }
     flush_deferred();
     recording_ = false;
@@ -286,9 +299,6 @@ void Replica::finish_round() {
     // Same length, different content: this replica silently diverged from
     // the authoritative basis. Flag it — the adoption below reconciles.
     ++stats_.divergence_detected;
-    if (metrics_.divergence_detected != nullptr) {
-      metrics_.divergence_detected->inc();
-    }
   }
   // Our basis lost (or we are an uninitialized joiner): keep deferring;
   // the authoritative member's transfer is ordered right behind the round.
@@ -316,13 +326,9 @@ void Replica::adopt_transfer(ProcessId /*sender*/, Transfer& xfer) {
     ++position_;
     log_.push_back(std::move(cmd));
     ++stats_.suffix_replayed;
-    if (metrics_.suffix_replayed != nullptr) metrics_.suffix_replayed->inc();
   }
   stats_.restore_position = xfer.base_position;
   ++stats_.snapshots_restored;
-  if (metrics_.snapshots_restored != nullptr) {
-    metrics_.snapshots_restored->inc();
-  }
   // Our pre-adoption boundary capture described the abandoned basis.
   audit_valid_ = false;
   // Commands ordered after the round completed, which we buffered while

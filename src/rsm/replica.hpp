@@ -120,26 +120,17 @@ struct ReplicaStats {
   uint64_t recovered_from_disk = 0;    ///< cold starts served by the store
   uint64_t recovered_commands = 0;     ///< WAL commands replayed at recovery
   uint64_t wal_append_failures = 0;    ///< commands the WAL failed to persist
+
+  /// Sum of two replicas' counts (e.g. a node's retired incarnations).
+  /// restore_position is a position, not a count: this side's is kept.
+  ReplicaStats& operator+=(const ReplicaStats& other);
 };
 
-/// Registry bindings mirroring ReplicaStats into an obs::MetricsRegistry
-/// (component "rsm"). Recording is plain counter increments — no clocks, no
-/// allocation — so binding never perturbs a run (the obs zero-perturbation
-/// contract). All pointers null until bind().
-struct RsmMetrics {
-  obs::Counter* proposed = nullptr;
-  obs::Counter* applied = nullptr;
-  obs::Counter* snapshots_sent = nullptr;
-  obs::Counter* snapshots_restored = nullptr;
-  obs::Counter* snapshots_verified = nullptr;
-  obs::Counter* divergence_detected = nullptr;
-  obs::Counter* snapshot_bytes = nullptr;
-  obs::Counter* chunks_sent = nullptr;
-  obs::Counter* checkpoints = nullptr;
-  obs::Counter* suffix_replayed = nullptr;
-
-  [[nodiscard]] static RsmMetrics bind(obs::MetricsRegistry& registry);
-};
+/// Add the ten counters a registry shows of `stats` to `registry` as
+/// rsm.<field>: proposed, applied, snapshots_sent, snapshots_restored,
+/// snapshots_verified, divergence_detected, snapshot_bytes, chunks_sent,
+/// checkpoints and suffix_replayed.
+void add_counters(obs::MetricsRegistry& registry, const ReplicaStats& stats);
 
 class Replica {
  public:
@@ -168,10 +159,6 @@ class Replica {
 
   /// Feed an EVS configuration change (transitional ones are ignored).
   void on_configuration(const protocol::ConfigurationChange& change);
-
-  /// Mirror stats into registry counters (see RsmMetrics). Safe to call at
-  /// any time; replaces any previous binding.
-  void set_metrics(const RsmMetrics& metrics) { metrics_ = metrics; }
 
   [[nodiscard]] bool initialized() const { return initialized_; }
   /// True while this replica's state may not reflect the stream: waiting
@@ -296,7 +283,6 @@ class Replica {
   uint32_t next_xfer_id_ = 1;
 
   ReplicaStats stats_;
-  RsmMetrics metrics_;
 };
 
 }  // namespace accelring::rsm

@@ -130,5 +130,40 @@ TEST(Curves, RunCurveProducesOnePointPerLoad) {
   EXPECT_LT(curve.points[0].achieved_mbps, curve.points[1].achieved_mbps);
 }
 
+TEST(MergedMetrics, ClusterTotalsCountRestartedIncarnations) {
+  // Submits rejected by a node's first incarnation stay in the merged
+  // registry after a restart, the way its deliveries do.
+  protocol::ProtocolConfig cfg;
+  cfg.max_pending = 4;
+  SimCluster cluster(3, simnet::FabricParams::one_gig(), cfg,
+                     ImplProfile::kLibrary);
+  cluster.enable_metrics();
+  // Nothing drains node 1's queue in these 2 ms (the cluster is never
+  // started, the restarted node is still in discovery): 4 of each 10
+  // submits queue and the rest are rejected.
+  auto flood = [&cluster] {
+    for (int i = 0; i < 10; ++i) {
+      cluster.submit(1, protocol::Service::kAgreed,
+                     std::vector<std::byte>(64));
+    }
+  };
+  flood();
+  cluster.run_until(util::msec(1));
+  const uint64_t first = cluster.engine(1).stats().submit_rejected;
+  cluster.crash_node(1);
+  cluster.restart_node(1);
+  flood();
+  cluster.run_until(util::msec(2));
+  const uint64_t second = cluster.engine(1).stats().submit_rejected;
+  ASSERT_GT(first, 0u);
+  ASSERT_GT(second, 0u);
+
+  const obs::MetricsRegistry merged = cluster.merged_metrics();
+  const obs::Counter* rejected =
+      merged.find_counter("cluster", "submit_rejected");
+  ASSERT_NE(rejected, nullptr);
+  EXPECT_EQ(rejected->value(), first + second);
+}
+
 }  // namespace
 }  // namespace accelring::harness

@@ -290,6 +290,86 @@ TEST(KvService, RestartRecoversViaStateTransferNotFullReplay) {
   EXPECT_EQ(service.machine(2, 0).snapshot(), service.machine(0, 0).snapshot());
 }
 
+TEST(KvService, MergedRegistryCountsEveryIncarnation) {
+  // The registry's protocol.* and rsm.* counters are copies of EngineStats
+  // and ReplicaStats; a restart must lose neither incarnation's counts.
+  SimCluster cluster(3, simnet::FabricParams::one_gig(), fast_cfg(),
+                     ImplProfile::kLibrary, 109);
+  cluster.enable_metrics();
+  cluster.net().set_loss_rate(0.01);  // so the retransmission counts move
+  ServiceConfig cfg;
+  cfg.replica.checkpoint_interval = 16;
+  KvService service(cluster, cfg);
+  cluster.start_static();
+
+  std::vector<ScriptedSession> sessions(3);
+  for (int s = 0; s < 3; ++s) {
+    sessions[s].service = &service;
+    sessions[s].node = s;
+    sessions[s].uuid = 700 + s;
+    for (int i = 0; i < 40; ++i) {
+      sessions[s].script.push_back(
+          put_op("k" + std::to_string(i % 12), "v" + std::to_string(i)));
+    }
+    sessions[s].start(util::msec(20));
+  }
+  // The first incarnation's engine outlives the restart (the cluster
+  // retires it); its replica does not, so its stats are taken before.
+  const protocol::Engine* first_engine = &cluster.engine(2);
+  rsm::ReplicaStats first_replica;
+  cluster.eq().schedule(util::msec(400), [&] {
+    cluster.crash_node(2);
+    service.on_crash(2);
+  });
+  cluster.eq().schedule(util::msec(900), [&] {
+    first_replica = service.replica(2, 0).stats();
+    cluster.restart_node(2);
+    service.on_restart(2);
+  });
+  cluster.run_until(util::sec(3));
+  ASSERT_NE(&cluster.engine(2), first_engine);
+
+  const obs::MetricsRegistry merged = service.merged_metrics();
+  auto value = [&merged](const char* component, const char* name) {
+    const obs::Counter* c = merged.find_counter(component, name);
+    return c == nullptr ? ~uint64_t{0} : c->value();
+  };
+  const std::pair<const char*, uint64_t protocol::EngineStats::*>
+      protocol_counters[] = {
+          {"retrans_answered", &protocol::EngineStats::retransmitted},
+          {"retrans_requested", &protocol::EngineStats::rtr_requested},
+          {"token_retransmits", &protocol::EngineStats::token_retransmits},
+      };
+  for (const auto& [name, field] : protocol_counters) {
+    uint64_t expected = first_engine->stats().*field;
+    for (int n = 0; n < 3; ++n) expected += cluster.engine(n).stats().*field;
+    EXPECT_EQ(value("protocol", name), expected) << name;
+  }
+  const std::pair<const char*, uint64_t rsm::ReplicaStats::*> rsm_counters[] =
+      {
+          {"proposed", &rsm::ReplicaStats::proposed},
+          {"applied", &rsm::ReplicaStats::applied},
+          {"snapshots_sent", &rsm::ReplicaStats::snapshots_sent},
+          {"snapshots_restored", &rsm::ReplicaStats::snapshots_restored},
+          {"snapshots_verified", &rsm::ReplicaStats::snapshots_verified},
+          {"divergence_detected", &rsm::ReplicaStats::divergence_detected},
+          {"snapshot_bytes", &rsm::ReplicaStats::snapshot_bytes},
+          {"chunks_sent", &rsm::ReplicaStats::chunks_sent},
+          {"checkpoints", &rsm::ReplicaStats::checkpoints},
+          {"suffix_replayed", &rsm::ReplicaStats::suffix_replayed},
+      };
+  for (const auto& [name, field] : rsm_counters) {
+    uint64_t expected = first_replica.*field;
+    for (int n = 0; n < 3; ++n) expected += service.replica(n, 0).stats().*field;
+    EXPECT_EQ(value("rsm", name), expected) << name;
+  }
+  // Both incarnations and the loss did their part: a restore happened, and
+  // the retransmission counts are not trivially zero.
+  EXPECT_GT(value("rsm", "snapshots_restored"), 0u);
+  EXPECT_GT(value("protocol", "retrans_requested"), 0u);
+  EXPECT_GT(first_replica.applied, 0u);
+}
+
 TEST(KvOracleRouting, KeyServedByTwoShardsIsAViolation) {
   // Direct feeds, no service: write outcomes touch no per-shard state, so
   // the routing check is all that judges them.

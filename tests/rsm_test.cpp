@@ -371,45 +371,52 @@ TEST(Rsm, BoundaryAuditCatchesNondeterministicStateMachine) {
 }
 
 TEST(Rsm, MetricsBindingMirrorsStatsWithoutPerturbingTheRun) {
-  // Identical seeded runs with and without registry bindings: final state
-  // and stats must match exactly (zero-perturbation contract), and bound
-  // counters must mirror ReplicaStats.
-  auto drive = [](bool bind, std::map<uint32_t, int64_t>& out,
-                  ReplicaStats& stats, obs::MetricsRegistry* registry) {
+  // Identical seeded runs, one of which copies its replicas' stats into a
+  // registry mid-run: final state and stats must match exactly (a copy
+  // only reads), and the registry must hold the summed stats.
+  auto drive = [](obs::MetricsRegistry* registry,
+                  std::map<uint32_t, int64_t>& out, ReplicaStats& stats) {
     ReplicaOptions opt;
     opt.checkpoint_interval = 32;  // low enough that 120 commands checkpoint
     RsmCluster rc(3, fast_cfg(), 23, /*founders=*/true, opt);
-    if (bind) {
-      for (auto& replica : rc.replicas) {
-        replica->set_metrics(RsmMetrics::bind(*registry));
-      }
-    }
     rc.cluster.start_static();
     for (int i = 0; i < 120; ++i) {
       rc.cluster.eq().schedule(util::usec(80) + i * util::usec(60), [&rc, i] {
         rc.replicas[i % 3]->submit(add_command(i % 9, i));
       });
     }
+    rc.cluster.run_until(util::msec(5));
+    if (registry != nullptr) {
+      obs::MetricsRegistry mid;  // thrown away: the copy only has to happen
+      for (const auto& replica : rc.replicas) {
+        add_counters(mid, replica->stats());
+      }
+    }
     rc.cluster.run_until(util::sec(2));
     out = rc.machines[0]->values();
     stats = rc.replicas[0]->stats();
+    if (registry != nullptr) {
+      for (const auto& replica : rc.replicas) {
+        add_counters(*registry, replica->stats());
+      }
+    }
   };
 
-  std::map<uint32_t, int64_t> plain_state, bound_state;
-  ReplicaStats plain_stats, bound_stats;
+  std::map<uint32_t, int64_t> plain_state, copied_state;
+  ReplicaStats plain_stats, copied_stats;
   obs::MetricsRegistry registry;
-  drive(false, plain_state, plain_stats, nullptr);
-  drive(true, bound_state, bound_stats, &registry);
+  drive(nullptr, plain_state, plain_stats);
+  drive(&registry, copied_state, copied_stats);
 
-  EXPECT_EQ(plain_state, bound_state);
-  EXPECT_EQ(plain_stats.applied, bound_stats.applied);
-  EXPECT_EQ(plain_stats.proposed, bound_stats.proposed);
-  EXPECT_EQ(plain_stats.checkpoints, bound_stats.checkpoints);
+  EXPECT_EQ(plain_state, copied_state);
+  EXPECT_EQ(plain_stats.applied, copied_stats.applied);
+  EXPECT_EQ(plain_stats.proposed, copied_stats.proposed);
+  EXPECT_EQ(plain_stats.checkpoints, copied_stats.checkpoints);
 
-  // The registry holds the summed stats of all three bound replicas.
+  // The registry holds the summed stats of all three replicas.
   const obs::Counter* applied = registry.find_counter("rsm", "applied");
   ASSERT_NE(applied, nullptr);
-  EXPECT_EQ(applied->value(), 3 * bound_stats.applied);
+  EXPECT_EQ(applied->value(), 3 * copied_stats.applied);
   const obs::Counter* checkpoints =
       registry.find_counter("rsm", "checkpoints");
   ASSERT_NE(checkpoints, nullptr);

@@ -6,6 +6,9 @@
 #   tools/ci.sh              # everything (~a few minutes)
 #   tools/ci.sh --fast       # plain build + tests + check-fast + bench smokes
 #
+# The full run also compares this checkout's simulated output against its
+# parent commit's (HEAD^), so run it with the change under test committed.
+#
 # Any failure stops the script with a nonzero exit.
 set -euo pipefail
 
@@ -146,7 +149,32 @@ EOF
 ./build-bench/accel_bench --workload sim_campaign --seed 1 --seconds 3 \
   --trace 0
 
+# Parent digest: simulated output is deterministic, so a change that does
+# not mean to move it must leave tools/sim_digest.sh's output byte-identical
+# to the parent commit's. The parent is checked out as a detached worktree
+# under build-parent/ (ignored), built, digested with this tree's script
+# next to the build/ tree above, and removed again.
+parent_digest() {
+  local targets=(check_campaign obs_smoke kv_service fig_wan_topologies
+                 fig_migration fig_gray_failure)
+  local tree=build-parent/src
+  echo "=== build-parent: digest against HEAD^ ==="
+  git worktree remove --force "${tree}" 2>/dev/null || true
+  git worktree prune
+  git worktree add --detach "${tree}" HEAD^
+  trap 'git worktree remove --force build-parent/src' EXIT
+  configure build-parent/build "${tree}" "${NO_BENCHMARK[@]}"
+  cmake --build build-parent/build -j "$(nproc)" --target "${targets[@]}"
+  rm -rf build-parent/digest build/sim_digest
+  tools/sim_digest.sh build-parent/build build-parent/digest
+  tools/sim_digest.sh build build/sim_digest
+  diff -r build-parent/digest build/sim_digest
+  git worktree remove --force "${tree}"
+  trap - EXIT
+}
+
 if [[ "${FAST}" == "0" ]]; then
+  parent_digest
   configure_and_test build-asan -DACCELRING_SANITIZE=address \
     "${NO_BENCHMARK[@]}"
   configure_and_test build-ubsan -DACCELRING_SANITIZE=undefined \

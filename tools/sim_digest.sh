@@ -17,7 +17,11 @@
 #   campaign_<corpus>_k<rings>.txt  check_campaign over tests/seeds/<corpus>
 #                                   at --rings 1 and 4, without artifacts
 #   <smoke>.txt, <smoke>/           a bench smoke's stdout+stderr and the
-#                                   BENCH_*.json / BENCH_*.csv it wrote
+#                                   BENCH_*.json / BENCH_*.csv it wrote;
+#                                   obs_smoke/ also keeps its healthy-run
+#                                   flight record, the one deterministic
+#                                   flight_to_json output with a merged
+#                                   registry in it
 #   fig_gray_failure.txt            fig_gray_failure's stdout+stderr
 #
 # Each .txt ends with the run's exit status: a run that fails is recorded
@@ -65,8 +69,8 @@ smoke() {
   mkdir -p "${name}"
   ACCELRING_BENCH_DIR="${name}" record "${build}/bench/${bench}" "$@" |
     strip_paths >"${name}.txt"
-  # Only the BENCH_* artifacts: obs_smoke's flight dump is a debugging aid.
-  find "${name}" -type f ! -name 'BENCH_*.json' ! -name 'BENCH_*.csv' -delete
+  find "${name}" -type f ! -name 'BENCH_*.json' ! -name 'BENCH_*.csv' \
+    ! -name 'obs_smoke_healthy_*.json' -delete
 }
 
 smoke obs_smoke obs_smoke
