@@ -41,6 +41,9 @@ protocol::ProtocolConfig proto_config(bool gray) {
   cfg.timeouts.join = util::msec(5);
   cfg.timeouts.consensus = util::msec(60);
   cfg.gray.enabled = gray;
+  // The premise is per-message CPU on the straggler; packing would let it
+  // keep up with the offered load and hide the slowdown.
+  cfg.enable_packing = false;
   return cfg;
 }
 

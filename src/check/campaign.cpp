@@ -732,8 +732,10 @@ RunResult run_schedule(const RunOptions& opt, const Schedule& schedule,
   if (wan) {
     // WAN scenarios swap in the rescaled timeouts and give the drain room
     // for a post-heal view change over 3 ms links. Callers that already ask
-    // for a longer drain keep theirs.
+    // for a longer drain keep theirs, and their packing choice, so that an
+    // unpacked corpus replay is unpacked on every topology.
     ropt.proto = wan_proto_config();
+    ropt.proto.enable_packing = opt.proto.enable_packing;
     ropt.drain = std::max<Nanos>(ropt.drain, util::msec(450));
   }
   const simnet::Topology topo = wan ? campaign_wan_topology(ropt.nodes)

@@ -64,6 +64,7 @@ void ClusterOracle::on_deliver(int node, const protocol::Delivery& d) {
   Rec rec;
   rec.ring = d.ring_id;
   rec.seq = d.seq;
+  rec.part = d.part;
   rec.sender = d.sender;
   rec.hash = util::crc32(d.payload);
 
@@ -129,19 +130,16 @@ void ClusterOracle::on_deliver(int node, const protocol::Delivery& d) {
   // Regular segments install a fresh ring, so the stream starts at 1; a
   // transitional segment continues the old ring past whatever the preceding
   // regular segment delivered.
-  protocol::SeqNum prev = 0;
   bool have_prev = false;
   Rec prev_rec;
   if (!seg.recs.empty()) {
     prev_rec = seg.recs.back();
-    prev = prev_rec.seq;
     have_prev = true;
   } else if (transitional) {
     for (size_t i = ns.segs.size() - 1; i-- > 0;) {
       if (!ns.segs[i].change.transitional) {
         if (!ns.segs[i].recs.empty()) {
           prev_rec = ns.segs[i].recs.back();
-          prev = prev_rec.seq;
           have_prev = true;
         }
         break;
@@ -149,36 +147,43 @@ void ClusterOracle::on_deliver(int node, const protocol::Delivery& d) {
     }
   }
 
-  if (rec.seq < prev) {
-    fail("node " + std::to_string(node) + " ring " + ring_str(rec.ring) +
-         ": sequence went backwards, " + std::to_string(prev) + " -> " +
-         std::to_string(rec.seq));
-  } else if (rec.seq == prev && have_prev) {
-    // Packed messages legitimately share a sequence number, but the same
-    // (sender, payload) twice under one number is a duplicate delivery.
-    if (prev_rec.sender == rec.sender && prev_rec.hash == rec.hash) {
-      fail("node " + std::to_string(node) + " ring " + ring_str(rec.ring) +
-           ": duplicate delivery of seq " + std::to_string(rec.seq) +
-           " from sender " + std::to_string(rec.sender));
-    }
+  // Deliveries are ordered by (seq, part): packed messages share a seq and
+  // count their parts from 0. Anything at or below the previous delivery is
+  // a re-delivery (same seq) or a step backwards.
+  const std::string where =
+      "node " + std::to_string(node) + " ring " + ring_str(rec.ring) + ": ";
+  const auto at = [](const Rec& r) {
+    return "seq " + std::to_string(r.seq) +
+           (r.part > 0 ? " part " + std::to_string(r.part) : "");
+  };
+  const protocol::SeqNum prev = prev_rec.seq;
+  if (have_prev && rec.seq == prev && rec.part <= prev_rec.part) {
+    fail(where + "duplicate delivery of " + at(rec) + " from sender " +
+         std::to_string(rec.sender) + " after " + at(prev_rec));
+  } else if (have_prev && rec.seq < prev) {
+    fail(where + "sequence went backwards, " + at(prev_rec) + " -> " +
+         at(rec));
   } else if (!transitional) {
-    // Regular configuration: gapless after the first delivery. The stream
-    // may open above seq 1 (recovery wrappers consume a prefix of a new
-    // ring's sequence space); the cross-node prefix check still catches any
-    // disagreement about where it opens.
+    // Regular configuration: gapless after the first delivery, which may
+    // open above seq 1 (recovery wrappers consume a prefix of a new ring's
+    // sequence space; the cross-node prefix check still catches any
+    // disagreement about where it opens). Each step is the next part of
+    // the same packed message or part 0 of the next seq.
     if (!have_prev) {
-      if (rec.seq < 1) {
-        fail("node " + std::to_string(node) + " ring " + ring_str(rec.ring) +
-             ": first delivery has seq " + std::to_string(rec.seq));
+      if (rec.seq < 1 || rec.part != 0) {
+        fail(where + "first delivery has " + at(rec));
       }
-    } else if (rec.seq != prev + 1) {
-      fail("node " + std::to_string(node) + " ring " + ring_str(rec.ring) +
-           ": gap in agreed order, expected seq " + std::to_string(prev + 1) +
-           " got " + std::to_string(rec.seq));
+    } else {
+      const bool next_part = rec.seq == prev && rec.part == prev_rec.part + 1;
+      const bool next_seq = rec.seq == prev + 1 && rec.part == 0;
+      if (!next_part && !next_seq) {
+        fail(where + "gap in agreed order after " + at(prev_rec) + ", got " +
+             at(rec));
+      }
     }
   }
-  // Transitional with rec.seq > prev: holes are permitted (EVS delivers what
-  // survived, skipping holes no surviving member can fill).
+  // Transitional: holes are permitted (EVS delivers what survived, skipping
+  // holes no surviving member can fill), so only the order is checked.
 
   seg.recs.push_back(rec);
 }
@@ -278,8 +283,9 @@ void ClusterOracle::check_order_pair(int a, int b) {
     std::unordered_map<std::string, size_t> pos;
     std::unordered_map<std::string, int> occ_a;
     auto key = [](const Rec& r, int occ) {
-      return std::to_string(r.seq) + "/" + std::to_string(r.sender) + "/" +
-             std::to_string(r.hash) + "#" + std::to_string(occ);
+      return std::to_string(r.seq) + "." + std::to_string(r.part) + "/" +
+             std::to_string(r.sender) + "/" + std::to_string(r.hash) + "#" +
+             std::to_string(occ);
     };
     for (size_t i = 0; i < va.size(); ++i) {
       pos[key(va[i], occ_a[key(va[i], 0)]++)] = i;
@@ -454,6 +460,7 @@ void MergedOracle::on_ring_delivery(int node, int ring,
   IRec rec;
   rec.ring_id = d.ring_id;
   rec.seq = d.seq;
+  rec.part = d.part;
   rec.sender = d.sender;
   rec.hash = util::crc32(d.payload);
   inputs_[static_cast<size_t>(node)][ring].push_back(rec);
@@ -474,6 +481,7 @@ void MergedOracle::on_merged(int node, int ring,
   MRec rec;
   rec.ring = ring;
   rec.seq = d.seq;
+  rec.part = d.part;
   rec.sender = d.sender;
   rec.hash = util::crc32(d.payload);
   if (audit_) {

@@ -5,11 +5,12 @@
 // ClusterOracle watches one ring's cluster and asserts, per node and across
 // nodes, the Extended Virtual Synchrony delivery contract (§II):
 //
-//  * Agreed order is gapless: within one regular configuration, sequence
-//    numbers start at 1 and advance by at most one step per delivery (packed
-//    messages legitimately share a sequence number).
-//  * No duplicates: a (seq, sender, payload) triple is never delivered twice
-//    in a row under one sequence number.
+//  * Agreed order is gapless: within one regular configuration, deliveries
+//    advance one step at a time over (seq, part) — the next part of the same
+//    packed message, or part 0 of the next sequence number.
+//  * No duplicates: within one configuration (seq, part) strictly increases,
+//    so a re-delivery is caught even when it is not adjacent to the first
+//    (a packed [A, B] delivered as A B A B).
 //  * Deliveries are bracketed by configurations: every message arrives under
 //    the regular configuration of its ring, or under the transitional
 //    configuration that follows it (where holes are permitted but order must
@@ -110,11 +111,12 @@ class ClusterOracle {
   struct Rec {
     protocol::RingId ring = 0;
     protocol::SeqNum seq = 0;
+    uint32_t part = 0;  ///< Delivery::part
     protocol::ProcessId sender = protocol::kNoProcess;
     uint32_t hash = 0;  ///< crc32 of the payload
     [[nodiscard]] bool same_message(const Rec& o) const {
-      return ring == o.ring && seq == o.seq && sender == o.sender &&
-             hash == o.hash;
+      return ring == o.ring && seq == o.seq && part == o.part &&
+             sender == o.sender && hash == o.hash;
     }
   };
   /// Deliveries observed under one installed configuration.
@@ -200,6 +202,7 @@ class MergedOracle {
   struct MRec {
     int ring = -1;
     protocol::SeqNum seq = 0;
+    uint32_t part = 0;
     protocol::ProcessId sender = protocol::kNoProcess;
     uint32_t hash = 0;
     // Handoff-audit decoration (constant defaults when the audit is off, so
@@ -218,6 +221,7 @@ class MergedOracle {
   struct IRec {
     protocol::RingId ring_id = 0;
     protocol::SeqNum seq = 0;
+    uint32_t part = 0;
     protocol::ProcessId sender = protocol::kNoProcess;
     uint32_t hash = 0;
     [[nodiscard]] bool operator==(const IRec&) const = default;

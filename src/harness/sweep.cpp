@@ -103,6 +103,9 @@ protocol::ProtocolConfig bench_protocol(protocol::Variant v) {
   cfg.personal_window = 20;
   cfg.global_window = 160;
   cfg.accelerated_window = 15;
+  // The paper's measurements send one message per packet; ablation_packing
+  // turns packing on per run.
+  cfg.enable_packing = false;
   return cfg;
 }
 

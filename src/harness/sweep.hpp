@@ -53,7 +53,8 @@ struct Curve {
 /// Print a curve as an aligned table (bench binaries' output format).
 void print_curve(const Curve& curve);
 
-/// Convenience: protocol config for a variant with the benchmark windows.
+/// Convenience: protocol config for a variant with the benchmark windows,
+/// packing off (one message per packet, as in the paper's figures).
 [[nodiscard]] protocol::ProtocolConfig bench_protocol(protocol::Variant v);
 
 }  // namespace accelring::harness

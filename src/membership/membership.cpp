@@ -428,26 +428,14 @@ void Membership::finalize_recovery() {
       shared_safe_line = std::max(shared_safe_line, e.old_safe_line);
     }
   }
-  auto deliver_old = [&](const DataMsg& msg) {
-    protocol::Delivery d;
-    d.sender = msg.pid;
-    d.seq = msg.seq;
-    d.service = msg.service;
-    d.round = msg.round;
-    d.ring_id = msg.ring_id;
-    d.payload = msg.payload;
-    if (requires_safe(msg.service)) {
-      ++engine_.stats_.delivered_safe;
-    } else {
-      ++engine_.stats_.delivered_agreed;
-    }
-    engine_.host_.deliver(d);
-  };
+  // Old-ring messages go through the engine's emit, so packed ones are
+  // unpacked like any delivery; deliver_one is bypassed because origin-stamp
+  // latencies belong to the old ring's sequence space.
   while (const DataMsg* next =
              old_buffer_.next_deliverable(shared_safe_line)) {
     const DataMsg msg = *next;
     old_buffer_.mark_delivered();
-    deliver_old(msg);
+    engine_.emit(msg);
   }
 
   // Transitional configuration: members of the new ring that came with us
@@ -467,7 +455,7 @@ void Membership::finalize_recovery() {
   // holes that no surviving member could fill.
   for (SeqNum seq = old_buffer_.delivered_up_to() + 1;
        seq <= old_buffer_.high_seq(); ++seq) {
-    if (const DataMsg* msg = old_buffer_.find(seq)) deliver_old(*msg);
+    if (const DataMsg* msg = old_buffer_.find(seq)) engine_.emit(*msg);
   }
 
   // New regular configuration; resume normal operation on the (already

@@ -22,11 +22,13 @@
 //
 // The controller (RingSet) submits drain only after every live node merged
 // the freeze and the source ring's submitted-vs-merged counters agree, and
-// submits activate only after it merged *all* drains. Because the merged
-// order is a pure function of the per-ring streams, "drain before activate"
-// at the controller implies the same order at every node — so each node's
-// merger switches deliverers at an identical merged-stream position, with
-// no coordination beyond the ordered markers themselves.
+// submits activate only after every live node merged *all* drains, so
+// "drain before activate" holds in every node's merged stream. (The
+// controller's own stream would not do: the merged order is a pure function
+// of the per-ring streams, but a node that spent a partition in another view
+// was fed different streams and merges a different interleaving.) Each
+// node's merger then switches deliverers at the marker, with no
+// coordination beyond the ordered markers themselves.
 //
 // This file defines the marker wire format (and the plan payload embedded in
 // freeze markers); shard_router.hpp holds the per-node state machine and

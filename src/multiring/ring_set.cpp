@@ -227,10 +227,18 @@ void RingSet::migration_tick() {
     drain_submitted_[si] = 1;
   }
 
-  // Drain -> activate: once the controller's own merged stream contains
-  // every drain, the activates it submits are ordered after all of them at
-  // every node (the merged order is a pure function of the ring streams).
-  if (!activates_submitted_ && routers_[ctrl_i]->all_drained()) {
+  // Drain -> activate: once every live node merged every drain, the
+  // activates are ordered after all of them everywhere. The controller's
+  // own merged stream is not enough: a node that spent a partition in
+  // another view fed its merger different ring streams, so its interleaving
+  // differs, and a drain can still sit queued behind its merge cursor when
+  // the activate on another ring reaches it.
+  bool activate = !activates_submitted_;
+  for (int n = 0; n < cfg_.nodes_per_ring && activate; ++n) {
+    if (node_down(n)) continue;
+    activate = routers_[static_cast<size_t>(n)]->all_drained();
+  }
+  if (activate) {
     for (const int dst : plan_->dests()) {
       MigrationMarker m;
       m.kind = MarkerKind::kActivate;

@@ -562,14 +562,17 @@ void Engine::deliver_one(const DataMsg& msg) {
       if (h != nullptr) h->record(host_.now() - stamp.at);
     }
   }
-  const auto emit = [&](std::vector<std::byte> payload) {
-    Delivery delivery;
-    delivery.sender = msg.pid;
-    delivery.seq = msg.seq;
-    delivery.service = msg.service;
-    delivery.round = msg.round;
-    delivery.ring_id = msg.ring_id;
-    delivery.payload = std::move(payload);
+  emit(msg);
+}
+
+void Engine::emit(const DataMsg& msg) {
+  Delivery delivery;
+  delivery.sender = msg.pid;
+  delivery.seq = msg.seq;
+  delivery.service = msg.service;
+  delivery.round = msg.round;
+  delivery.ring_id = msg.ring_id;
+  const auto deliver = [&] {
     if (requires_safe(msg.service)) {
       ++stats_.delivered_safe;
     } else {
@@ -580,16 +583,19 @@ void Engine::deliver_one(const DataMsg& msg) {
     host_.deliver(delivery);
   };
   if (!msg.packed) {
-    emit(msg.payload);
+    delivery.payload = msg.payload;
+    deliver();
     return;
   }
   // Unpack [u32 length][bytes] frames and deliver each application message
-  // individually, in packing order.
+  // individually, in packing order, numbered by part.
   util::Reader reader(msg.payload);
   while (reader.remaining() > 0) {
     const auto sub = reader.bytes();
     if (!reader.ok()) break;  // malformed tail: stop, keep what we got
-    emit(util::to_vector(sub));
+    delivery.payload = util::to_vector(sub);
+    deliver();
+    ++delivery.part;
   }
 }
 

@@ -264,6 +264,10 @@ class Engine final : public PacketHandler {
   void maybe_auto_tune();
   /// Deliver one (possibly packed) buffered message to the host.
   void deliver_one(const DataMsg& msg);
+  /// Hand `msg` to the host: once, or once per frame (numbered by
+  /// Delivery::part) when it is packed. The one unpack loop, shared with
+  /// recovery's old-ring deliveries.
+  void emit(const DataMsg& msg);
 
   // --- state shared with membership ----------------------------------------
   void enter_operational(const RingConfig& ring, bool notify_config);

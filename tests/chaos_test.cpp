@@ -9,10 +9,12 @@
 
 #include <deque>
 #include <map>
+#include <tuple>
 
 #include "check/campaign.hpp"
 #include "check/client_fleet.hpp"
 #include "check/oracle.hpp"
+#include "delivery_order.hpp"
 #include "harness/cluster.hpp"
 #include "membership/membership.hpp"
 #include "protocol/engine.hpp"
@@ -41,7 +43,7 @@ class ChaosHost final : public Host {
   void unicast(ProcessId to, SocketId sock, std::span<const std::byte> data,
                Nanos delay) override;
   void deliver(const Delivery& delivery) override {
-    delivered.emplace_back(delivery.sender, delivery.seq);
+    delivered.emplace_back(delivery.sender, delivery.seq, delivery.part);
     payloads.push_back(delivery.payload);
   }
   void on_configuration(const ConfigurationChange&) override {}
@@ -49,7 +51,7 @@ class ChaosHost final : public Host {
   void cancel_timer(TimerKind) override {}
   Nanos now() override { return ++clock_; }
 
-  std::vector<std::pair<ProcessId, SeqNum>> delivered;
+  std::vector<std::tuple<ProcessId, SeqNum, uint32_t>> delivered;
   std::vector<std::vector<std::byte>> payloads;
 
  private:
@@ -144,15 +146,18 @@ TEST_P(ChaosSchedule, SafetyUnderArbitraryReordering) {
     ASSERT_GE(net.hosts[i]->delivered.size(), static_cast<size_t>(kMessages))
         << "node " << i << " starved, seed " << seed;
   }
-  // Total order: common prefix of length kMessages is identical, gap-free.
+  // Total order: common prefix of length kMessages is identical, gap-free
+  // over (seq, part).
   for (int i = 0; i < kNodes; ++i) {
+    std::vector<SeqPart> order;
     for (int k = 0; k < kMessages; ++k) {
       EXPECT_EQ(net.hosts[i]->delivered[k], net.hosts[0]->delivered[k])
           << "node " << i << " position " << k << " seed " << seed;
-      EXPECT_EQ(net.hosts[i]->delivered[k].second,
-                static_cast<SeqNum>(k + 1));
       EXPECT_EQ(net.hosts[i]->payloads[k], net.hosts[0]->payloads[k]);
+      order.emplace_back(std::get<1>(net.hosts[i]->delivered[k]),
+                         std::get<2>(net.hosts[i]->delivered[k]));
     }
+    EXPECT_TRUE(gap_free(order)) << "node " << i << " seed " << seed;
   }
 }
 

@@ -18,10 +18,12 @@ namespace {
 
 protocol::Delivery make_delivery(protocol::RingId ring, protocol::SeqNum seq,
                                  protocol::ProcessId sender,
-                                 std::byte tag = std::byte{0}) {
+                                 std::byte tag = std::byte{0},
+                                 uint32_t part = 0) {
   protocol::Delivery d;
   d.ring_id = ring;
   d.seq = seq;
+  d.part = part;
   d.sender = sender;
   d.payload = {tag};
   return d;
@@ -94,10 +96,51 @@ TEST(OracleTest, DuplicateDeliveryIsCaught) {
 TEST(OracleTest, PackedMessagesMayShareSeq) {
   ClusterOracle oracle(1);
   oracle.on_config(0, regular(100, {0}));
-  oracle.on_deliver(0, make_delivery(100, 1, 0, std::byte{1}));
-  oracle.on_deliver(0, make_delivery(100, 1, 0, std::byte{2}));  // packed
+  oracle.on_deliver(0, make_delivery(100, 1, 0, std::byte{1}, 0));
+  oracle.on_deliver(0, make_delivery(100, 1, 0, std::byte{2}, 1));  // packed
+  oracle.on_deliver(0, make_delivery(100, 2, 0, std::byte{3}, 0));
   oracle.finalize();
   EXPECT_TRUE(oracle.ok()) << oracle.report();
+}
+
+// A client retry resubmits identical bytes; packing can put both copies
+// under one seq. They are two messages (two parts), not a duplicate.
+TEST(OracleTest, PackedIdenticalRetryPasses) {
+  ClusterOracle oracle(2);
+  for (int n = 0; n < 2; ++n) {
+    oracle.on_config(n, regular(100, {0, 1}));
+    oracle.on_deliver(n, make_delivery(100, 1, 0, std::byte{7}, 0));
+    oracle.on_deliver(n, make_delivery(100, 1, 0, std::byte{7}, 1));
+    oracle.on_deliver(n, make_delivery(100, 2, 1, std::byte{7}, 0));
+  }
+  oracle.finalize();
+  EXPECT_TRUE(oracle.ok()) << oracle.report();
+}
+
+// A packed [A, B] delivered twice reads A B A B: no two adjacent
+// deliveries are equal, but (seq, part) steps back.
+TEST(OracleTest, PackedRedeliveryIsCaught) {
+  ClusterOracle oracle(1);
+  oracle.on_config(0, regular(100, {0}));
+  for (int copy = 0; copy < 2; ++copy) {
+    oracle.on_deliver(0, make_delivery(100, 1, 0, std::byte{1}, 0));
+    oracle.on_deliver(0, make_delivery(100, 1, 0, std::byte{2}, 1));
+  }
+  oracle.finalize();
+  ASSERT_FALSE(oracle.ok());
+  EXPECT_NE(oracle.report().find("duplicate delivery"), std::string::npos)
+      << oracle.report();
+}
+
+TEST(OracleTest, SkippedPackedPartIsCaught) {
+  ClusterOracle oracle(1);
+  oracle.on_config(0, regular(100, {0}));
+  oracle.on_deliver(0, make_delivery(100, 1, 0, std::byte{1}, 0));
+  oracle.on_deliver(0, make_delivery(100, 1, 0, std::byte{3}, 2));  // no part 1
+  oracle.finalize();
+  ASSERT_FALSE(oracle.ok());
+  EXPECT_NE(oracle.report().find("gap in agreed order"), std::string::npos)
+      << oracle.report();
 }
 
 TEST(OracleTest, CrossNodeOrderDisagreementIsCaught) {
@@ -433,69 +476,69 @@ TEST(CampaignTest, RunsAreSeedIdentical) {
   // {scenario, rings, seed, ok, delivered, client_delivered, events,
   //  quarantines, readmits, false_ejections}
   const std::vector<Fingerprint> expected = {
-      {"loss_bursts", 1, 1, true, 3125, 0, 24678, 0, 0, 0},
-      {"token_drops", 1, 1, true, 3125, 0, 26199, 0, 0, 0},
-      {"partition", 1, 1, true, 2963, 0, 23529, 0, 0, 0},
-      {"partition_delayed_heal", 1, 1, true, 2833, 0, 25724, 0, 0, 0},
-      {"crash", 1, 1, true, 2758, 0, 24207, 0, 0, 0},
-      {"crash_restart", 1, 1, true, 3064, 0, 25822, 0, 0, 0},
-      {"mixed", 1, 1, true, 2632, 0, 22075, 0, 0, 0},
-      {"latency_shift", 1, 1, true, 3125, 0, 23965, 0, 0, 3},
-      {"overload", 1, 1, true, 7980, 15860, 41545, 0, 0, 0},
-      {"reconnect_storm", 1, 1, true, 5443, 10419, 32386, 0, 0, 0},
-      {"straggler_cpu", 1, 1, true, 2845, 0, 28282, 2, 2, 0},
-      {"lossy_nic", 1, 1, true, 3125, 0, 19026, 0, 0, 0},
+      {"loss_bursts", 1, 1, true, 3125, 0, 23954, 0, 0, 0},
+      {"token_drops", 1, 1, true, 3125, 0, 26004, 0, 0, 0},
+      {"partition", 1, 1, true, 2931, 0, 25210, 0, 0, 0},
+      {"partition_delayed_heal", 1, 1, true, 2819, 0, 25442, 0, 0, 0},
+      {"crash", 1, 1, true, 2758, 0, 23847, 0, 0, 0},
+      {"crash_restart", 1, 1, true, 3064, 0, 25510, 0, 0, 0},
+      {"mixed", 1, 1, true, 2632, 0, 20213, 0, 0, 0},
+      {"latency_shift", 1, 1, true, 3125, 0, 22505, 0, 0, 3},
+      {"overload", 1, 1, true, 7980, 15860, 30358, 0, 0, 0},
+      {"reconnect_storm", 1, 1, true, 5472, 10475, 24738, 0, 0, 0},
+      {"straggler_cpu", 1, 1, true, 2845, 0, 27671, 2, 2, 0},
+      {"lossy_nic", 1, 1, true, 3125, 0, 16717, 0, 0, 0},
       {"flapping_link", 1, 1, true, 3125, 0, 26969, 0, 0, 0},
       {"reorder_duplicate", 1, 1, true, 3125, 0, 26753, 0, 0, 0},
-      {"kv_state_transfer_crash", 1, 1, true, 8863, 1604, 53241, 0, 0, 0},
-      {"kv_lease_holder_crash", 1, 1, true, 8010, 1681, 50855, 0, 0, 0},
-      {"wan_loss_bursts", 1, 1, true, 3125, 0, 13811, 0, 0, 0},
-      {"wan_latency_surge", 1, 1, true, 3125, 0, 13597, 0, 0, 0},
-      {"rack_power", 1, 1, true, 2444, 0, 13295, 0, 0, 0},
-      {"switch_brownout", 1, 1, true, 3125, 0, 13836, 0, 0, 0},
-      {"dc_flap", 1, 1, true, 3125, 0, 13929, 0, 0, 0},
-      {"kv_wan_rack_power", 1, 1, true, 5720, 1210, 27467, 0, 0, 0},
-      {"kv_blackout", 1, 1, true, 6755, 1509, 44249, 0, 0, 0},
-      {"kv_blackout_torn", 1, 1, true, 7660, 1663, 48841, 0, 0, 0},
-      {"kv_disk_bitrot", 1, 1, true, 8010, 1818, 51290, 0, 0, 0},
-      {"kv_disk_stress", 1, 1, true, 9116, 1743, 55157, 0, 0, 0},
-      {"loss_bursts", 1, 2, true, 3125, 0, 25077, 0, 0, 0},
-      {"token_drops", 1, 2, true, 3125, 0, 25380, 0, 0, 0},
-      {"partition", 1, 2, true, 2837, 0, 25731, 0, 0, 0},
-      {"partition_delayed_heal", 1, 2, true, 2693, 0, 25427, 0, 0, 0},
-      {"crash", 1, 2, true, 2675, 0, 23809, 0, 0, 0},
-      {"crash_restart", 1, 2, true, 3060, 0, 25774, 0, 0, 0},
-      {"mixed", 1, 2, true, 2649, 0, 22469, 0, 0, 0},
-      {"latency_shift", 1, 2, true, 3125, 0, 24095, 0, 0, 0},
-      {"overload", 1, 2, true, 7045, 13990, 38872, 0, 0, 0},
-      {"reconnect_storm", 1, 2, true, 5624, 10925, 33735, 0, 0, 0},
-      {"straggler_cpu", 1, 2, true, 2900, 0, 27019, 1, 1, 0},
-      {"lossy_nic", 1, 2, true, 2991, 0, 24109, 1, 1, 0},
+      {"kv_state_transfer_crash", 1, 1, true, 9423, 1621, 44638, 0, 0, 0},
+      {"kv_lease_holder_crash", 1, 1, true, 7995, 1685, 45714, 0, 0, 0},
+      {"wan_loss_bursts", 1, 1, true, 3125, 0, 8384, 0, 0, 0},
+      {"wan_latency_surge", 1, 1, true, 3125, 0, 8259, 0, 0, 0},
+      {"rack_power", 1, 1, true, 2456, 0, 8539, 0, 0, 0},
+      {"switch_brownout", 1, 1, true, 3125, 0, 8795, 0, 0, 0},
+      {"dc_flap", 1, 1, true, 3125, 0, 8517, 0, 0, 0},
+      {"kv_wan_rack_power", 1, 1, true, 5710, 1198, 11366, 0, 0, 0},
+      {"kv_blackout", 1, 1, true, 6755, 1509, 41012, 0, 0, 0},
+      {"kv_blackout_torn", 1, 1, true, 7775, 1664, 45065, 0, 0, 0},
+      {"kv_disk_bitrot", 1, 1, true, 8150, 1803, 47206, 0, 0, 0},
+      {"kv_disk_stress", 1, 1, true, 9197, 1779, 47136, 0, 0, 0},
+      {"loss_bursts", 1, 2, true, 3125, 0, 24255, 0, 0, 0},
+      {"token_drops", 1, 2, true, 3125, 0, 24873, 0, 0, 0},
+      {"partition", 1, 2, true, 2832, 0, 25265, 0, 0, 0},
+      {"partition_delayed_heal", 1, 2, true, 2703, 0, 25006, 0, 0, 0},
+      {"crash", 1, 2, true, 2675, 0, 23457, 0, 0, 0},
+      {"crash_restart", 1, 2, true, 3060, 0, 25397, 0, 0, 0},
+      {"mixed", 1, 2, true, 2649, 0, 21613, 0, 0, 0},
+      {"latency_shift", 1, 2, true, 3125, 0, 23146, 0, 0, 0},
+      {"overload", 1, 2, true, 7045, 13990, 30135, 0, 0, 0},
+      {"reconnect_storm", 1, 2, true, 5623, 10926, 27246, 0, 0, 0},
+      {"straggler_cpu", 1, 2, true, 2900, 0, 26561, 1, 1, 0},
+      {"lossy_nic", 1, 2, true, 3125, 0, 17434, 0, 0, 0},
       {"flapping_link", 1, 2, true, 3125, 0, 26889, 0, 0, 0},
       {"reorder_duplicate", 1, 2, true, 3125, 0, 26815, 0, 0, 0},
-      {"kv_state_transfer_crash", 1, 2, true, 6971, 1499, 44854, 0, 0, 0},
-      {"kv_lease_holder_crash", 1, 2, true, 8998, 1727, 53621, 0, 0, 0},
-      {"wan_loss_bursts", 1, 2, true, 3125, 0, 14289, 0, 0, 0},
-      {"wan_latency_surge", 1, 2, true, 3125, 0, 13571, 0, 0, 0},
-      {"rack_power", 1, 2, true, 2521, 0, 14399, 0, 0, 0},
-      {"switch_brownout", 1, 2, true, 3125, 0, 13761, 0, 0, 0},
-      {"dc_flap", 1, 2, true, 3125, 0, 13835, 0, 0, 0},
-      {"kv_wan_rack_power", 1, 2, true, 6410, 1180, 29870, 0, 0, 0},
-      {"kv_blackout", 1, 2, true, 6855, 1483, 44817, 0, 0, 0},
-      {"kv_blackout_torn", 1, 2, true, 7225, 1504, 46246, 0, 0, 0},
-      {"kv_disk_bitrot", 1, 2, true, 8778, 1713, 53896, 0, 0, 0},
-      {"kv_disk_stress", 1, 2, true, 10008, 1795, 57905, 0, 0, 0},
-      {"loss_bursts", 4, 1, true, 36213, 0, 204929, 0, 0, 0},
-      {"token_drops", 4, 1, true, 37021, 0, 211961, 0, 0, 0},
-      {"crash", 4, 1, true, 33251, 0, 207112, 0, 0, 0},
-      {"latency_shift", 4, 1, true, 37244, 0, 203182, 0, 0, 0},
-      {"reorder_duplicate", 4, 1, true, 36875, 0, 213018, 0, 0, 0},
-      {"wan_loss_bursts", 4, 1, true, 31700, 0, 136052, 0, 0, 0},
-      {"wan_latency_surge", 4, 1, true, 30380, 0, 130292, 0, 0, 0},
-      {"ring_add_under_load", 4, 1, true, 36766, 0, 211913, 0, 0, 0},
-      {"ring_remove_under_load", 4, 1, true, 36800, 0, 208533, 0, 0, 0},
-      {"migration_during_partition_heal", 4, 1, true, 35465, 0, 208492, 0, 0, 0},
-      {"hot_shard_zipf_rebalance", 4, 1, true, 36830, 0, 212360, 0, 0, 0},
+      {"kv_state_transfer_crash", 1, 2, true, 7607, 1498, 39572, 0, 0, 0},
+      {"kv_lease_holder_crash", 1, 2, true, 8876, 1734, 47296, 0, 0, 0},
+      {"wan_loss_bursts", 1, 2, true, 3125, 0, 8862, 0, 0, 0},
+      {"wan_latency_surge", 1, 2, true, 3125, 0, 8114, 0, 0, 0},
+      {"rack_power", 1, 2, true, 2521, 0, 9729, 0, 0, 0},
+      {"switch_brownout", 1, 2, true, 3125, 0, 8715, 0, 0, 0},
+      {"dc_flap", 1, 2, true, 3125, 0, 8357, 0, 0, 0},
+      {"kv_wan_rack_power", 1, 2, true, 6750, 1317, 12297, 0, 0, 0},
+      {"kv_blackout", 1, 2, true, 6855, 1483, 41736, 0, 0, 0},
+      {"kv_blackout_torn", 1, 2, true, 7100, 1508, 41918, 0, 0, 0},
+      {"kv_disk_bitrot", 1, 2, true, 8221, 1806, 47320, 0, 0, 0},
+      {"kv_disk_stress", 1, 2, true, 9750, 1743, 47564, 0, 0, 0},
+      {"loss_bursts", 4, 1, true, 37181, 0, 150161, 0, 0, 0},
+      {"token_drops", 4, 1, true, 37041, 0, 161601, 0, 0, 0},
+      {"crash", 4, 1, true, 33240, 0, 170322, 0, 0, 0},
+      {"latency_shift", 4, 1, true, 37315, 0, 144984, 0, 0, 0},
+      {"reorder_duplicate", 4, 1, true, 36905, 0, 163131, 0, 0, 0},
+      {"wan_loss_bursts", 4, 1, true, 48085, 0, 40914, 0, 0, 0},
+      {"wan_latency_surge", 4, 1, true, 48118, 0, 39565, 0, 0, 0},
+      {"ring_add_under_load", 4, 1, true, 36761, 0, 161251, 0, 0, 0},
+      {"ring_remove_under_load", 4, 1, true, 36805, 0, 156284, 0, 0, 0},
+      {"migration_during_partition_heal", 4, 1, true, 35456, 0, 158295, 0, 0, 0},
+      {"hot_shard_zipf_rebalance", 4, 1, true, 36830, 0, 162557, 0, 0, 0},
   };
   size_t runs = 0;
   for (const Scenario& sc : scenarios()) {
@@ -532,7 +575,8 @@ TEST(CampaignTest, RunsAreSeedIdentical) {
 // (per-node SimDisk faults under the DurabilityOracle); migration.seeds
 // against the live-migration ones (handoff audit, held-message liveness).
 // The narrow corpora stay separate so their replay time does not grow the
-// others.
+// others. Most seeds were found one message per packet, before packing was
+// the default, so every corpus replays both packed and unpacked.
 TEST(CampaignTest, SeedCorporaClean) {
 #ifndef ACCELRING_SEED_DIR
   GTEST_SKIP() << "corpus directory not configured";
@@ -560,21 +604,26 @@ TEST(CampaignTest, SeedCorporaClean) {
     for (const Scenario& sc : scenarios()) {
       if (corpus.wanted(sc)) opt.only.push_back(sc.name);
     }
-    for (const int rings : corpus.rings) {
-      opt.run.rings = rings;
-      int scenarios_run = 0;
-      for (const Scenario& sc : scenarios()) {
-        if (corpus.wanted(sc) && sc.runs_at(rings)) ++scenarios_run;
-      }
-      ASSERT_GT(scenarios_run, 0) << corpus.file << " rings=" << rings;
-      const CampaignResult result = run_campaign(opt);
-      EXPECT_EQ(result.failures, 0) << corpus.file << " rings=" << rings;
-      EXPECT_EQ(result.runs, scenarios_run *
-                                 static_cast<int>(opt.extra_seeds.size()));
-      for (const FailureCase& fc : result.cases) {
-        ADD_FAILURE() << corpus.file << ": " << fc.scenario
-                      << " seed=" << fc.seed << " rings=" << rings << "\n"
-                      << describe(fc.schedule) << "\n" << fc.report;
+    for (const bool packing : {true, false}) {
+      opt.run.proto.enable_packing = packing;
+      const std::string label = std::string(corpus.file) +
+                                (packing ? " packed" : " unpacked");
+      for (const int rings : corpus.rings) {
+        opt.run.rings = rings;
+        int scenarios_run = 0;
+        for (const Scenario& sc : scenarios()) {
+          if (corpus.wanted(sc) && sc.runs_at(rings)) ++scenarios_run;
+        }
+        ASSERT_GT(scenarios_run, 0) << label << " rings=" << rings;
+        const CampaignResult result = run_campaign(opt);
+        EXPECT_EQ(result.failures, 0) << label << " rings=" << rings;
+        EXPECT_EQ(result.runs, scenarios_run *
+                                   static_cast<int>(opt.extra_seeds.size()));
+        for (const FailureCase& fc : result.cases) {
+          ADD_FAILURE() << label << ": " << fc.scenario << " seed=" << fc.seed
+                        << " rings=" << rings << "\n"
+                        << describe(fc.schedule) << "\n" << fc.report;
+        }
       }
     }
   }

@@ -90,12 +90,15 @@ RingConfig ring3() {
   return ring;
 }
 
+/// One message per packet: these tests count the engine's data sends, and
+/// the windows count packets (packing has its own tests in packing_test).
 ProtocolConfig accel_config(uint32_t window) {
   ProtocolConfig cfg;
   cfg.variant = Variant::kAccelerated;
   cfg.accelerated_window = window;
   cfg.personal_window = 20;
   cfg.global_window = 160;
+  cfg.enable_packing = false;
   return cfg;
 }
 
@@ -189,6 +192,7 @@ TEST_F(EngineFixture, OriginalVariantSendsEverythingBeforeToken) {
   ProtocolConfig cfg;
   cfg.variant = Variant::kOriginal;
   cfg.accelerated_window = 15;  // must be ignored
+  cfg.enable_packing = false;   // count one data send per message
   start(cfg);
   for (int i = 0; i < 6; ++i) engine->submit(Service::kAgreed, payload("x"));
   feed_token(token_for(ring3(), 1, 1, 0, 0));

@@ -62,6 +62,7 @@ TEST(AutoTuneUnit, GrowsAfterIntervalWithBacklog) {
   cfg.auto_tune_interval = 4;
   cfg.personal_window = 2;
   cfg.accelerated_window = 1;
+  cfg.enable_packing = false;  // one message per packet keeps the backlog
   RecordingHost host;
   Engine engine(1, cfg, host);
   engine.start_with_ring(ring2());

@@ -4,7 +4,8 @@
 // Agreed/Safe traffic and verifies:
 //
 //   1. Total order      — all nodes deliver identical sequences.
-//   2. Gap-free         — delivered sequence numbers are 1..k with no holes.
+//   2. Gap-free         — delivered (seq, part) pairs advance one step at a
+//                         time from (1, 0): packed messages share a seq.
 //   3. Completeness     — every submitted message is delivered everywhere
 //                         (liveness under loss).
 //   4. Per-sender FIFO  — payload indexes from one sender never reorder.
@@ -15,6 +16,7 @@
 
 #include <map>
 
+#include "delivery_order.hpp"
 #include "harness/cluster.hpp"
 #include "harness/workload.hpp"
 
@@ -65,6 +67,7 @@ TEST_P(ProtocolProperties, InvariantsHold) {
   struct Event {
     uint16_t sender;
     SeqNum seq;
+    uint32_t part;
     uint32_t index;
     Service service;
   };
@@ -75,7 +78,7 @@ TEST_P(ProtocolProperties, InvariantsHold) {
                              protocol::Nanos) {
     PayloadStamp stamp;
     ASSERT_TRUE(parse_payload(d.payload, stamp));
-    log[node].push_back(Event{d.sender, d.seq, stamp.index, d.service});
+    log[node].push_back(Event{d.sender, d.seq, d.part, stamp.index, d.service});
     if (requires_safe(d.service)) {
       // Stability: at this instant every node must have the message.
       for (int j = 0; j < kNodes; ++j) {
@@ -114,13 +117,14 @@ TEST_P(ProtocolProperties, InvariantsHold) {
     for (int k = 0; k < kMessages; ++k) {
       ASSERT_EQ(log[node][k].seq, log[0][k].seq)
           << "node " << node << " diverges at " << k;
+      ASSERT_EQ(log[node][k].part, log[0][k].part);
       ASSERT_EQ(log[node][k].sender, log[0][k].sender);
     }
   }
   // 2. Gap-free.
-  for (int k = 0; k < kMessages; ++k) {
-    EXPECT_EQ(log[0][k].seq, static_cast<SeqNum>(k + 1));
-  }
+  std::vector<protocol::SeqPart> order;
+  for (const Event& e : log[0]) order.emplace_back(e.seq, e.part);
+  EXPECT_TRUE(protocol::gap_free(order));
   // 4. Per-sender FIFO: indexes from each sender strictly increase.
   std::map<uint16_t, uint32_t> last_index;
   for (const Event& e : log[0]) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 
+#include "delivery_order.hpp"
 #include "harness/cluster.hpp"
 #include "harness/workload.hpp"
 
@@ -14,15 +16,16 @@ using protocol::Service;
 using protocol::Variant;
 
 struct DeliveryLog {
-  // Per node: (sender, seq) in delivery order.
-  std::vector<std::vector<std::pair<uint16_t, protocol::SeqNum>>> per_node;
+  // Per node: (sender, seq, part) in delivery order.
+  std::vector<std::vector<std::tuple<uint16_t, protocol::SeqNum, uint32_t>>>
+      per_node;
 
   explicit DeliveryLog(int nodes) : per_node(nodes) {}
 
   void attach(SimCluster& cluster) {
     cluster.set_on_deliver(
         [this](int node, const protocol::Delivery& d, Nanos) {
-          per_node[node].emplace_back(d.sender, d.seq);
+          per_node[node].emplace_back(d.sender, d.seq, d.part);
         });
   }
 };
@@ -80,10 +83,12 @@ TEST_P(RingSmokeTest, AllMessagesDeliveredInIdenticalOrder) {
   for (int node = 1; node < kNodes; ++node) {
     EXPECT_EQ(log.per_node[node], log.per_node[0]) << "node " << node;
   }
-  // Gap-free sequence numbers in delivery order.
-  for (size_t i = 0; i < log.per_node[0].size(); ++i) {
-    EXPECT_EQ(log.per_node[0][i].second, static_cast<protocol::SeqNum>(i + 1));
+  // Gap-free (seq, part) in delivery order.
+  std::vector<protocol::SeqPart> order;
+  for (const auto& [sender, seq, part] : log.per_node[0]) {
+    order.emplace_back(seq, part);
   }
+  EXPECT_TRUE(protocol::gap_free(order));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -157,7 +162,7 @@ TEST(RingSmoke, SelfDeliveryIncluded) {
   cluster.run_until(util::sec(1));
   // The sender itself delivers its own message.
   ASSERT_EQ(log.per_node[2].size(), 1u);
-  EXPECT_EQ(log.per_node[2][0].first, 2);
+  EXPECT_EQ(std::get<0>(log.per_node[2][0]), 2);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // multicasting completes, and never before its retransmissions.
 #include <gtest/gtest.h>
 
+#include "delivery_order.hpp"
 #include "harness/cluster.hpp"
 #include "harness/workload.hpp"
 #include "util/trace.hpp"
@@ -110,7 +111,11 @@ using util::TraceEvent;
 using util::Tracer;
 
 /// Run a loaded cluster with a tracer on node 1 and return its records.
-std::vector<util::TraceRecord> traced_run(protocol::Variant variant) {
+/// Node 1's flight record; `delivered` (optional) receives node 1's
+/// (seq, part) deliveries.
+std::vector<util::TraceRecord> traced_run(
+    protocol::Variant variant,
+    std::vector<protocol::SeqPart>* delivered = nullptr) {
   protocol::ProtocolConfig cfg;
   cfg.variant = variant;
   cfg.accelerated_window = 10;
@@ -119,6 +124,12 @@ std::vector<util::TraceRecord> traced_run(protocol::Variant variant) {
                      ImplProfile::kLibrary, 5);
   Tracer tracer;
   cluster.engine(1).set_tracer(&tracer);
+  if (delivered != nullptr) {
+    cluster.set_on_deliver(
+        [delivered](int node, const protocol::Delivery& d, protocol::Nanos) {
+          if (node == 1) delivered->emplace_back(d.seq, d.part);
+        });
+  }
   cluster.start_static();
   for (int i = 0; i < 120; ++i) {
     cluster.eq().schedule(util::usec(100) + i * util::usec(30), [&cluster, i] {
@@ -201,16 +212,21 @@ TEST(ProtocolTrace, RetransmissionsPrecedeTheTokenOfTheirRound) {
 }
 
 TEST(ProtocolTrace, DeliveriesAreInSeqOrder) {
-  const auto records = traced_run(protocol::Variant::kAccelerated);
-  int64_t last_seq = 0;
-  uint64_t delivered = 0;
+  std::vector<protocol::SeqPart> delivered;
+  const auto records =
+      traced_run(protocol::Variant::kAccelerated, &delivered);
+  // One kDeliver per application message, carrying its seq (packed parts
+  // repeat it), in the gap-free (seq, part) order the host saw.
+  std::vector<int64_t> traced;
   for (const auto& r : records) {
-    if (r.event != TraceEvent::kDeliver) continue;
-    EXPECT_EQ(r.a, last_seq + 1);
-    last_seq = r.a;
-    ++delivered;
+    if (r.event == TraceEvent::kDeliver) traced.push_back(r.a);
   }
-  EXPECT_EQ(delivered, 120u);
+  ASSERT_EQ(delivered.size(), 120u);
+  ASSERT_EQ(traced.size(), delivered.size());
+  for (size_t i = 0; i < traced.size(); ++i) {
+    EXPECT_EQ(traced[i], delivered[i].first) << "position " << i;
+  }
+  EXPECT_TRUE(protocol::gap_free(delivered));
 }
 
 TEST(ProtocolTrace, TokenAlternatesRxTx) {

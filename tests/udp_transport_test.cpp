@@ -12,8 +12,11 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
+#include "delivery_order.hpp"
 #include "membership/membership.hpp"
+#include "protocol/wire.hpp"
 #include "util/bytes.hpp"
 
 namespace accelring::transport {
@@ -53,12 +56,13 @@ std::map<ProcessId, PeerAddress> make_peers(int n) {
 }
 
 /// Sits between an engine and its transport and counts the data traffic:
-/// the transport's datagrams per data multicast, and the data datagrams
-/// the transport hands up.
+/// the transport's datagrams per data multicast, the application messages
+/// those multicasts carry, and the data datagrams the transport hands up.
 struct Tap final : protocol::Host, protocol::PacketHandler {
   UdpTransport& transport;
   protocol::PacketHandler* engine = nullptr;
   uint64_t multicasts = 0;
+  uint64_t messages = 0;  ///< application messages multicast (packed: each)
   std::vector<uint64_t> datagrams_per_multicast;
   uint64_t data_received = 0;
 
@@ -70,6 +74,18 @@ struct Tap final : protocol::Host, protocol::PacketHandler {
     transport.multicast(sock, data);
     ++multicasts;
     datagrams_per_multicast.push_back(transport.datagrams_sent() - before);
+    if (const auto msg = protocol::decode_data(data)) {
+      if (!msg->packed) {
+        ++messages;
+        return;
+      }
+      util::Reader frames(msg->payload);
+      while (frames.remaining() > 0) {
+        (void)frames.bytes();
+        if (!frames.ok()) break;
+        ++messages;
+      }
+    }
   }
   void unicast(ProcessId to, protocol::SocketId sock,
                std::span<const std::byte> data, Nanos delay) override {
@@ -103,7 +119,7 @@ struct UdpNode {
   std::unique_ptr<UdpTransport> transport;
   std::unique_ptr<Tap> tap;
   std::unique_ptr<protocol::Engine> engine;
-  std::vector<std::pair<uint16_t, protocol::SeqNum>> delivered;
+  std::vector<std::tuple<uint16_t, protocol::SeqNum, uint32_t>> delivered;
   std::vector<std::string> payloads;
 };
 
@@ -133,7 +149,7 @@ struct UdpRing {
       node.tap->engine = node.engine.get();
       node.transport->bind(*node.tap);
       node.transport->set_deliver([&node](const Delivery& d) {
-        node.delivered.emplace_back(d.sender, d.seq);
+        node.delivered.emplace_back(d.sender, d.seq, d.part);
         node.payloads.emplace_back(
             reinterpret_cast<const char*>(d.payload.data()), d.payload.size());
       });
@@ -202,10 +218,17 @@ class UdpRingTest : public ::testing::TestWithParam<Mode> {
                 0u)
           << n.transport->data_path();
     }
-    // One datagram per data multicast, or one per other member.
+    std::vector<protocol::SeqPart> order;
+    for (const auto& [sender, seq, part] : nodes[0].delivered) {
+      order.emplace_back(seq, part);
+    }
+    EXPECT_TRUE(protocol::gap_free(order));
+    // Each node multicast its own messages, packed (fewer multicasts than
+    // messages); one datagram per data multicast, or one per other member.
     const uint64_t per_multicast = GetParam() == Mode::kMulticast ? 1 : 2;
     for (const auto& n : nodes) {
-      EXPECT_GE(n.tap->multicasts, count / 3);
+      EXPECT_GE(n.tap->messages, count / 3);
+      EXPECT_LT(n.tap->multicasts, n.tap->messages);
       for (const uint64_t sent : n.tap->datagrams_per_multicast) {
         ASSERT_EQ(sent, per_multicast);
       }
