@@ -16,7 +16,7 @@
 // times in nanoseconds, split by path (lease read / ordered read / write)
 // in the per-point kv extras, and by shard in each point's "shards" array
 // (ops + op-mix + p50/p99 per shard — the live balance check for the
-// consistent-hash map, and the before/after comparison for migrations).
+// consistent-hash map).
 //
 // `--smoke [--shards K]` runs one short single-K point for CI; the full
 // sweep takes a few minutes. `--durable` gives every node a SimDisk and
@@ -207,8 +207,7 @@ void append_kv_point(obs::JsonWriter& w, const KvPoint& p) {
   w.kv("write_p50", p.write.quantile(0.5));
   w.kv("write_p99", p.write.quantile(0.99));
   // Per-shard breakdown: who did the work, and at what latency. The ops
-  // ratio across rows is the live balance check (consistent-hash bound);
-  // a migration shifts rows between consecutive points of a curve.
+  // ratio across rows is the live balance check (consistent-hash bound).
   w.key("shards").begin_array();
   for (size_t s = 0; s < p.per_shard.size(); ++s) {
     const ShardLoad& load = p.per_shard[s];

@@ -57,20 +57,6 @@ harness::PayloadStamp stamp_of(simnet::EventQueue& eq, int node,
   return stamp;
 }
 
-/// The migration campaigns' keyed workload: a small universe of shared
-/// stream ids (so every key sees many messages from many submitters across
-/// a handoff), uniform by default, triangular-skewed toward key 0 for the
-/// hot-shard scenarios. Deterministic in (node, index) alone, so the
-/// MergedOracle recomputes the routing key from the payload stamp.
-uint64_t keyed_stream_id(bool zipf, int node, uint32_t index) {
-  constexpr uint64_t kKeyUniverse = 64;
-  const uint64_t h =
-      multiring::mix64((static_cast<uint64_t>(node) << 32) | index);
-  if (!zipf) return h % kKeyUniverse;
-  // min of two uniforms: mass concentrates at small ids, key 0 hottest.
-  return std::min(h % kKeyUniverse, (h >> 32) % kKeyUniverse);
-}
-
 /// What a schedule's faults justify. Partitions, crashes, restarts, rack
 /// or cluster power loss and a severed inter-DC path (`churn`) can
 /// legitimately remove any node from a configuration; a gray fault (slow
@@ -179,35 +165,6 @@ struct Target {
     if (durability) durability->note_disk_unsafe(n, why);
   }
 };
-
-/// Start a live migration. Ring indices resolve against K (-1 = the last
-/// ring, others modulo K). Droppable by design: an empty plan (adding an
-/// active ring, removing the last active one, moving a span onto itself)
-/// or a migration already in flight makes it a no-op.
-void migrate(multiring::RingSet& rings, const FaultEvent& e) {
-  if (!rings.migration_idle()) return;
-  const multiring::ShardMap& map = rings.shards();
-  const int k = rings.num_rings();
-  const auto ring_arg = [k](int r) { return r < 0 ? k - 1 : r % k; };
-  multiring::MigrationPlan plan;
-  if (e.count == 1) {
-    plan = map.plan_add_ring(ring_arg(e.peer));
-  } else if (e.count == 2) {
-    plan = map.plan_remove_ring(ring_arg(e.node));
-  } else if (e.count == 3) {
-    plan = map.plan_move_fraction(ring_arg(e.node), ring_arg(e.peer), e.rate);
-  } else if (e.count == 4) {
-    // Rebalance: the ring owning stream id 0 (the zipf-hot key) is the
-    // hottest; the smallest ownership share takes the slice.
-    const int hot = map.ring_of_key(multiring::mix64(0));
-    int coldest = 0;
-    for (int r = 1; r < k; ++r) {
-      if (map.owned_fraction(r) < map.owned_fraction(coldest)) coldest = r;
-    }
-    plan = map.plan_move_fraction(hot, coldest, e.rate);
-  }
-  (void)rings.start_migration(plan);
-}
 
 /// The fault applier. Network faults hit every ring's fabric; a timed one
 /// reverts after `duration` in one event for all rings.
@@ -349,12 +306,6 @@ void apply(Target& t, const FaultEvent& e) {
       });
       t.disk_unsafe(e.node, "io stall");
       break;
-    case FaultKind::kRingOffline:
-      // Construction-time hint, consumed before the run started.
-      break;
-    case FaultKind::kMigrate:
-      migrate(*t.ring_set, e);
-      break;
   }
 }
 
@@ -448,11 +399,10 @@ void build_cluster(Target& t, const RunOptions& opt,
   t.workload = std::make_unique<kv::SessionWorkload>(service, wcfg);
 }
 
-/// Multi-ring stacks: the ring set, a ClusterOracle per ring, and the
-/// MergedOracle over the merged streams (with the handoff audit when keyed).
+/// Multi-ring runs: the ring set, a ClusterOracle per ring, and the
+/// MergedOracle over the merged streams.
 void build_ring_set(Target& t, const RunOptions& opt,
-                    const simnet::Topology& topo, const Schedule& schedule,
-                    uint64_t seed) {
+                    const simnet::Topology& topo, uint64_t seed) {
   multiring::MultiRingConfig mcfg;
   mcfg.topology = topo;  // empty: the classic single-switch fabric
   mcfg.rings = opt.rings;
@@ -463,17 +413,8 @@ void build_ring_set(Target& t, const RunOptions& opt,
   mcfg.merge_batch = opt.merge_batch;
   mcfg.skip_interval = opt.skip_interval;
   mcfg.seed = seed;
-  // A kRingOffline event is a construction-time hint: the last ring starts
-  // owning no hash space (its skip daemon still keeps the merge rotating)
-  // until a kMigrate add brings it in.
-  for (const FaultEvent& e : schedule.events) {
-    if (e.kind == FaultKind::kRingOffline) {
-      mcfg.active_rings = std::max(1, opt.rings - 1);
-    }
-  }
   t.ring_set = std::make_unique<multiring::RingSet>(mcfg);
   multiring::RingSet& rings = *t.ring_set;
-  if (opt.inject_handoff_bug) rings.inject_stale_flush(1);
   if (!opt.artifact_dir.empty()) rings.enable_metrics();
   for (int r = 0; r < opt.rings; ++r) {
     t.clusters.push_back(&rings.ring(r));
@@ -507,23 +448,6 @@ void build_ring_set(Target& t, const RunOptions& opt,
   } else {
     merged.attach(rings);
   }
-  if (t.stack == Stack::kKeyed || t.stack == Stack::kKeyedZipf) {
-    // Handoff audit: recompute each delivery's routing key from the payload
-    // stamp (submit_keyed mixes the raw stream id before the arc lookup, so
-    // the oracle mixes identically).
-    merged.enable_handoff_audit(
-        [zipf = t.stack == Stack::kKeyedZipf](const protocol::Delivery& d)
-            -> std::optional<MergedOracle::KeyedPayload> {
-          harness::PayloadStamp stamp;
-          if (!harness::parse_payload(d.payload, stamp)) return std::nullopt;
-          MergedOracle::KeyedPayload kp;
-          kp.key = multiring::mix64(keyed_stream_id(
-              zipf, static_cast<int>(stamp.sender), stamp.index));
-          kp.submitter = stamp.sender;
-          kp.index = stamp.index;
-          return kp;
-        });
-  }
 }
 
 /// The stack's workload, armed after the faults (the KV workload started
@@ -536,21 +460,6 @@ void arm(Target& t, const RunOptions& opt) {
       break;
     case Stack::kKv:
     case Stack::kDurableKv:
-      break;
-    case Stack::kKeyed:
-    case Stack::kKeyedZipf:
-      // Keyed submits through the per-node ShardRouters: the router (not the
-      // caller) picks the ring, holding moving keys across each handoff, so
-      // the per-ring self-delivery bookkeeping does not apply here — the
-      // MergedOracle's handoff audit owns the continuity obligations.
-      arm_workload(eq, opt, [&t, &opt](int node, uint32_t index) {
-        if (t.down(node)) return;
-        t.ring_set->submit_keyed(
-            node, keyed_stream_id(t.stack == Stack::kKeyedZipf, node, index),
-            pick_service(index),
-            harness::make_payload(opt.payload_size,
-                                  stamp_of(t.eq(), node, index)));
-      });
       break;
     case Stack::kRaw:
       arm_workload(eq, opt, [&t, &opt](int node, uint32_t index) {
@@ -571,7 +480,7 @@ void arm(Target& t, const RunOptions& opt) {
 }
 
 /// The verdict: every oracle's violations, plus the healthy-member
-/// quarantine audit and the migration liveness check.
+/// quarantine audit.
 RunResult verdict(Target& t, const RunOptions& opt, const Blame& blamed,
                   uint64_t false_ejections) {
   RunResult res;
@@ -625,17 +534,6 @@ RunResult verdict(Target& t, const RunOptions& opt, const Blame& blamed,
   if (t.merged) {
     t.merged->finalize();
     take(t.merged->violations());
-    // Handoff liveness: once the last migration completed (controller
-    // idle), every held keyed submission must have flushed to its
-    // destination. A migration still in flight at the end of the drain
-    // (e.g. started during an unhealed partition after shrinking)
-    // legitimately keeps its holds.
-    multiring::RingSet& rings = *t.ring_set;
-    if (rings.migration_idle() && rings.held_messages() != 0) {
-      res.violations.push_back(Violation{
-          "migration completed but " + std::to_string(rings.held_messages()) +
-          " keyed message(s) still held un-flushed"});
-    }
   }
   res.ok = res.violations.empty();
   res.report = join_reports(res.violations);
@@ -718,9 +616,6 @@ bool stack_applies(Stack stack, int rings, FaultKind kind) {
   if (kind == FaultKind::kOverload) {
     return rings == 1 && stack == Stack::kClients;
   }
-  if (kind == FaultKind::kRingOffline || kind == FaultKind::kMigrate) {
-    return rings > 1;
-  }
   return true;
 }
 
@@ -744,12 +639,10 @@ RunResult run_schedule(const RunOptions& opt, const Schedule& schedule,
   std::set<uint64_t> ejected;  // ring ids, see RunResult::false_ejections
 
   Target t;
-  // Ring sets run only the raw and keyed stacks, single rings every stack
-  // but the keyed ones (no shard map to key by); the rest fall back to raw.
-  t.stack = sc != nullptr && (ropt.rings > 1) == sc->keyed() ? sc->stack
-                                                              : Stack::kRaw;
+  // Ring sets run only the raw stack; single rings run the scenario's.
+  t.stack = sc != nullptr && ropt.rings == 1 ? sc->stack : Stack::kRaw;
   if (ropt.rings > 1) {
-    build_ring_set(t, ropt, wan ? topo : simnet::Topology{}, schedule, seed);
+    build_ring_set(t, ropt, wan ? topo : simnet::Topology{}, seed);
   } else {
     build_cluster(t, ropt, topo, wan, seed);
   }

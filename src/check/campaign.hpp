@@ -57,10 +57,6 @@ struct RunOptions {
   uint32_t merge_batch = 4;                ///< multi-ring only
   Nanos skip_interval = util::usec(300);   ///< multi-ring only
   bool inject_merge_bug = false;           ///< mutation (multi-ring only)
-  /// Mutation (migration scenarios only): node 1 flushes one held moving-key
-  /// message to the *source* ring after activation — the classic stale-map
-  /// handoff bug. The MergedOracle's handoff audit must catch it.
-  bool inject_handoff_bug = false;
   /// When non-empty, a failing run (oracle violation or healthy-member
   /// quarantine) writes a flight-recorder artifact —
   /// `<artifact_dir>/<scenario>_<seed>.json` with the violations, each

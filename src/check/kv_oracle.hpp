@@ -23,8 +23,8 @@
 //    version below the session's last acked write (read-your-writes), and
 //    read versions never regress (monotonic reads).
 //  * Routing continuity — a key is served by one shard for the whole run
-//    (KV shards do not follow ring migrations); a key seen on two shards
-//    means some node routed with a different map.
+//    (the shard map is static); a key seen on two shards means some node
+//    routed with a different map.
 //  * Lease exclusivity, the "zero stale lease reads" property — grants are
 //    totally ordered per shard; once any read has been served under grant
 //    g, no read may ever be served under an earlier grant. A deposed or

@@ -470,11 +470,6 @@ void MergedOracle::fail(std::string what) {
   violations_.push_back(Violation{std::move(what)});
 }
 
-void MergedOracle::enable_handoff_audit(KeyFn key_of) {
-  audit_ = true;
-  key_fn_ = std::move(key_of);
-}
-
 void MergedOracle::on_merged(int node, int ring,
                              const protocol::Delivery& d) {
   ++observed_;
@@ -484,176 +479,10 @@ void MergedOracle::on_merged(int node, int ring,
   rec.part = d.part;
   rec.sender = d.sender;
   rec.hash = util::crc32(d.payload);
-  if (audit_) {
-    if (const auto marker = multiring::decode_marker(d.payload)) {
-      rec.marker = static_cast<uint8_t>(marker->kind);
-      rec.version = marker->version;
-      rec.marker_ring = marker->ring;
-      if (marker->kind == multiring::MarkerKind::kFreeze) {
-        const auto it = plans_.find(marker->version);
-        if (it == plans_.end()) {
-          plans_[marker->version] = marker->moves;
-        } else if (!(it->second == marker->moves)) {
-          fail("freeze markers for map version " +
-               std::to_string(marker->version) +
-               " carry different move lists — plan divergence");
-        }
-      }
-    } else if (key_fn_) {
-      if (const auto kp = key_fn_(d)) {
-        rec.has_key = 1;
-        rec.key = kp->key;
-        rec.submitter = kp->submitter;
-        rec.index = kp->index;
-      }
-    }
-  }
   streams_[static_cast<size_t>(node)].push_back(rec);
 }
 
-void MergedOracle::check_handoffs() {
-  // Per-node walk: replay the markers into per-plan handoff state and hold
-  // every keyed delivery against the owner that state implies at that merged
-  // position. The state machine is exactly the ShardRouter's, so the oracle
-  // independently re-derives where the switch must happen.
-  struct PlanState {
-    std::vector<multiring::MigrationMove> moves;
-    std::set<int> frozen;
-    std::set<int> drained;
-    std::set<int> activated;
-    bool freeze_seen = false;
-  };
-  for (size_t n = 0; n < streams_.size(); ++n) {
-    const std::string who = "node " + std::to_string(n);
-    std::map<uint64_t, PlanState> plans;  // plan version, ascending
-    std::map<std::pair<uint64_t, uint32_t>, uint32_t> last_index;
-    for (const MRec& r : streams_[n]) {
-      if (r.marker != 0) {
-        PlanState& ps = plans[r.version];
-        const std::string v = " (map version " + std::to_string(r.version) +
-                              ", ring " + std::to_string(r.marker_ring) + ")";
-        switch (static_cast<multiring::MarkerKind>(r.marker)) {
-          case multiring::MarkerKind::kFreeze:
-            ps.freeze_seen = true;
-            ps.moves = plans_[r.version];
-            ps.frozen.insert(r.marker_ring);
-            break;
-          case multiring::MarkerKind::kDrain:
-            if (ps.frozen.count(r.marker_ring) == 0) {
-              fail(who + " merged a drain marker before its freeze" + v);
-            }
-            ps.drained.insert(r.marker_ring);
-            break;
-          case multiring::MarkerKind::kActivate:
-            if (!ps.freeze_seen) {
-              fail(who + " merged an activate marker before any freeze" + v);
-            }
-            for (const multiring::MigrationMove& mv : ps.moves) {
-              if (ps.drained.count(mv.src) == 0) {
-                fail(who + " merged an activate marker before source ring " +
-                     std::to_string(mv.src) + " drained" + v);
-                break;
-              }
-            }
-            ps.activated.insert(r.marker_ring);
-            break;
-        }
-        continue;
-      }
-      if (r.has_key == 0) continue;
-      // The newest plan mentioning the key governs its ownership (plans are
-      // built sequentially, so an older plan's destination is the newer
-      // plan's source).
-      const multiring::MigrationMove* mv = nullptr;
-      const PlanState* ps = nullptr;
-      for (auto it = plans.rbegin(); it != plans.rend() && mv == nullptr;
-           ++it) {
-        for (const multiring::MigrationMove& m : it->second.moves) {
-          if (m.range.contains(r.key)) {
-            mv = &m;
-            ps = &it->second;
-            break;
-          }
-        }
-      }
-      if (mv != nullptr) {
-        const std::string what = " key " + std::to_string(r.key) +
-                                 " (submitter " + std::to_string(r.submitter) +
-                                 " index " + std::to_string(r.index) +
-                                 ") from ring " + std::to_string(r.ring);
-        if (ps->activated.count(mv->dst) != 0) {
-          if (r.ring != mv->dst) {
-            fail(who + " delivered" + what + " after its handoff to ring " +
-                 std::to_string(mv->dst) +
-                 " activated — stale-owner delivery");
-          }
-        } else if (ps->drained.count(mv->src) != 0) {
-          fail(who + " delivered" + what +
-               " inside the handoff hold window (source " +
-               std::to_string(mv->src) + " drained, destination " +
-               std::to_string(mv->dst) + " not yet active)");
-        } else if (r.ring != mv->src) {
-          fail(who + " delivered" + what + " but ring " +
-               std::to_string(mv->src) + " still owns the range");
-        }
-      }
-      // FIFO continuity across handoffs: a submitter's stamp indices for one
-      // key must strictly increase along the merged stream — a repeat is a
-      // duplicated delivery (e.g. flushed to both sides of a handoff), a
-      // decrease is a reorder across the switch point.
-      const auto id = std::make_pair(r.key, r.submitter);
-      const auto f = last_index.find(id);
-      if (f != last_index.end() && r.index <= f->second) {
-        fail(who + " saw stamp index " + std::to_string(r.index) +
-             " for key " + std::to_string(r.key) + " submitter " +
-             std::to_string(r.submitter) + " after index " +
-             std::to_string(f->second) +
-             " — duplicated or reordered across a handoff");
-      } else {
-        last_index[id] = r.index;
-      }
-    }
-  }
-
-  // Deterministic switch point across nodes: per ring, every node must see
-  // the same marker sequence (a node that stopped early sees a prefix).
-  auto markers_of = [this](size_t n, int ring) {
-    std::vector<MRec> out;
-    for (const MRec& r : streams_[n]) {
-      if (r.marker != 0 && r.ring == ring) out.push_back(r);
-    }
-    return out;
-  };
-  std::set<int> marker_rings;
-  for (const auto& stream : streams_) {
-    for (const MRec& r : stream) {
-      if (r.marker != 0) marker_rings.insert(r.ring);
-    }
-  }
-  for (const int ring : marker_rings) {
-    for (size_t a = 0; a < streams_.size(); ++a) {
-      for (size_t b = a + 1; b < streams_.size(); ++b) {
-        const auto ma = markers_of(a, ring);
-        const auto mb = markers_of(b, ring);
-        const size_t m = std::min(ma.size(), mb.size());
-        for (size_t i = 0; i < m; ++i) {
-          if (ma[i].marker != mb[i].marker ||
-              ma[i].version != mb[i].version ||
-              ma[i].marker_ring != mb[i].marker_ring) {
-            fail("nodes " + std::to_string(a) + " and " + std::to_string(b) +
-                 " disagree on the handoff marker order of ring " +
-                 std::to_string(ring) + " at marker " + std::to_string(i) +
-                 " — non-deterministic switch point");
-            break;
-          }
-        }
-      }
-    }
-  }
-}
-
 void MergedOracle::finalize() {
-  if (audit_) check_handoffs();
   // Per-node, per-ring input sub-streams (the merger preserves each ring's
   // delivery order, so the merged stream restricted to one ring IS that
   // ring's input as this node saw it).

@@ -44,15 +44,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "harness/cluster.hpp"
-#include "multiring/migration.hpp"
 #include "protocol/types.hpp"
 
 namespace accelring::multiring {
@@ -161,33 +158,6 @@ class MergedOracle {
   void on_ring_delivery(int node, int ring,
                         const protocol::Delivery& delivery);
 
-  /// Identity of one keyed workload payload, recomputed from the payload
-  /// itself (the campaign stamps (submitter, index); the key is a pure
-  /// function of those, so the oracle never needs extra wire bytes).
-  struct KeyedPayload {
-    uint64_t key = 0;  ///< mixed routing key, ShardMap hash space
-    uint32_t submitter = 0;
-    uint32_t index = 0;
-  };
-  using KeyFn =
-      std::function<std::optional<KeyedPayload>(const protocol::Delivery&)>;
-
-  /// Turn on the live-migration handoff audit. Merged handoff markers
-  /// (migration.hpp) are decoded into the record stream, and finalize()
-  /// additionally proves, per node and per moving key:
-  ///   - marker sanity: freeze before drain per source, every source drained
-  ///     before any activate of the same plan version;
-  ///   - ownership exclusivity: before the drain the key's deliveries come
-  ///     from the source ring, between drain and activation *nobody* may
-  ///     deliver it, after activation only the destination (no dup, and the
-  ///     switch happens at the marker, deterministically);
-  ///   - per-(key, submitter) stamp indices strictly increase across the
-  ///     whole merged stream — FIFO continuity across the handoff, no
-  ///     duplicated or reordered delivery;
-  /// and across nodes: every ring's marker sequence is prefix-related, so
-  /// all nodes switch deliverers at the same merged positions.
-  void enable_handoff_audit(KeyFn key_of);
-
   /// Cross-node prefix check over the merged streams. Call once after drain.
   void finalize();
 
@@ -205,15 +175,6 @@ class MergedOracle {
     uint32_t part = 0;
     protocol::ProcessId sender = protocol::kNoProcess;
     uint32_t hash = 0;
-    // Handoff-audit decoration (constant defaults when the audit is off, so
-    // the default operator== keeps its old meaning).
-    uint8_t marker = 0;    ///< 0 = data, else MarkerKind
-    uint64_t version = 0;  ///< marker plan version
-    int marker_ring = -1;  ///< ring named inside the marker
-    uint8_t has_key = 0;
-    uint64_t key = 0;
-    uint32_t submitter = 0;
-    uint32_t index = 0;
     [[nodiscard]] bool operator==(const MRec&) const = default;
   };
   /// A pre-merge input record; carries the ring id so view changes within a
@@ -228,13 +189,6 @@ class MergedOracle {
   };
 
   void fail(std::string what);
-  void check_handoffs();
-
-  KeyFn key_fn_;
-  bool audit_ = false;
-  /// Plan move lists harvested from freeze markers, per plan version; a
-  /// later freeze disagreeing with the harvested plan is itself a violation.
-  std::map<uint64_t, std::vector<multiring::MigrationMove>> plans_;
 
   std::vector<std::vector<MRec>> streams_;  // per node
   /// Per node, per ring index: the merger's input stream (empty when the

@@ -514,87 +514,6 @@ Schedule kv_disk_stress(uint64_t seed, int nodes, Nanos horizon) {
   return s;
 }
 
-// --- live-migration scenarios (elastic multiring; see docs/MULTIRING.md) ---
-//
-// Ring indices in these events are schedule-time placeholders: the campaign
-// runner resolves them against the run's ring count K (-1 = last ring,
-// others modulo K), so one schedule replays at any K in the sweep. Every
-// event is independently droppable: a kMigrate whose plan turns out empty
-// (adding an already-active ring, moving a span onto itself) degrades to a
-// no-op inside RingSet::start_migration.
-
-/// Scale-out: the last ring starts offline (owning no hash space), then a
-/// live migration brings it in mid-run while keyed traffic flows, with a
-/// loss burst riding the handoff window.
-Schedule ring_add_under_load(uint64_t seed, int, Nanos horizon) {
-  Rng rng(seed);
-  Schedule s{"ring_add_under_load", {}};
-  s.events.push_back(
-      {.at = 0, .kind = FaultKind::kRingOffline, .node = -1});  // last ring
-  s.events.push_back({.at = fault_time(rng, horizon),
-                      .kind = FaultKind::kMigrate,
-                      .count = 1,    // mode: add ring
-                      .peer = -1});  // the offline last ring
-  if (rng.chance(0.6)) s.events.push_back(loss_burst(rng, horizon, 0.20, 25));
-  return s;
-}
-
-/// Scale-in: one ring is drained out of the ownership map mid-run — every
-/// arc it owned migrates away under load, and the emptied ring keeps
-/// participating in the merge (skips only).
-Schedule ring_remove_under_load(uint64_t seed, int, Nanos horizon) {
-  Rng rng(seed);
-  Schedule s{"ring_remove_under_load", {}};
-  s.events.push_back(
-      {.at = fault_time(rng, horizon),
-       .kind = FaultKind::kMigrate,
-       .node = static_cast<int>(rng.below(8)),  // resolved modulo K at run
-       .count = 2});                            // mode: remove ring
-  if (rng.chance(0.6)) s.events.push_back(loss_burst(rng, horizon, 0.20, 25));
-  return s;
-}
-
-/// A partition cuts the cluster early, heals, and a span migration starts
-/// right behind the heal — the freeze/drain/activate markers order through
-/// whatever retransmission and view-repair backlog the heal left behind.
-/// With the heal dropped (shrinking), the migration starts *during* the
-/// partition and must safely stall rather than hand off.
-Schedule migration_during_partition_heal(uint64_t seed, int nodes,
-                                         Nanos horizon) {
-  Rng rng(seed);
-  Schedule s{"migration_during_partition_heal", {}};
-  s.events.push_back({.at = rng.range(horizon / 10, horizon * 3 / 10),
-                      .kind = FaultKind::kPartition,
-                      .group = random_group(rng, nodes)});
-  s.events.push_back({.at = after(rng, s.events.back().at, 20, 50, horizon),
-                      .kind = FaultKind::kHeal});
-  FaultEvent move;
-  move.kind = FaultKind::kMigrate;
-  move.at = after(rng, s.events.back().at, 5, 15, horizon);
-  move.count = 3;  // mode: move fraction
-  move.node = static_cast<int>(rng.below(4));
-  move.peer = move.node + 1 + static_cast<int>(rng.below(3));
-  move.rate = 0.25 + rng.uniform() * 0.35;
-  s.events.push_back(std::move(move));
-  return s;
-}
-
-/// Zipf-skewed keys concentrate traffic on one hot ring; mid-run a
-/// rebalance migrates a slice of the hottest ring's span to the
-/// least-loaded ring while the skewed load keeps hammering the moving keys.
-Schedule hot_shard_zipf_rebalance(uint64_t seed, int, Nanos horizon) {
-  Rng rng(seed);
-  Schedule s{"hot_shard_zipf_rebalance", {}};
-  const int rounds = static_cast<int>(rng.range(1, 2));
-  for (int i = 0; i < rounds; ++i) {
-    s.events.push_back({.at = fault_time(rng, horizon),
-                        .kind = FaultKind::kMigrate,
-                        .rate = 0.30 + rng.uniform() * 0.40,
-                        .count = 4});  // mode: rebalance hottest -> coldest
-  }
-  return s;
-}
-
 }  // namespace
 
 simnet::Topology campaign_wan_topology(int nodes) {
@@ -611,9 +530,9 @@ const char* fault_name(FaultKind kind) {
       "latency_shift", "overload", "cpu_multiplier", "link_loss", "link_down",
       "reorder", "duplicate", "rack_power", "rack_restore", "switch_brownout",
       "wan_down", "power_loss_all", "power_restore_all", "disk_desync",
-      "disk_bitrot", "disk_full", "disk_stall", "ring_offline", "migrate"};
+      "disk_bitrot", "disk_full", "disk_stall"};
   static_assert(std::size(kNames) ==
-                static_cast<size_t>(FaultKind::kMigrate) + 1);
+                static_cast<size_t>(FaultKind::kDiskStall) + 1);
   return kNames[static_cast<size_t>(kind)];
 }
 
@@ -700,24 +619,6 @@ std::string describe(const FaultEvent& event) {
     case FaultKind::kDiskStall:
       os << " node=" << event.node << " ops=" << event.count;
       break;
-    case FaultKind::kRingOffline:
-      os << " ring=" << (event.node < 0 ? "last" : std::to_string(event.node));
-      break;
-    case FaultKind::kMigrate:
-      if (event.count == 1) {
-        os << " mode=add_ring ring="
-           << (event.peer < 0 ? "last" : std::to_string(event.peer));
-      } else if (event.count == 2) {
-        os << " mode=remove_ring ring=" << event.node;
-      } else if (event.count == 3) {
-        os << " mode=move_fraction " << event.node << "->" << event.peer
-           << " frac=" << event.rate;
-      } else if (event.count == 4) {
-        os << " mode=rebalance frac=" << event.rate;
-      } else {
-        os << " mode=?";
-      }
-      break;
   }
   return os.str();
 }
@@ -740,8 +641,10 @@ const std::vector<Scenario>& scenarios() {
   static const std::vector<Scenario> kScenarios = {
       {.name = "loss_bursts", .make = loss_bursts, .multiring_safe = true},
       {.name = "token_drops", .make = token_drops, .multiring_safe = true},
-      {.name = "partition", .make = partition},
-      {.name = "partition_delayed_heal", .make = partition_delayed_heal},
+      {.name = "partition", .make = partition, .multiring_safe = true},
+      {.name = "partition_delayed_heal",
+       .make = partition_delayed_heal,
+       .multiring_safe = true},
       {.name = "crash", .make = crash, .multiring_safe = true},
       {.name = "crash_restart", .make = crash_restart},
       {.name = "mixed", .make = mixed},
@@ -797,21 +700,6 @@ const std::vector<Scenario>& scenarios() {
       {.name = "kv_disk_stress",
        .make = kv_disk_stress,
        .stack = Stack::kDurableKv},
-      // Live migration. The partition one is sound at K > 1: the
-      // merged-prefix oracle's content-order fallback plus the per-node
-      // handoff replay hold across a split.
-      {.name = "ring_add_under_load",
-       .make = ring_add_under_load,
-       .stack = Stack::kKeyed},
-      {.name = "ring_remove_under_load",
-       .make = ring_remove_under_load,
-       .stack = Stack::kKeyed},
-      {.name = "migration_during_partition_heal",
-       .make = migration_during_partition_heal,
-       .stack = Stack::kKeyed},
-      {.name = "hot_shard_zipf_rebalance",
-       .make = hot_shard_zipf_rebalance,
-       .stack = Stack::kKeyedZipf},
   };
   return kScenarios;
 }

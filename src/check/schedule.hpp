@@ -50,16 +50,6 @@ enum class FaultKind : uint8_t {
   kDiskBitRot,      ///< flip `count` durable bits in `node`'s shard files
   kDiskFull,        ///< `node`'s disk reports ENOSPC for `duration`
   kDiskStall,       ///< `node`'s next `count` disk ops fail with IO errors
-  // Elastic-multiring faults (migration scenarios; see docs/MULTIRING.md).
-  // Ring indices are resolved against the run's ring count K at execution
-  // time (-1 = the last ring, other values taken modulo K), so one schedule
-  // replays at any K.
-  kRingOffline,     ///< at t=0: ring `node` starts owning no hash space
-  kMigrate,         ///< start a live migration; `count` picks the mode:
-                    ///< 1 = add ring `peer`, 2 = remove ring `node`,
-                    ///< 3 = move `rate` of ring `node`'s span to `peer`,
-                    ///< 4 = rebalance `rate` of the hottest ring's span to
-                    ///<     the least-loaded ring
 };
 
 [[nodiscard]] const char* fault_name(FaultKind kind);
@@ -95,9 +85,6 @@ enum class Stack : uint8_t {
   kClients,    ///< daemons + failover clients (ClientFleet); single-ring
   kKv,         ///< KvService + SessionWorkload + KvOracle; single-ring
   kDurableKv,  ///< kKv with per-node ReplicaStores + DurabilityOracle
-  kKeyed,      ///< keyed submits through the ShardRouters + the handoff
-               ///< audit: live-migration scenarios; multi-ring only
-  kKeyedZipf,  ///< kKeyed with zipf-skewed keys (hot-shard scenarios)
 };
 
 /// A catalogue entry. Set the fields by name:
@@ -110,16 +97,13 @@ struct Scenario {
   /// (campaign_wan_topology) with WAN-scaled protocol timeouts and a longer
   /// drain, instead of the single-switch LAN fabric.
   bool wan = false;
-  /// Also runs against a multi-ring set: its faults keep one merged total
-  /// order. Keyed stacks run only there, whatever this says.
+  /// Also runs against a multi-ring set, with the raw stack: its faults
+  /// keep one merged total order.
   bool multiring_safe = false;
 
-  [[nodiscard]] bool keyed() const {
-    return stack == Stack::kKeyed || stack == Stack::kKeyedZipf;
-  }
   /// Whether the campaign runs this scenario on a set of `rings` rings.
   [[nodiscard]] bool runs_at(int rings) const {
-    return keyed() ? rings > 1 : rings <= 1 || multiring_safe;
+    return rings <= 1 || multiring_safe;
   }
 };
 

@@ -51,8 +51,8 @@ std::optional<GroupMsg> decode_group(std::span<const std::byte> packet) {
 
 bool GroupLayer::submit_for_group(std::string_view group, Service service,
                                   std::vector<std::byte> payload) {
-  if (keyed_submit_) return keyed_submit_(group, service, std::move(payload));
-  return submits_[0](service, std::move(payload));
+  return submits_[static_cast<size_t>(map_.ring_of(group))](
+      service, std::move(payload));
 }
 
 bool GroupLayer::join(uint32_t client, const std::string& name,

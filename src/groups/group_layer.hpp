@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "groups/group_set.hpp"
+#include "multiring/shard_map.hpp"
 #include "protocol/engine.hpp"
 
 namespace accelring::groups {
@@ -50,7 +51,7 @@ struct GroupMsg {
 ///
 /// The layer can sit on a single ordered ring (the classic assembly) or on K
 /// sharded rings merged deterministically (src/multiring): in multi-ring
-/// mode the substrate routes every group's events to the group's shard ring,
+/// mode the layer routes every group's events to the group's shard ring,
 /// so a group stays internally ordered on one ring, while cross-group
 /// positions are fixed — identically at every daemon — by the merge.
 /// on_delivery must then be fed from the merged stream.
@@ -64,34 +65,26 @@ class GroupLayer {
       Service service, std::span<const std::byte> payload)>;
   /// Submits one ordered message to a specific ring's stream.
   using SubmitFn = std::function<bool(Service, std::vector<std::byte>)>;
-  /// Submits one ordered message under a group-name routing key; the
-  /// substrate picks the ring (e.g. RingSet::submit_named, whose per-node
-  /// ShardRouter holds messages for migrating ranges across a handoff).
-  using KeyedSubmitFn = std::function<bool(std::string_view group, Service,
-                                           std::vector<std::byte>)>;
 
   /// Single-ring assembly: everything is ordered by one engine.
   GroupLayer(protocol::ProcessId self, protocol::Engine& engine)
-      : self_(self) {
+      : self_(self), map_(1) {
     submits_.push_back([&engine](Service service,
                                  std::vector<std::byte> payload) {
       return engine.submit(service, std::move(payload));
     });
   }
 
-  /// Multi-ring assembly: routing lives in the substrate's versioned
-  /// ShardRouter (RingSet::submit_named), so group->ring ownership migrates
-  /// live under the layer — sends for a moving group are held across the
-  /// handoff and flushed to the new ring, with no layer involvement.
-  /// Multi-group sends are keyed by the lowest destination group
-  /// (deterministic whatever order the caller lists the groups). The
-  /// per-ring submits (`ring_submits[i]` feeds ring i) remain for the
-  /// operations that must reach *every* ring regardless of ownership
-  /// (leave-all disconnects).
-  GroupLayer(protocol::ProcessId self, std::vector<SubmitFn> ring_submits,
-             KeyedSubmitFn keyed_submit)
-      : self_(self), submits_(std::move(ring_submits)),
-        keyed_submit_(std::move(keyed_submit)) {}
+  /// Multi-ring assembly: `ring_submits[i]` feeds ring i, and a group's
+  /// events go to the ring the static shard map assigns its name (the same
+  /// map every daemon builds from the ring count alone). Multi-group sends
+  /// are keyed by the lowest destination group (deterministic whatever
+  /// order the caller lists the groups); leave-all disconnects reach every
+  /// ring.
+  GroupLayer(protocol::ProcessId self, std::vector<SubmitFn> ring_submits)
+      : self_(self),
+        submits_(std::move(ring_submits)),
+        map_(static_cast<int>(submits_.size())) {}
 
   void set_on_view(ViewFn fn) { on_view_ = std::move(fn); }
   void set_on_message(MessageFn fn) { on_message_ = std::move(fn); }
@@ -123,14 +116,13 @@ class GroupLayer {
  private:
   void emit_views(const std::vector<GroupView>& views);
   void emit_view(const GroupView& view);
-  /// Route by group name: the substrate's router in multi-ring mode, the
-  /// one ring otherwise.
+  /// Route by group name to its shard ring.
   bool submit_for_group(std::string_view group, Service service,
                         std::vector<std::byte> payload);
 
   protocol::ProcessId self_;
   std::vector<SubmitFn> submits_;  ///< one per ring
-  KeyedSubmitFn keyed_submit_;     ///< unset => single ring
+  multiring::ShardMap map_;        ///< group name -> index into submits_
   GroupSet set_;
   ViewFn on_view_;
   MessageFn on_message_;

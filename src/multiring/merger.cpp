@@ -1,6 +1,5 @@
 #include "multiring/merger.hpp"
 
-#include "multiring/migration.hpp"
 #include "util/bytes.hpp"
 
 namespace accelring::multiring {
@@ -43,7 +42,6 @@ void add_counters(obs::MetricsRegistry& registry, const MergerStats& stats) {
   registry.counter("merger", "skip_msgs").inc(stats.skip_msgs);
   registry.counter("merger", "skipped_slots").inc(stats.skipped_slots);
   registry.counter("merger", "rotations").inc(stats.rotations);
-  registry.counter("merger", "handoff_markers").inc(stats.handoff_markers);
 }
 
 void DeterministicMerger::push(int ring, const protocol::Delivery& delivery) {
@@ -73,17 +71,6 @@ void DeterministicMerger::pump() {
       trace(util::TraceEvent::kMergeDeliver, cursor_, d.seq);
       ++stats_.merged;
       credit_ += 1;
-      // Handoff markers are ordinary merged data (one credit, emitted to the
-      // subscriber like anything else), but the merger tracks the map epoch
-      // they announce: after an activate marker, deliveries for the moved
-      // ranges come from the new owner ring.
-      if (const auto marker = decode_marker(d.payload)) {
-        ++stats_.handoff_markers;
-        if (marker->kind == MarkerKind::kActivate &&
-            marker->version > map_version_) {
-          map_version_ = marker->version;
-        }
-      }
       if (on_merged_) on_merged_(cursor_, d);
     }
     if (credit_ >= batch_) {

@@ -37,11 +37,10 @@ using protocol::Nanos;
     std::span<const std::byte> payload);
 
 struct MergerStats {
-  uint64_t merged = 0;           ///< application messages emitted
-  uint64_t skip_msgs = 0;        ///< skip messages consumed
-  uint64_t skipped_slots = 0;    ///< slots those skips covered
-  uint64_t rotations = 0;        ///< cursor advances to the next ring
-  uint64_t handoff_markers = 0;  ///< migration markers merged (migration.hpp)
+  uint64_t merged = 0;         ///< application messages emitted
+  uint64_t skip_msgs = 0;      ///< skip messages consumed
+  uint64_t skipped_slots = 0;  ///< slots those skips covered
+  uint64_t rotations = 0;      ///< cursor advances to the next ring
 };
 
 /// Add every `stats` field to `registry` as merger.<field>.
@@ -99,11 +98,6 @@ class DeterministicMerger {
   }
   /// Ring the rotation is currently consuming from.
   [[nodiscard]] int cursor() const { return cursor_; }
-  /// Highest shard-map epoch whose activate marker this merger has consumed:
-  /// the routing epoch in force at the merger's current merged-stream
-  /// position. All mergers fed the same per-ring streams agree on it at
-  /// every position — that is the "deterministic deliverer switch".
-  [[nodiscard]] uint64_t map_version() const { return map_version_; }
 
  private:
   void pump();
@@ -120,8 +114,7 @@ class DeterministicMerger {
   std::function<Nanos()> clock_;
   MergerStats stats_;
   MergerMetrics metrics_;
-  Nanos stall_started_ = 0;   ///< 0 = not currently stalled
-  uint64_t map_version_ = 0;  ///< see map_version()
+  Nanos stall_started_ = 0;  ///< 0 = not currently stalled
 };
 
 }  // namespace accelring::multiring

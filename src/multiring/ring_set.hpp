@@ -6,7 +6,7 @@
 // runs K rings side by side: every logical node participates in all K rings
 // (one engine per ring, each on its own virtual CPU — a daemon per core),
 // every ring has its own switch fabric (its own multicast domain), and a
-// versioned ShardMap routes each ordering key to one ring. A
+// static ShardMap routes each ordering key to one ring. A
 // DeterministicMerger at every node interleaves the K per-ring total orders
 // into one combined total order that is identical at all nodes, so
 // applications written against a single ordered stream (groups, RSM) run
@@ -16,28 +16,15 @@
 // that orders a skip message whenever its ring moved fewer than one merge
 // batch in the last interval, so an idle ring cannot stall the rotation
 // (merger.hpp explains the rule).
-//
-// Elasticity: the physical ring set K is fixed, but hash-space ownership
-// migrates live (migration.hpp). start_migration() stages a MigrationPlan on
-// every node's ShardRouter and runs the controller: freeze markers on each
-// source ring, then — once every live router merged the freeze and the
-// source's submitted-vs-merged counters agree (nothing in flight) — a drain
-// marker per source, then activate markers on the destinations once the
-// controller merged all drains. Keyed submissions for moving ranges are held
-// between freeze and activation and flushed to the destination, so no message
-// is ever ordered on the wrong side of its handoff.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "harness/cluster.hpp"
 #include "multiring/merger.hpp"
-#include "multiring/migration.hpp"
 #include "multiring/shard_map.hpp"
-#include "multiring/shard_router.hpp"
 
 namespace accelring::multiring {
 
@@ -57,11 +44,6 @@ struct MultiRingConfig {
   uint32_t merge_batch = 16;               ///< M slots per ring per rotation
   Nanos skip_interval = util::usec(500);   ///< skip-daemon period
   uint64_t seed = 1;
-  /// Rings initially owning hash space; 0 = all. Rings beyond this count
-  /// still run (their skip daemons keep the merge rotating) but carry no
-  /// keyed traffic until a migration moves ranges in — the "ring add under
-  /// load" setup.
-  int active_rings = 0;
 };
 
 class RingSet {
@@ -82,39 +64,14 @@ class RingSet {
   /// Submit to an explicit ring (callers that already routed).
   void submit(int node, int ring, protocol::Service service,
               std::vector<std::byte> payload);
-  /// Submit under an arbitrary 64-bit stream id; the submitting node's
-  /// ShardRouter picks the ring (the id is mixed, so small sequential ids
-  /// still spread). During a migration, submissions for moving ranges are
-  /// held from freeze to activation and then flushed to the destination.
+  /// Submit under an arbitrary 64-bit stream id; the shard map picks the
+  /// ring (the id is mixed, so small sequential ids still spread).
   void submit_keyed(int node, uint64_t key, protocol::Service service,
                     std::vector<std::byte> payload);
-  /// Submit under a name (group name / sender stream), sharded by hash.
-  void submit_named(int node, std::string_view name, protocol::Service service,
-                    std::vector<std::byte> payload);
-
-  /// Begin a live migration (must have been planned against the current
-  /// canonical map). Returns false — and changes nothing — if a migration is
-  /// already in flight or the plan is empty/stale. Progress is driven by
-  /// ordered markers plus a periodic controller tick; completion is visible
-  /// via completed_migrations() and shards().version().
-  bool start_migration(const MigrationPlan& plan);
-  [[nodiscard]] bool migration_idle() const { return !plan_.has_value(); }
-  [[nodiscard]] uint64_t completed_migrations() const {
-    return completed_migrations_;
-  }
-  /// Keyed submissions currently held (all nodes) awaiting activation.
-  [[nodiscard]] size_t held_messages() const;
-
-  /// Test hook (check campaigns): on `node`, misroute one moving-key message
-  /// to the *source* ring after its destination activated — the classic
-  /// stale-map-epoch handoff bug the MergedOracle audit must catch.
-  void inject_stale_flush(int node) { stale_flush_node_ = node; }
 
   void set_on_merged(MergedFn fn) { on_merged_ = std::move(fn); }
   /// Additional merged-stream observers, invoked before the primary callback
-  /// on every merged emission (accumulate; used by the check oracles). The
-  /// observers also see handoff markers; the primary callback — the
-  /// application — does not (markers are protocol-internal, like skips).
+  /// on every merged emission (accumulate; used by the check oracles).
   void add_on_merged(MergedFn fn) {
     merged_observers_.push_back(std::move(fn));
   }
@@ -130,11 +87,7 @@ class RingSet {
   void run_until(Nanos deadline) { eq_.run_until(deadline); }
 
   [[nodiscard]] simnet::EventQueue& eq() { return eq_; }
-  /// The canonical shard map: advances when a migration completes.
   [[nodiscard]] const ShardMap& shards() const { return shards_; }
-  [[nodiscard]] const ShardRouter& router(int node) const {
-    return *routers_[static_cast<size_t>(node)];
-  }
   [[nodiscard]] harness::SimCluster& ring(int r) { return *clusters_[r]; }
   [[nodiscard]] DeterministicMerger& merger(int node) {
     return *mergers_[node];
@@ -157,25 +110,13 @@ class RingSet {
   [[nodiscard]] obs::MetricsRegistry merged_metrics() const;
 
  private:
-  struct Held {
-    uint64_t key = 0;  ///< mixed
-    protocol::Service service = protocol::Service::kAgreed;
-    std::vector<std::byte> payload;
-  };
-
   void skip_tick(int ring);
-  void migration_tick();
-  void flush_held(int node);
-  void submit_marker(int ring, const MigrationMarker& marker);
-  [[nodiscard]] int lowest_live_node() const;
 
   MultiRingConfig cfg_;
   simnet::EventQueue eq_;
   ShardMap shards_;
   std::vector<std::unique_ptr<harness::SimCluster>> clusters_;   // per ring
   std::vector<std::unique_ptr<DeterministicMerger>> mergers_;    // per node
-  std::vector<std::unique_ptr<ShardRouter>> routers_;            // per node
-  std::vector<std::vector<Held>> held_;                          // per node
   /// Per-node merger registries; empty until enable_metrics().
   std::vector<std::unique_ptr<obs::MetricsRegistry>> node_metrics_;
   std::vector<uint64_t> ordered_at_probe_;  ///< per ring: node-0 deliveries
@@ -183,16 +124,6 @@ class RingSet {
   Nanos push_at_ = 0;  ///< receipt time of the delivery being merged
   MergedFn on_merged_;
   std::vector<MergedFn> merged_observers_;
-
-  // Migration controller state.
-  std::optional<MigrationPlan> plan_;  ///< in flight
-  std::vector<char> drain_submitted_;  ///< per source ring
-  bool activates_submitted_ = false;
-  uint64_t completed_migrations_ = 0;
-  std::vector<uint64_t> submitted_data_;  ///< per ring, via submit()
-  std::vector<std::vector<uint64_t>> merged_data_;  ///< [node][ring], no markers
-  int stale_flush_node_ = -1;  ///< inject_stale_flush target, -1 = off
-  bool stale_flush_done_ = false;
 };
 
 }  // namespace accelring::multiring

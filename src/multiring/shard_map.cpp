@@ -2,23 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <limits>
 
 namespace accelring::multiring {
-
-namespace {
-
-constexpr uint64_t kMaxId = std::numeric_limits<uint64_t>::max();
-
-void sort_points(std::vector<ShardMap::Point>& pts) {
-  std::sort(pts.begin(), pts.end(),
-            [](const ShardMap::Point& a, const ShardMap::Point& b) {
-              return a.at < b.at;
-            });
-}
-
-}  // namespace
 
 uint64_t ShardMap::vnode_point(int ring, int v) {
   // Two rounds of the finalizer decorrelate (ring, v) lanes: one round of a
@@ -29,23 +14,16 @@ uint64_t ShardMap::vnode_point(int ring, int v) {
   return mix64(seed + static_cast<uint64_t>(v));
 }
 
-ShardMap::ShardMap(int num_rings)
-    : ShardMap(num_rings, kDefaultVnodes, num_rings) {}
-
-ShardMap::ShardMap(int num_rings, int vnodes_per_ring, int active_rings)
-    : num_rings_(num_rings), vnodes_(vnodes_per_ring) {
+ShardMap::ShardMap(int num_rings) : num_rings_(num_rings) {
   assert(num_rings >= 1);
-  assert(vnodes_per_ring >= 1);
-  if (active_rings < 1) active_rings = 1;
-  if (active_rings > num_rings) active_rings = num_rings;
-  points_.reserve(static_cast<size_t>(active_rings) *
-                  static_cast<size_t>(vnodes_));
-  for (int r = 0; r < active_rings; ++r) {
-    for (int v = 0; v < vnodes_; ++v) {
+  points_.reserve(static_cast<size_t>(num_rings) * kDefaultVnodes);
+  for (int r = 0; r < num_rings; ++r) {
+    for (int v = 0; v < kDefaultVnodes; ++v) {
       points_.push_back(Point{vnode_point(r, v), r});
     }
   }
-  sort_points(points_);
+  std::sort(points_.begin(), points_.end(),
+            [](const Point& a, const Point& b) { return a.at < b.at; });
   // A point collision (two (ring, v) lanes hashing to the same position) has
   // probability ~(K*V)^2 / 2^65 — negligible, but drop duplicates so the
   // successor lookup stays well defined.
@@ -54,207 +32,15 @@ ShardMap::ShardMap(int num_rings, int vnodes_per_ring, int active_rings)
                               return a.at == b.at;
                             }),
                 points_.end());
-  assert(!points_.empty());
-}
-
-int ShardMap::owner_in(const std::vector<Point>& points, uint64_t key) {
-  assert(!points.empty());
-  // Successor lookup: the first point clockwise from the key owns it; keys
-  // past the last point wrap to the first.
-  const auto it = std::lower_bound(
-      points.begin(), points.end(), key,
-      [](const Point& p, uint64_t k) { return p.at < k; });
-  return it == points.end() ? points.front().ring : it->ring;
 }
 
 int ShardMap::ring_of_key(uint64_t key) const {
-  return owner_in(points_, key);
-}
-
-bool ShardMap::ring_active(int ring) const {
-  return std::any_of(points_.begin(), points_.end(),
-                     [ring](const Point& p) { return p.ring == ring; });
-}
-
-int ShardMap::active_rings() const {
-  int n = 0;
-  for (int r = 0; r < num_rings_; ++r) n += ring_active(r) ? 1 : 0;
-  return n;
-}
-
-std::vector<ShardMap::Range> ShardMap::ranges_of(int ring) const {
-  std::vector<Range> out;
-  const size_t n = points_.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (points_[i].ring != ring) continue;
-    if (i == 0) {
-      // The first point owns the wrap-around arc (last point, 2^64-1] plus
-      // [0, first point]; the high piece is empty when the last point sits
-      // exactly at 2^64-1 (or when this is the only point — then it owns
-      // the whole circle and the high piece completes it).
-      out.push_back(Range{0, points_[0].at});
-      if (points_[n - 1].at != kMaxId) {
-        out.push_back(Range{points_[n - 1].at + 1, kMaxId});
-      }
-    } else {
-      out.push_back(Range{points_[i - 1].at + 1, points_[i].at});
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Range& a, const Range& b) { return a.lo < b.lo; });
-  return out;
-}
-
-double ShardMap::owned_fraction(int ring) const {
-  long double total = 0.0L;
-  constexpr long double kSpace = 18446744073709551616.0L;  // 2^64
-  for (const Range& r : ranges_of(ring)) {
-    total += static_cast<long double>(r.hi - r.lo) + 1.0L;
-  }
-  return static_cast<double>(total / kSpace);
-}
-
-MigrationPlan ShardMap::diff_plan(std::vector<Point> next) const {
-  sort_points(next);
-  next.erase(std::unique(next.begin(), next.end(),
-                         [](const Point& a, const Point& b) {
-                           return a.at == b.at;
-                         }),
-             next.end());
-  MigrationPlan plan;
-  plan.from_version = version_;
-  plan.to_version = version_ + 1;
-  plan.points = std::move(next);
-  if (plan.points.empty() || plan.points == points_) {
-    plan.moves.clear();
-    return plan;
-  }
-
-  // Elementary arcs between consecutive boundaries of the union point set:
-  // within each, both the old and the new owner are constant (no point of
-  // either set lies strictly inside), so ownership diffs arc by arc.
-  std::vector<uint64_t> bounds;
-  bounds.reserve(points_.size() + plan.points.size());
-  for (const Point& p : points_) bounds.push_back(p.at);
-  for (const Point& p : plan.points) bounds.push_back(p.at);
-  std::sort(bounds.begin(), bounds.end());
-  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
-
-  auto push_move = [&plan](uint64_t lo, uint64_t hi, int src, int dst) {
-    if (src == dst) return;
-    // Coalesce with the previous move when the ranges abut.
-    if (!plan.moves.empty()) {
-      MigrationMove& back = plan.moves.back();
-      if (back.src == src && back.dst == dst && back.range.hi != kMaxId &&
-          back.range.hi + 1 == lo) {
-        back.range.hi = hi;
-        return;
-      }
-    }
-    plan.moves.push_back(MigrationMove{Range{lo, hi}, src, dst});
-  };
-
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    push_move(bounds[i - 1] + 1, bounds[i], owner_in(points_, bounds[i]),
-              owner_in(plan.points, bounds[i]));
-  }
-  // Wrap arc (last boundary, 2^64-1] ∪ [0, first boundary]: both pieces have
-  // the owners of the first boundary (no point of either set lies beyond the
-  // last boundary, so successor lookup wraps).
-  const int src = owner_in(points_, bounds.front());
-  const int dst = owner_in(plan.points, bounds.front());
-  if (bounds.back() != kMaxId) push_move(bounds.back() + 1, kMaxId, src, dst);
-  push_move(0, bounds.front(), src, dst);
-  return plan;
-}
-
-MigrationPlan ShardMap::plan_add_ring(int ring) const {
-  assert(ring >= 0 && ring < num_rings_);
-  if (ring_active(ring)) return diff_plan(points_);  // no-op plan
-  std::vector<Point> next = points_;
-  for (int v = 0; v < vnodes_; ++v) {
-    next.push_back(Point{vnode_point(ring, v), ring});
-  }
-  return diff_plan(std::move(next));
-}
-
-MigrationPlan ShardMap::plan_remove_ring(int ring) const {
-  assert(ring >= 0 && ring < num_rings_);
-  std::vector<Point> next;
-  next.reserve(points_.size());
-  for (const Point& p : points_) {
-    if (p.ring != ring) next.push_back(p);
-  }
-  if (next.empty() || next.size() == points_.size()) {
-    return diff_plan(points_);  // last active ring, or already inactive
-  }
-  return diff_plan(std::move(next));
-}
-
-MigrationPlan ShardMap::plan_move_fraction(int src, int dst,
-                                           double fraction) const {
-  assert(src >= 0 && src < num_rings_);
-  assert(dst >= 0 && dst < num_rings_);
-  if (src == dst) return diff_plan(points_);
-  size_t owned = 0;
-  for (const Point& p : points_) owned += p.ring == src ? 1 : 0;
-  if (owned == 0) return diff_plan(points_);
-  if (fraction < 0.0) fraction = 0.0;
-  if (fraction > 1.0) fraction = 1.0;
-  auto want = static_cast<size_t>(
-      std::llround(fraction * static_cast<double>(owned)));
-  if (want < 1) want = 1;
-  if (want > owned) want = owned;
-  std::vector<Point> next = points_;
-  for (Point& p : next) {
-    if (want == 0) break;
-    if (p.ring != src) continue;
-    p.ring = dst;
-    --want;
-  }
-  return diff_plan(std::move(next));
-}
-
-void ShardMap::apply(const MigrationPlan& plan) {
-  if (plan.empty()) return;
-  // A plan is pinned to the version it was cut against: replays and plans
-  // from another epoch are no-ops, never a second application.
-  if (plan.from_version != version_) return;
-  assert(plan.to_version == version_ + 1);
-  assert(!plan.points.empty());
-  points_ = plan.points;
-  version_ = plan.to_version;
-}
-
-namespace {
-
-std::vector<int> distinct_rings(const std::vector<MigrationMove>& moves,
-                                bool source_side) {
-  std::vector<int> out;
-  out.reserve(moves.size());
-  for (const MigrationMove& m : moves) {
-    out.push_back(source_side ? m.src : m.dst);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-}  // namespace
-
-std::vector<int> MigrationPlan::sources() const {
-  return distinct_rings(moves, true);
-}
-
-std::vector<int> MigrationPlan::dests() const {
-  return distinct_rings(moves, false);
-}
-
-const MigrationMove* MigrationPlan::move_of(uint64_t key) const {
-  for (const MigrationMove& m : moves) {
-    if (m.range.contains(key)) return &m;
-  }
-  return nullptr;
+  // Successor lookup: the first point clockwise from the key owns it; keys
+  // past the last point wrap to the first.
+  const auto it = std::lower_bound(
+      points_.begin(), points_.end(), key,
+      [](const Point& p, uint64_t k) { return p.at < k; });
+  return it == points_.end() ? points_.front().ring : it->ring;
 }
 
 }  // namespace accelring::multiring

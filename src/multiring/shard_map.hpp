@@ -3,25 +3,13 @@
 // The multi-ring subsystem runs K independent Accelerated Ring instances and
 // multiplies aggregate throughput by spreading disjoint traffic across them
 // (Multi-Ring Paxos; Benz et al., "Stretching Multi-Ring Paxos"). The shard
-// map is the routing half of that design — and, since the map can now change
-// while traffic flows, it is *versioned*: a consistent hash ring places a
+// map is the routing half of that design: a consistent hash ring places a
 // fixed set of virtual-node points per protocol ring on the 64-bit circle,
 // each point owning the wrap-around arc that ends at it. A key is hashed once
 // and the owning ring found by successor lookup, so everything that must stay
 // FIFO-ordered relative to itself (one group, one sender stream) lands on one
-// ring, while unrelated keys spread uniformly across all active rings.
-//
-// Elasticity is ownership-only: the set of provisioned rings K is fixed at
-// construction, but which rings own hash space changes over time. "Adding" a
-// ring inserts its canonical virtual-node points (stealing the arcs they cut),
-// "removing" one erases its points (ceding each arc to its clockwise
-// successor), and rebalancing reassigns individual points. Every such change
-// is described by a MigrationPlan — the exact set of (range, src, dst) moves
-// plus the complete successor point set — which the live-migration protocol
-// (migration.hpp) turns into totally ordered freeze/drain/activate markers.
-// apply() installs the plan and bumps the version; two maps that applied the
-// same plan sequence are byte-identical, so the version number alone names
-// the routing epoch on the wire.
+// ring, while unrelated keys spread uniformly across all rings. The map is
+// static: every node builds the same one from K alone.
 #pragma once
 
 #include <cstdint>
@@ -51,32 +39,13 @@ namespace accelring::multiring {
   return h;
 }
 
-struct MigrationPlan;
-
 class ShardMap {
  public:
-  /// Inclusive range of the 64-bit hash space owned by one ring.
-  struct Range {
-    uint64_t lo = 1;
-    uint64_t hi = 0;  // default-constructed range matches nothing
-
-    [[nodiscard]] bool contains(uint64_t id) const {
-      return lo <= id && id <= hi;
-    }
-    [[nodiscard]] bool operator==(const Range& o) const {
-      return lo == o.lo && hi == o.hi;
-    }
-  };
-
   /// One virtual-node point on the hash circle. The point owns the arc
   /// (previous point, at], wrapping past 2^64-1 for the first point.
   struct Point {
     uint64_t at = 0;
     int ring = 0;
-
-    [[nodiscard]] bool operator==(const Point& o) const {
-      return at == o.at && ring == o.ring;
-    }
   };
 
   /// Virtual nodes per ring. Enough that the largest ownership share stays
@@ -84,12 +53,8 @@ class ShardMap {
   /// gives every ring a usable share of a few hundred keys.
   static constexpr int kDefaultVnodes = 64;
 
-  /// All `num_rings` rings own hash space (the classic static split).
+  /// All `num_rings` rings own hash space, kDefaultVnodes points each.
   explicit ShardMap(int num_rings);
-  /// `num_rings` rings are provisioned as routing targets but only the first
-  /// `active_rings` own hash space; the rest join later via plan_add_ring
-  /// (the elastic "ring add under load" setup).
-  ShardMap(int num_rings, int vnodes_per_ring, int active_rings);
 
   /// Ring owning a raw 64-bit key.
   [[nodiscard]] int ring_of_key(uint64_t key) const;
@@ -101,80 +66,16 @@ class ShardMap {
   }
 
   [[nodiscard]] int num_rings() const { return num_rings_; }
-  [[nodiscard]] int vnodes_per_ring() const { return vnodes_; }
-  /// Routing epoch: 0 at construction, +1 per applied plan. Two nodes with
-  /// equal versions (and the same plan history) route identically.
-  [[nodiscard]] uint64_t version() const { return version_; }
-  /// True when the ring currently owns at least one arc.
-  [[nodiscard]] bool ring_active(int ring) const;
-  [[nodiscard]] int active_rings() const;
-
-  /// Every (non-wrapping) inclusive range the ring owns, sorted by lo.
-  /// The union over all rings tiles [0, 2^64-1] exactly.
-  [[nodiscard]] std::vector<Range> ranges_of(int ring) const;
-  /// Fraction of the hash space the ring owns, in [0, 1].
-  [[nodiscard]] double owned_fraction(int ring) const;
+  /// The circle, sorted by position, duplicates dropped.
   [[nodiscard]] const std::vector<Point>& points() const { return points_; }
 
-  /// Plan inserting `ring`'s canonical points (no-op plan if already
-  /// active). Sources are the rings whose arcs the new points cut.
-  [[nodiscard]] MigrationPlan plan_add_ring(int ring) const;
-  /// Plan erasing `ring`'s points; each arc goes to its clockwise successor
-  /// (no-op plan if inactive or it is the last active ring).
-  [[nodiscard]] MigrationPlan plan_remove_ring(int ring) const;
-  /// Plan reassigning ~`fraction` of `src`'s points to `dst` (at least one;
-  /// no-op plan if src owns nothing or src == dst). dst need not be active:
-  /// moving arcs into an inactive ring activates it.
-  [[nodiscard]] MigrationPlan plan_move_fraction(int src, int dst,
-                                                 double fraction) const;
-
-  /// Install a plan produced by this map at its current version. Empty and
-  /// stale plans (from_version mismatch — replays, other epochs) are
-  /// ignored; otherwise the point set is replaced and version() bumps.
-  void apply(const MigrationPlan& plan);
-
-  /// Canonical circle position of virtual node `v` of `ring` — a pure
-  /// function, so re-adding a removed ring restores its exact arcs.
+  /// Canonical circle position of virtual node `v` of `ring`: a pure
+  /// function, so every node builds the identical circle.
   [[nodiscard]] static uint64_t vnode_point(int ring, int v);
 
  private:
-  [[nodiscard]] MigrationPlan diff_plan(std::vector<Point> next) const;
-  static int owner_in(const std::vector<Point>& points, uint64_t key);
-
   int num_rings_ = 1;
-  int vnodes_ = kDefaultVnodes;
-  uint64_t version_ = 0;
   std::vector<Point> points_;  ///< sorted by at, unique
-};
-
-/// One contiguous hash range changing owner: deliveries for keys in `range`
-/// switch from ring `src` to ring `dst` when the plan's handoff completes.
-struct MigrationMove {
-  ShardMap::Range range;
-  int src = 0;
-  int dst = 0;
-
-  [[nodiscard]] bool operator==(const MigrationMove& o) const {
-    return range == o.range && src == o.src && dst == o.dst;
-  }
-};
-
-/// A complete map transition: every move, plus the successor point set that
-/// apply() installs. from/to_version pin the plan to one routing epoch so a
-/// stale plan can never be applied twice.
-struct MigrationPlan {
-  uint64_t from_version = 0;
-  uint64_t to_version = 0;
-  std::vector<MigrationMove> moves;
-  std::vector<ShardMap::Point> points;
-
-  [[nodiscard]] bool empty() const { return moves.empty(); }
-  /// Distinct source rings, ascending (the rings that freeze + drain).
-  [[nodiscard]] std::vector<int> sources() const;
-  /// Distinct destination rings, ascending (the rings that activate).
-  [[nodiscard]] std::vector<int> dests() const;
-  /// The move containing `key`, or nullptr if the key does not migrate.
-  [[nodiscard]] const MigrationMove* move_of(uint64_t key) const;
 };
 
 }  // namespace accelring::multiring

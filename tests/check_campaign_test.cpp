@@ -11,7 +11,6 @@
 #include "check/campaign.hpp"
 #include "check/oracle.hpp"
 #include "check/schedule.hpp"
-#include "multiring/migration.hpp"
 
 namespace accelring::check {
 namespace {
@@ -239,127 +238,6 @@ TEST(OracleTest, MergedPrefixPasses) {
 }
 
 // ---------------------------------------------------------------------------
-// MergedOracle handoff audit on hand-crafted streams: the clean three-marker
-// handoff passes, and each ownership/continuity property trips on a stream
-// violating exactly it.
-
-/// Keyed workload payload the audit KeyFn below understands: all deliveries
-/// carry one fixed routing key (150, inside the move range used by
-/// audit_marker), so ownership is decided purely by marker position.
-protocol::Delivery audit_data(protocol::RingId ring, protocol::SeqNum seq,
-                              uint32_t submitter, uint32_t index) {
-  protocol::Delivery d;
-  d.ring_id = ring;
-  d.seq = seq;
-  d.sender = static_cast<protocol::ProcessId>(submitter);
-  d.payload = {std::byte{0x7E}, std::byte{static_cast<uint8_t>(submitter)},
-               std::byte{static_cast<uint8_t>(index)}};
-  return d;
-}
-
-MergedOracle::KeyFn audit_key_fn() {
-  return [](const protocol::Delivery& d)
-             -> std::optional<MergedOracle::KeyedPayload> {
-    if (d.payload.size() != 3 || d.payload[0] != std::byte{0x7E}) {
-      return std::nullopt;
-    }
-    MergedOracle::KeyedPayload kp;
-    kp.key = 150;  // inside audit_marker's move range [100, 200]
-    kp.submitter = std::to_integer<uint32_t>(d.payload[1]);
-    kp.index = std::to_integer<uint32_t>(d.payload[2]);
-    return kp;
-  };
-}
-
-/// A handoff marker for plan version 1 moving range [100, 200] from ring 0
-/// to ring 1 (the freeze carries the move list, like the real protocol).
-protocol::Delivery audit_marker(multiring::MarkerKind kind, int ring,
-                                protocol::SeqNum seq) {
-  multiring::MigrationMarker m;
-  m.kind = kind;
-  m.version = 1;
-  m.ring = ring;
-  if (kind == multiring::MarkerKind::kFreeze) {
-    m.moves = {multiring::MigrationMove{{100, 200}, 0, 1}};
-  }
-  protocol::Delivery d;
-  d.ring_id = static_cast<protocol::RingId>(100 + ring);
-  d.seq = seq;
-  d.sender = 0;
-  d.payload = multiring::make_marker(m);
-  return d;
-}
-
-TEST(OracleTest, HandoffAuditCleanHandoffPasses) {
-  MergedOracle oracle(1);
-  oracle.enable_handoff_audit(audit_key_fn());
-  oracle.on_merged(0, 0, audit_data(100, 1, 3, 0));
-  oracle.on_merged(0, 0, audit_marker(multiring::MarkerKind::kFreeze, 0, 2));
-  oracle.on_merged(0, 0, audit_marker(multiring::MarkerKind::kDrain, 0, 3));
-  oracle.on_merged(0, 1, audit_marker(multiring::MarkerKind::kActivate, 1, 1));
-  oracle.on_merged(0, 1, audit_data(101, 2, 3, 1));
-  oracle.finalize();
-  EXPECT_TRUE(oracle.ok()) << oracle.report();
-}
-
-TEST(OracleTest, HandoffAuditCatchesStaleOwnerDelivery) {
-  // The off-by-one handoff bug: the source ring delivers a moving key after
-  // the destination activated (a message routed with a stale map epoch).
-  MergedOracle oracle(1);
-  oracle.enable_handoff_audit(audit_key_fn());
-  oracle.on_merged(0, 0, audit_marker(multiring::MarkerKind::kFreeze, 0, 1));
-  oracle.on_merged(0, 0, audit_marker(multiring::MarkerKind::kDrain, 0, 2));
-  oracle.on_merged(0, 1, audit_marker(multiring::MarkerKind::kActivate, 1, 1));
-  oracle.on_merged(0, 0, audit_data(100, 3, 3, 0));  // ring 0 no longer owns
-  oracle.finalize();
-  ASSERT_FALSE(oracle.ok());
-  EXPECT_NE(oracle.report().find("stale-owner delivery"), std::string::npos)
-      << oracle.report();
-}
-
-TEST(OracleTest, HandoffAuditCatchesHoldWindowDelivery) {
-  // Between the source's drain and the destination's activate *nobody* owns
-  // the moving range; a delivery there breaks the exclusive handoff.
-  MergedOracle oracle(1);
-  oracle.enable_handoff_audit(audit_key_fn());
-  oracle.on_merged(0, 0, audit_marker(multiring::MarkerKind::kFreeze, 0, 1));
-  oracle.on_merged(0, 0, audit_marker(multiring::MarkerKind::kDrain, 0, 2));
-  oracle.on_merged(0, 0, audit_data(100, 3, 3, 0));
-  oracle.finalize();
-  ASSERT_FALSE(oracle.ok());
-  EXPECT_NE(oracle.report().find("hold window"), std::string::npos)
-      << oracle.report();
-}
-
-TEST(OracleTest, HandoffAuditCatchesDuplicatedStamp) {
-  // A message flushed to both sides of the handoff: same (key, submitter,
-  // index) delivered twice — FIFO continuity broken.
-  MergedOracle oracle(1);
-  oracle.enable_handoff_audit(audit_key_fn());
-  oracle.on_merged(0, 0, audit_data(100, 1, 3, 0));
-  oracle.on_merged(0, 0, audit_marker(multiring::MarkerKind::kFreeze, 0, 2));
-  oracle.on_merged(0, 0, audit_marker(multiring::MarkerKind::kDrain, 0, 3));
-  oracle.on_merged(0, 1, audit_marker(multiring::MarkerKind::kActivate, 1, 1));
-  oracle.on_merged(0, 1, audit_data(101, 2, 3, 0));  // index 0 again
-  oracle.finalize();
-  ASSERT_FALSE(oracle.ok());
-  EXPECT_NE(oracle.report().find("duplicated or reordered"), std::string::npos)
-      << oracle.report();
-}
-
-TEST(OracleTest, HandoffAuditCatchesDrainBeforeFreeze) {
-  MergedOracle oracle(1);
-  oracle.enable_handoff_audit(audit_key_fn());
-  oracle.on_merged(0, 0, audit_marker(multiring::MarkerKind::kDrain, 0, 1));
-  oracle.on_merged(0, 0, audit_marker(multiring::MarkerKind::kFreeze, 0, 2));
-  oracle.finalize();
-  ASSERT_FALSE(oracle.ok());
-  EXPECT_NE(oracle.report().find("drain marker before its freeze"),
-            std::string::npos)
-      << oracle.report();
-}
-
-// ---------------------------------------------------------------------------
 // Schedule DSL.
 
 RunOptions fast_run_options() {
@@ -423,7 +301,6 @@ TEST(CampaignTest, SingleRingAllScenariosClean) {
   opt.seeds_per_scenario = 20;
   const CampaignResult result = run_campaign(opt);
   EXPECT_EQ(result.failures, 0);
-  // Keyed (live-migration) scenarios need K > 1 rings.
   int single_ring_scenarios = 0;
   for (const Scenario& sc : scenarios()) {
     if (sc.runs_at(1)) ++single_ring_scenarios;
@@ -530,15 +407,13 @@ TEST(CampaignTest, RunsAreSeedIdentical) {
       {"kv_disk_stress", 1, 2, true, 9750, 1743, 47564, 0, 0, 0},
       {"loss_bursts", 4, 1, true, 37181, 0, 150161, 0, 0, 0},
       {"token_drops", 4, 1, true, 37041, 0, 161601, 0, 0, 0},
+      {"partition", 4, 1, true, 35993, 0, 157394, 0, 0, 0},
+      {"partition_delayed_heal", 4, 1, true, 36005, 0, 160249, 0, 0, 0},
       {"crash", 4, 1, true, 33240, 0, 170322, 0, 0, 0},
       {"latency_shift", 4, 1, true, 37315, 0, 144984, 0, 0, 0},
       {"reorder_duplicate", 4, 1, true, 36905, 0, 163131, 0, 0, 0},
       {"wan_loss_bursts", 4, 1, true, 48085, 0, 40914, 0, 0, 0},
       {"wan_latency_surge", 4, 1, true, 48118, 0, 39565, 0, 0, 0},
-      {"ring_add_under_load", 4, 1, true, 36761, 0, 161251, 0, 0, 0},
-      {"ring_remove_under_load", 4, 1, true, 36805, 0, 156284, 0, 0, 0},
-      {"migration_during_partition_heal", 4, 1, true, 35456, 0, 158295, 0, 0, 0},
-      {"hot_shard_zipf_rebalance", 4, 1, true, 36830, 0, 162557, 0, 0, 0},
   };
   size_t runs = 0;
   for (const Scenario& sc : scenarios()) {
@@ -572,8 +447,7 @@ TEST(CampaignTest, RunsAreSeedIdentical) {
 // regression.seeds against the whole catalogue; wan.seeds against the
 // multi-datacenter scenarios (token rotation over 3 ms links, correlated
 // rack/switch/link faults); storage.seeds against the durable-KV ones
-// (per-node SimDisk faults under the DurabilityOracle); migration.seeds
-// against the live-migration ones (handoff audit, held-message liveness).
+// (per-node SimDisk faults under the DurabilityOracle).
 // The narrow corpora stay separate so their replay time does not grow the
 // others. Most seeds were found one message per packet, before packing was
 // the default, so every corpus replays both packed and unpacked.
@@ -592,7 +466,6 @@ TEST(CampaignTest, SeedCorporaClean) {
       {"storage.seeds",
        [](const Scenario& sc) { return sc.stack == Stack::kDurableKv; },
        {1}},
-      {"migration.seeds", [](const Scenario& sc) { return sc.keyed(); }, {4}},
   };
   for (const Corpus& corpus : corpora) {
     const std::string path = std::string(ACCELRING_SEED_DIR) + "/" + corpus.file;
@@ -656,43 +529,6 @@ TEST(CampaignTest, InjectedMergeBugIsCaughtAndShrunk) {
   // Same seed and schedule without the mutation: clean.
   run.inject_merge_bug = false;
   const RunResult good = run_schedule(run, schedule, 11);
-  EXPECT_TRUE(good.ok) << good.report;
-}
-
-// The handoff mutation: node 1 flushes one held moving-key message to the
-// *source* ring after the destination activated — the classic stale-map-epoch
-// off-by-one in a live migration. The MergedOracle handoff audit must catch
-// it, and greedy shrink must converge to a minimal schedule that still
-// migrates (drop the migrate event and nothing is ever held, so the mutated
-// run is clean).
-TEST(CampaignTest, InjectedHandoffBugIsCaughtAndShrunk) {
-  RunOptions run = fast_run_options();
-  run.rings = 4;
-  run.inject_handoff_bug = true;
-
-  const uint64_t seed = 3;
-  const Schedule schedule =
-      find_scenario("ring_add_under_load")->make(seed, run.nodes, run.horizon);
-  const RunResult bad = run_schedule(run, schedule, seed);
-  ASSERT_FALSE(bad.ok) << "handoff mutation not caught by the oracles";
-  EXPECT_NE(bad.report.find("stale-owner delivery"), std::string::npos)
-      << bad.report;
-
-  const Schedule minimal = shrink(run, schedule, seed);
-  // The reproducer must keep the events the bug needs — the idle ring and
-  // the migration onto it — and shed any incidental loss bursts.
-  EXPECT_LE(minimal.events.size(), 2u) << describe(minimal);
-  bool has_migrate = false;
-  for (const FaultEvent& e : minimal.events) {
-    has_migrate = has_migrate || e.kind == FaultKind::kMigrate;
-  }
-  EXPECT_TRUE(has_migrate) << describe(minimal);
-  const RunResult still_bad = run_schedule(run, minimal, seed);
-  EXPECT_FALSE(still_bad.ok);
-
-  // Same seed and schedule without the mutation: clean.
-  run.inject_handoff_bug = false;
-  const RunResult good = run_schedule(run, schedule, seed);
   EXPECT_TRUE(good.ok) << good.report;
 }
 

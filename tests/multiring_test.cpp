@@ -4,7 +4,7 @@
 // ring, group routing across shards, and RSM convergence atop K rings.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -25,39 +25,41 @@ using protocol::Service;
 // --- ShardMap ---------------------------------------------------------------
 
 TEST(ShardMap, RangesTileTheHashSpace) {
+  // Each point owns the arc (previous point, at], and the first point also
+  // owns the wrap-around arc: strictly increasing points tile the circle
+  // with no gap and no overlap.
   for (int k : {1, 2, 3, 4, 8}) {
     ShardMap map(k);
     ASSERT_EQ(map.num_rings(), k);
-    std::vector<ShardMap::Range> all;
-    for (int r = 0; r < k; ++r) {
-      const auto ranges = map.ranges_of(r);
-      EXPECT_FALSE(ranges.empty()) << "ring " << r << " owns nothing";
-      all.insert(all.end(), ranges.begin(), ranges.end());
+    const auto& pts = map.points();
+    ASSERT_EQ(pts.size(), static_cast<size_t>(k * ShardMap::kDefaultVnodes));
+    std::set<int> owners;
+    for (size_t i = 0; i < pts.size(); ++i) {
+      owners.insert(pts[i].ring);
+      if (i > 0) {
+        EXPECT_LT(pts[i - 1].at, pts[i].at) << "point " << i;
+      }
     }
-    std::sort(all.begin(), all.end(),
-              [](const auto& a, const auto& b) { return a.lo < b.lo; });
-    ASSERT_FALSE(all.empty());
-    EXPECT_EQ(all.front().lo, 0u);
-    EXPECT_EQ(all.back().hi, std::numeric_limits<uint64_t>::max());
-    for (size_t i = 0; i + 1 < all.size(); ++i) {
-      EXPECT_LE(all[i].lo, all[i].hi);
-      EXPECT_EQ(all[i].hi + 1, all[i + 1].lo) << "gap/overlap after range " << i;
-    }
+    EXPECT_EQ(owners.size(), static_cast<size_t>(k)) << "a ring owns nothing";
   }
 }
 
 TEST(ShardMap, LookupMatchesRanges) {
   ShardMap map(4);
+  const auto& pts = map.points();
   for (uint64_t probe :
        {uint64_t{0}, uint64_t{1} << 62, uint64_t{3} << 62,
         std::numeric_limits<uint64_t>::max(), mix64(42), mix64(4242)}) {
-    const int r = map.ring_of_key(probe);
-    bool contained = false;
-    for (const auto& range : map.ranges_of(r)) {
-      contained = contained || range.contains(probe);
+    // The owner is the first point at or past the probe, wrapping to the
+    // first point.
+    int owner = pts.front().ring;
+    for (const ShardMap::Point& p : pts) {
+      if (p.at >= probe) {
+        owner = p.ring;
+        break;
+      }
     }
-    EXPECT_TRUE(contained) << "key " << probe << " not in ring " << r
-                           << "'s own ranges";
+    EXPECT_EQ(map.ring_of_key(probe), owner) << "key " << probe;
   }
 }
 
@@ -83,42 +85,6 @@ TEST(ShardMap, MixedSequentialKeysSpread) {
     rings.insert(map.ring_of_key(mix64(key)));
   }
   EXPECT_EQ(rings.size(), 8u);
-}
-
-TEST(ShardMap, AddRemoveRingRoundTrips) {
-  ShardMap map(4, /*vnodes_per_ring=*/16, /*active_rings=*/3);
-  EXPECT_FALSE(map.ring_active(3));
-  EXPECT_EQ(map.active_rings(), 3);
-
-  const MigrationPlan add = map.plan_add_ring(3);
-  ASSERT_FALSE(add.empty());
-  EXPECT_EQ(add.from_version, 0u);
-  EXPECT_EQ(add.to_version, 1u);
-  for (const MigrationMove& mv : add.moves) EXPECT_EQ(mv.dst, 3);
-  map.apply(add);
-  EXPECT_EQ(map.version(), 1u);
-  EXPECT_TRUE(map.ring_active(3));
-  EXPECT_GT(map.owned_fraction(3), 0.0);
-
-  // Removing it cedes every arc back; re-adding restores the identical
-  // ownership because vnode_point is a pure function.
-  const MigrationPlan rm = map.plan_remove_ring(3);
-  ASSERT_FALSE(rm.empty());
-  for (const MigrationMove& mv : rm.moves) EXPECT_EQ(mv.src, 3);
-  map.apply(rm);
-  EXPECT_FALSE(map.ring_active(3));
-  EXPECT_EQ(map.version(), 2u);
-  EXPECT_EQ(map.owned_fraction(3), 0.0);
-}
-
-TEST(ShardMap, StalePlanIsRejected) {
-  ShardMap map(3);
-  const MigrationPlan plan = map.plan_move_fraction(0, 1, 0.5);
-  ASSERT_FALSE(plan.empty());
-  map.apply(plan);
-  EXPECT_EQ(map.version(), 1u);
-  map.apply(plan);  // same plan again: from_version no longer matches
-  EXPECT_EQ(map.version(), 1u);
 }
 
 // --- DeterministicMerger ----------------------------------------------------
@@ -350,109 +316,11 @@ TEST(RingSet, PerRingStatsExposeDeliveriesAndTraffic) {
   EXPECT_GT(set.ring(0).tracer(0).total_recorded(), 0u);
 }
 
-// --- live migration ----------------------------------------------------------
-
-TEST(RingSetMigration, AddRingUnderLoadCompletesWithIdenticalOrders) {
-  MultiRingConfig cfg = small_config(3, 31);
-  cfg.active_rings = 2;  // ring 2 runs but owns no hash space yet
-  RingSet set(cfg);
-  ASSERT_EQ(set.shards().active_rings(), 2);
-  std::vector<std::vector<std::tuple<int, uint16_t, protocol::SeqNum>>>
-      per_node(static_cast<size_t>(set.nodes_per_ring()));
-  set.set_on_merged([&](int node, int ring, const Delivery& d, Nanos) {
-    per_node[static_cast<size_t>(node)].emplace_back(ring, d.sender, d.seq);
-  });
-  set.start_static();
-
-  // Steady keyed load across the whole run; the handoff happens underneath.
-  for (int node = 0; node < set.nodes_per_ring(); ++node) {
-    for (uint32_t i = 0; i < 150; ++i) {
-      const Nanos at = util::usec(200) + util::usec(600) * i;
-      set.eq().schedule(at, [&set, node, i] {
-        set.submit_keyed(node, static_cast<uint64_t>(node) * 1000 + i % 24,
-                         Service::kAgreed,
-                         tagged_payload(static_cast<uint32_t>(node), i));
-      });
-    }
-  }
-  set.eq().schedule(util::msec(20), [&set] {
-    EXPECT_TRUE(set.start_migration(set.shards().plan_add_ring(2)));
-  });
-  set.run_until(util::msec(250));
-
-  EXPECT_TRUE(set.migration_idle());
-  EXPECT_EQ(set.completed_migrations(), 1u);
-  EXPECT_EQ(set.shards().version(), 1u);
-  EXPECT_TRUE(set.shards().ring_active(2));
-  EXPECT_EQ(set.held_messages(), 0u);
-  // Every node applied the same map transition (marker-driven).
-  for (int node = 0; node < set.nodes_per_ring(); ++node) {
-    EXPECT_EQ(set.router(node).version(), 1u) << "node " << node;
-    EXPECT_FALSE(set.router(node).migrating());
-  }
-  // The merged order stayed identical at every node across the handoff.
-  ASSERT_FALSE(per_node[0].empty());
-  for (int node = 1; node < set.nodes_per_ring(); ++node) {
-    EXPECT_EQ(per_node[static_cast<size_t>(node)], per_node[0])
-        << "node " << node << " merged a different order across the handoff";
-  }
-  // The new ring actually took traffic, and markers were merged (but hidden
-  // from the application callback, which only saw rings' data).
-  std::set<int> rings_seen;
-  for (const auto& [ring, sender, seq] : per_node[0]) rings_seen.insert(ring);
-  EXPECT_TRUE(rings_seen.contains(2));
-  EXPECT_GT(set.merger(0).stats().handoff_markers, 0u);
-}
-
-TEST(RingSetMigration, MoveFractionFlushesHeldToDestination) {
-  RingSet set(small_config(2, 47));
-  uint64_t merged = 0;
-  set.set_on_merged(
-      [&merged](int node, int, const Delivery&, Nanos) { merged += node == 0; });
-  set.start_static();
-  for (int node = 0; node < set.nodes_per_ring(); ++node) {
-    for (uint32_t i = 0; i < 120; ++i) {
-      set.eq().schedule(util::usec(300) * (i + 1), [&set, node, i] {
-        set.submit_keyed(node, static_cast<uint64_t>(i % 32), Service::kAgreed,
-                         tagged_payload(static_cast<uint32_t>(node), i));
-      });
-    }
-  }
-  set.eq().schedule(util::msec(10), [&set] {
-    EXPECT_TRUE(set.start_migration(set.shards().plan_move_fraction(0, 1, 0.5)));
-  });
-  set.run_until(util::msec(250));
-  EXPECT_TRUE(set.migration_idle());
-  EXPECT_EQ(set.completed_migrations(), 1u);
-  // Nothing stranded: every submission held across freeze->activate was
-  // flushed to the destination and merged.
-  EXPECT_EQ(set.held_messages(), 0u);
-  EXPECT_EQ(merged,
-            static_cast<uint64_t>(set.nodes_per_ring()) * 120u);
-}
-
-TEST(RingSetMigration, SecondMigrationRejectedWhileInFlight) {
-  RingSet set(small_config(2, 7));
-  set.set_on_merged([](int, int, const Delivery&, Nanos) {});
-  set.start_static();
-  const MigrationPlan plan = set.shards().plan_move_fraction(0, 1, 0.25);
-  ASSERT_FALSE(plan.empty());
-  EXPECT_TRUE(set.start_migration(plan));
-  EXPECT_FALSE(set.migration_idle());
-  EXPECT_FALSE(set.start_migration(set.shards().plan_move_fraction(1, 0, 0.25)))
-      << "overlapping migrations must be refused";
-  // An empty plan is refused outright.
-  set.run_until(util::msec(100));
-  EXPECT_TRUE(set.migration_idle());
-  EXPECT_FALSE(set.start_migration(MigrationPlan{}));
-  EXPECT_EQ(set.completed_migrations(), 1u);
-}
-
 // --- GroupLayer over sharded rings ------------------------------------------
 
 /// N logical daemons over a RingSet: every daemon runs one GroupLayer whose
-/// sends RingSet::submit_named routes to each group's shard ring and whose
-/// deliveries come from the merged stream.
+/// sends go to each group's shard ring and whose deliveries come from the
+/// merged stream.
 struct ShardedGroups {
   RingSet set;
   std::vector<std::unique_ptr<groups::GroupLayer>> layers;
@@ -471,13 +339,7 @@ struct ShardedGroups {
         });
       }
       layers.push_back(std::make_unique<groups::GroupLayer>(
-          static_cast<protocol::ProcessId>(n), std::move(submits),
-          groups::GroupLayer::KeyedSubmitFn(
-              [this, n](std::string_view group, Service service,
-                        std::vector<std::byte> payload) {
-                set.submit_named(n, group, service, std::move(payload));
-                return true;
-              })));
+          static_cast<protocol::ProcessId>(n), std::move(submits)));
       layers.back()->set_on_message(
           [this, n](uint32_t client, const std::string& group,
                     const std::string&, Service,
@@ -558,91 +420,6 @@ TEST(ShardedGroupLayer, DisconnectLeavesGroupsOnEveryRing) {
   for (int n = 0; n < sg.set.nodes_per_ring(); ++n) {
     EXPECT_TRUE(sg.layers[static_cast<size_t>(n)]->groups().members_of(g0).empty());
     EXPECT_TRUE(sg.layers[static_cast<size_t>(n)]->groups().members_of(g1).empty());
-  }
-}
-
-TEST(ShardedGroupLayer, ElasticRoutingSurvivesRingRemoval) {
-  // The elastic assembly: group routing lives in the substrate's versioned
-  // ShardRouter (submit_named), so a group's home ring can be drained out
-  // from under the layer while clients keep sending.
-  RingSet set(small_config(3, 13));
-  std::vector<std::unique_ptr<groups::GroupLayer>> layers;
-  std::vector<std::vector<std::pair<int, char>>> delivered(
-      static_cast<size_t>(set.nodes_per_ring()));
-  for (int n = 0; n < set.nodes_per_ring(); ++n) {
-    std::vector<groups::GroupLayer::SubmitFn> submits;
-    for (int r = 0; r < set.num_rings(); ++r) {
-      submits.push_back(
-          [&set, n, r](Service service, std::vector<std::byte> payload) {
-            set.submit(n, r, service, std::move(payload));
-            return true;
-          });
-    }
-    layers.push_back(std::make_unique<groups::GroupLayer>(
-        static_cast<protocol::ProcessId>(n), std::move(submits),
-        groups::GroupLayer::KeyedSubmitFn(
-            [&set, n](std::string_view group, Service service,
-                      std::vector<std::byte> payload) {
-              set.submit_named(n, group, service, std::move(payload));
-              return true;
-            })));
-    layers.back()->set_on_message(
-        [&delivered, n](uint32_t client, const std::string&,
-                        const std::string&, Service,
-                        std::span<const std::byte> payload) {
-          delivered[static_cast<size_t>(n)].emplace_back(
-              static_cast<int>(client),
-              payload.empty() ? '\0' : static_cast<char>(payload[0]));
-        });
-  }
-  set.set_on_merged([&layers](int node, int, const Delivery& d, Nanos) {
-    layers[static_cast<size_t>(node)]->on_delivery(d);
-  });
-  set.start_static();
-
-  const std::string group = "elastic-room";
-  const int home = set.shards().ring_of(group);
-  // One member client per daemon, so every daemon delivers every send and
-  // the delivery sequences are comparable across nodes.
-  for (int n = 0; n < set.nodes_per_ring(); ++n) {
-    ASSERT_TRUE(layers[static_cast<size_t>(n)]->join(
-        static_cast<uint32_t>(100 + n), "m" + std::to_string(n), group));
-  }
-  set.run_until(util::msec(40));
-  ASSERT_EQ(layers[2]->groups().members_of(group).size(),
-            static_cast<size_t>(set.nodes_per_ring()));
-
-  // Drain the group's home ring while node 1 keeps sending: sends landing in
-  // the freeze->activate window are held and flushed to the new owner.
-  set.eq().schedule(set.eq().now() + util::usec(100), [&set, home] {
-    EXPECT_TRUE(set.start_migration(set.shards().plan_remove_ring(home)));
-  });
-  const uint32_t kSends = 30;
-  for (uint32_t i = 0; i < kSends; ++i) {
-    set.eq().schedule(set.eq().now() + util::usec(400) * (i + 1),
-                      [&layers, &group, i] {
-                        EXPECT_TRUE(layers[1]->send(
-                            2, "bob", {group}, Service::kAgreed,
-                            util::to_vector(util::as_bytes("x"))));
-                        (void)i;
-                      });
-  }
-  set.run_until(set.eq().now() + util::msec(200));
-
-  EXPECT_TRUE(set.migration_idle());
-  EXPECT_EQ(set.completed_migrations(), 1u);
-  EXPECT_FALSE(set.shards().ring_active(home));
-  EXPECT_NE(set.shards().ring_of(group), home);
-  EXPECT_EQ(set.held_messages(), 0u);
-  // Every daemon's local member received every send exactly once — no gap,
-  // no dup across the handoff.
-  for (int n = 0; n < set.nodes_per_ring(); ++n) {
-    const auto& got = delivered[static_cast<size_t>(n)];
-    ASSERT_EQ(got.size(), static_cast<size_t>(kSends)) << "node " << n;
-    for (const auto& [client, byte] : got) {
-      EXPECT_EQ(client, 100 + n);
-      EXPECT_EQ(byte, 'x');
-    }
   }
 }
 

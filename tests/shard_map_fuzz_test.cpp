@@ -1,21 +1,19 @@
 // Property tests for the consistent-hash ShardMap.
 //
-// 1. Full coverage: on random maps (ring count, vnode count, active subset),
-//    the per-ring ranges tile [0, 2^64-1] exactly — no gap, no overlap,
-//    wrap-around arc included — and successor lookup agrees with the tiling
-//    for adversarial probes (range endpoints and their neighbours).
-// 2. Balance: with the default vnode count, every active ring's ownership
-//    stays within a constant factor of its fair share.
-// 3. Minimal disruption: applying a plan changes the owner of exactly the
-//    keys inside the plan's moves — everything else keeps its ring. Ring
-//    add/remove moves only ~1/k of the space, not a full reshuffle.
-// 4. Plan/apply consistency: plans compose (apply -> plan -> apply ...) with
-//    versions advancing by one, every move's src owns its range when the
-//    plan is cut, and removing-then-re-adding a ring restores its exact arcs
-//    (vnode_point is a pure function).
+// 1. Full coverage: for every ring count, the arcs the points define tile
+//    [0, 2^64-1] exactly — no gap, no overlap, wrap-around arc included —
+//    and successor lookup agrees with the tiling for adversarial probes
+//    (arc endpoints and their neighbours) and random keys.
+// 2. Balance: with the default vnode count, every ring's ownership stays
+//    within a constant factor of its fair share.
+// 3. Placement: point positions and key owners are pinned to literals, so
+//    any change that moves a key to another ring fails here first.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "multiring/shard_map.hpp"
@@ -26,74 +24,81 @@ namespace {
 
 constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
 
-std::vector<ShardMap::Range> all_ranges(const ShardMap& map) {
-  std::vector<ShardMap::Range> all;
-  for (int r = 0; r < map.num_rings(); ++r) {
-    const auto ranges = map.ranges_of(r);
-    all.insert(all.end(), ranges.begin(), ranges.end());
+/// Inclusive range of the hash space and the ring that owns it.
+struct Arc {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  int ring = 0;
+};
+
+/// The arcs the points define, sorted by lo: point i owns (point i-1,
+/// point i], and the first point also owns the wrap-around arc (last point,
+/// 2^64-1] ∪ [0, first point], split here at 2^64-1.
+std::vector<Arc> arcs(const ShardMap& map) {
+  const auto& pts = map.points();
+  std::vector<Arc> out;
+  out.push_back(Arc{0, pts.front().at, pts.front().ring});
+  for (size_t i = 1; i < pts.size(); ++i) {
+    out.push_back(Arc{pts[i - 1].at + 1, pts[i].at, pts[i].ring});
   }
-  std::sort(all.begin(), all.end(),
-            [](const auto& a, const auto& b) { return a.lo < b.lo; });
-  return all;
+  if (pts.back().at != kMax) {
+    out.push_back(Arc{pts.back().at + 1, kMax, pts.front().ring});
+  }
+  return out;
+}
+
+/// Fraction of the hash space `ring` owns, in [0, 1].
+double owned_fraction(const ShardMap& map, int ring) {
+  long double total = 0.0L;
+  constexpr long double kSpace = 18446744073709551616.0L;  // 2^64
+  for (const Arc& a : arcs(map)) {
+    if (a.ring == ring) total += static_cast<long double>(a.hi - a.lo) + 1.0L;
+  }
+  return static_cast<double>(total / kSpace);
 }
 
 /// Gap-free, overlap-free tiling of the whole 64-bit space.
-void expect_tiles(const ShardMap& map, const char* what) {
-  const auto all = all_ranges(map);
-  ASSERT_FALSE(all.empty()) << what;
-  EXPECT_EQ(all.front().lo, 0u) << what;
-  EXPECT_EQ(all.back().hi, kMax) << what;
+void expect_tiles(const std::vector<Arc>& all, int rings) {
+  ASSERT_FALSE(all.empty()) << "rings=" << rings;
+  EXPECT_EQ(all.front().lo, 0u) << "rings=" << rings;
+  EXPECT_EQ(all.back().hi, kMax) << "rings=" << rings;
   for (size_t i = 0; i + 1 < all.size(); ++i) {
-    ASSERT_LE(all[i].lo, all[i].hi) << what << " range " << i << " inverted";
+    ASSERT_LE(all[i].lo, all[i].hi) << "rings=" << rings << " arc " << i;
     ASSERT_EQ(all[i].hi + 1, all[i + 1].lo)
-        << what << " gap/overlap after range " << i;
+        << "rings=" << rings << " gap/overlap after arc " << i;
   }
 }
 
-/// Successor lookup and the published ranges agree at `key`.
-void expect_lookup_matches(const ShardMap& map, uint64_t key,
-                           const char* what) {
-  const int owner = map.ring_of_key(key);
-  ASSERT_GE(owner, 0) << what;
-  ASSERT_LT(owner, map.num_rings()) << what;
-  bool contained = false;
-  for (const auto& range : map.ranges_of(owner)) {
-    contained = contained || range.contains(key);
-  }
-  EXPECT_TRUE(contained) << what << ": key " << key << " -> ring " << owner
-                         << " but not in its ranges";
-}
-
-ShardMap random_map(util::Rng& rng) {
-  const int rings = 1 + static_cast<int>(rng.below(8));
-  const int vnodes = 1 + static_cast<int>(rng.below(96));
-  const int active = 1 + static_cast<int>(rng.below(static_cast<uint64_t>(rings)));
-  return ShardMap(rings, vnodes, active);
+/// Owner of `key` by the tiling (binary search over the arcs).
+int arc_owner(const std::vector<Arc>& all, uint64_t key) {
+  const auto it = std::partition_point(
+      all.begin(), all.end(), [key](const Arc& a) { return a.hi < key; });
+  return it->ring;
 }
 
 TEST(ShardMapFuzz, RandomMapsTileAndLookupAgrees) {
   util::Rng rng(0x5eed);
-  for (int iter = 0; iter < 200; ++iter) {
-    const ShardMap map = random_map(rng);
-    expect_tiles(map, "random map");
-    // Adversarial probes: every arc boundary and its neighbours, plus the
-    // circle's own edges (the wrap-around arc) and random keys.
-    for (const ShardMap::Point& p : map.points()) {
-      expect_lookup_matches(map, p.at, "boundary");
-      expect_lookup_matches(map, p.at + 1, "boundary+1");
-      expect_lookup_matches(map, p.at - 1, "boundary-1");
-      EXPECT_EQ(map.ring_of_key(p.at), p.ring)
-          << "a point must own its own position";
+  for (int rings = 1; rings <= 8; ++rings) {
+    const ShardMap map(rings);
+    const std::vector<Arc> all = arcs(map);
+    expect_tiles(all, rings);
+    // Adversarial probes: every arc boundary and its neighbours (the
+    // circle's own edges included), plus random keys.
+    for (const Arc& a : all) {
+      for (const uint64_t key : {a.lo, a.hi, a.lo - 1, a.hi + 1}) {
+        EXPECT_EQ(map.ring_of_key(key), arc_owner(all, key))
+            << "rings=" << rings << " key " << key;
+      }
+      EXPECT_EQ(map.ring_of_key(a.hi), a.ring);
     }
-    expect_lookup_matches(map, 0, "zero");
-    expect_lookup_matches(map, kMax, "max");
-    for (int probe = 0; probe < 32; ++probe) {
-      expect_lookup_matches(map, rng.next(), "random");
+    for (int probe = 0; probe < 256; ++probe) {
+      const uint64_t key = rng.next();
+      EXPECT_EQ(map.ring_of_key(key), arc_owner(all, key))
+          << "rings=" << rings << " key " << key;
     }
-    // Inactive rings own nothing; active ones own something.
-    for (int r = 0; r < map.num_rings(); ++r) {
-      EXPECT_EQ(map.ring_active(r), !map.ranges_of(r).empty());
-      EXPECT_EQ(map.ring_active(r), map.owned_fraction(r) > 0.0);
+    // Every ring owns some of the space.
+    for (int r = 0; r < rings; ++r) {
+      EXPECT_GT(owned_fraction(map, r), 0.0) << "rings=" << rings;
     }
   }
 }
@@ -116,13 +121,13 @@ TEST(ShardMapFuzz, WrapAroundArcBelongsToFirstPoint) {
 TEST(ShardMapFuzz, DefaultVnodesBoundTheImbalance) {
   // With kDefaultVnodes the largest share stays within 2x of ideal and the
   // smallest within a third — the bound the routing layer's spread tests
-  // and the rebalance heuristic rely on.
+  // rely on.
   for (int k : {2, 3, 4, 6, 8}) {
     ShardMap map(k);
     const double ideal = 1.0 / k;
     double total = 0;
     for (int r = 0; r < k; ++r) {
-      const double f = map.owned_fraction(r);
+      const double f = owned_fraction(map, r);
       EXPECT_LT(f, 2.0 * ideal) << "rings=" << k << " ring " << r;
       EXPECT_GT(f, ideal / 3.0) << "rings=" << k << " ring " << r;
       total += f;
@@ -131,142 +136,40 @@ TEST(ShardMapFuzz, DefaultVnodesBoundTheImbalance) {
   }
 }
 
-/// Owner of every probe key, for before/after disruption comparisons.
-std::vector<int> owners(const ShardMap& map, const std::vector<uint64_t>& keys) {
-  std::vector<int> out;
-  out.reserve(keys.size());
-  for (const uint64_t key : keys) out.push_back(map.ring_of_key(key));
-  return out;
-}
-
-TEST(ShardMapFuzz, PlansMoveExactlyWhatTheyClaim) {
-  util::Rng rng(0x6d0e);
-  for (int iter = 0; iter < 120; ++iter) {
-    ShardMap map = random_map(rng);
-    std::vector<uint64_t> keys;
-    for (int i = 0; i < 256; ++i) keys.push_back(rng.next());
-    const std::vector<int> before = owners(map, keys);
-
-    MigrationPlan plan;
-    switch (rng.below(3)) {
-      case 0: {
-        const int ring = static_cast<int>(rng.below(
-            static_cast<uint64_t>(map.num_rings())));
-        plan = map.ring_active(ring) ? map.plan_remove_ring(ring)
-                                     : map.plan_add_ring(ring);
-        break;
-      }
-      case 1: {
-        const int src = static_cast<int>(rng.below(
-            static_cast<uint64_t>(map.num_rings())));
-        const int dst = static_cast<int>(rng.below(
-            static_cast<uint64_t>(map.num_rings())));
-        plan = map.plan_move_fraction(src, dst, 0.05 + 0.9 * rng.uniform());
-        break;
-      }
-      default: {
-        const int ring = static_cast<int>(rng.below(
-            static_cast<uint64_t>(map.num_rings())));
-        plan = map.plan_add_ring(ring);  // no-op if already active
-        break;
-      }
-    }
-
-    const uint64_t v = map.version();
-    if (plan.empty()) {
-      map.apply(plan);
-      EXPECT_EQ(map.version(), v) << "empty plan must not bump the version";
-      EXPECT_EQ(owners(map, keys), before);
-      continue;
-    }
-    // Every move's src must own its range when the plan is cut.
-    for (const MigrationMove& mv : plan.moves) {
-      ASSERT_LE(mv.range.lo, mv.range.hi);
-      ASSERT_NE(mv.src, mv.dst);
-      EXPECT_EQ(map.ring_of_key(mv.range.lo), mv.src);
-      EXPECT_EQ(map.ring_of_key(mv.range.hi), mv.src);
-    }
-    map.apply(plan);
-    EXPECT_EQ(map.version(), v + 1);
-    // Minimal disruption: a key changes owner iff a move contains it, and
-    // then to exactly the move's dst.
-    for (size_t i = 0; i < keys.size(); ++i) {
-      const MigrationMove* mv = plan.move_of(keys[i]);
-      const int after = map.ring_of_key(keys[i]);
-      if (mv == nullptr) {
-        EXPECT_EQ(after, before[i]) << "iter " << iter << ": unmoved key "
-                                    << keys[i] << " changed owner";
-      } else {
-        EXPECT_EQ(before[i], mv->src) << "iter " << iter;
-        EXPECT_EQ(after, mv->dst) << "iter " << iter;
-      }
-    }
-    expect_tiles(map, "post-apply");
-  }
-}
-
-TEST(ShardMapFuzz, AddOrRemoveDisruptsAboutOneKth) {
-  // Consistent hashing's headline property: ring add/remove moves ~1/k of
-  // the space, never a reshuffle. (A modulo map would move (k-1)/k.)
-  for (int k : {3, 4, 6, 8}) {
-    ShardMap map(k, ShardMap::kDefaultVnodes, k - 1);
-    const MigrationPlan add = map.plan_add_ring(k - 1);
-    double moved = 0;
-    for (const MigrationMove& mv : add.moves) {
-      moved += static_cast<double>(mv.range.hi - mv.range.lo) /
-               static_cast<double>(kMax);
-    }
-    const double ideal = 1.0 / k;
-    EXPECT_LT(moved, 2.0 * ideal) << "rings=" << k;
-    EXPECT_GT(moved, ideal / 3.0) << "rings=" << k;
-  }
-}
-
-TEST(ShardMapFuzz, RemoveThenReAddRestoresExactOwnership) {
-  util::Rng rng(0xabcd);
-  for (int iter = 0; iter < 60; ++iter) {
-    ShardMap map = random_map(rng);
-    if (map.active_rings() < 2) continue;
-    int victim = -1;
-    for (int r = 0; r < map.num_rings(); ++r) {
-      if (map.ring_active(r)) victim = r;
-    }
-    ASSERT_GE(victim, 0);
-    std::vector<uint64_t> keys;
-    for (int i = 0; i < 128; ++i) keys.push_back(rng.next());
-    const std::vector<int> before = owners(map, keys);
-    const auto points_before = map.points();
-
-    map.apply(map.plan_remove_ring(victim));
-    EXPECT_FALSE(map.ring_active(victim));
-    map.apply(map.plan_add_ring(victim));
-    EXPECT_TRUE(map.ring_active(victim));
-    // vnode_point is a pure function of (ring, v): the round trip is exact.
-    EXPECT_EQ(map.points(), points_before) << "iter " << iter;
-    EXPECT_EQ(owners(map, keys), before) << "iter " << iter;
-  }
-}
-
-TEST(ShardMapFuzz, LastActiveRingCannotBeRemoved) {
-  ShardMap map(4, 8, 1);
-  EXPECT_EQ(map.active_rings(), 1);
-  EXPECT_TRUE(map.plan_remove_ring(0).empty());
-  map.apply(map.plan_remove_ring(0));
-  EXPECT_EQ(map.active_rings(), 1);
-  EXPECT_EQ(map.version(), 0u);
-}
-
 TEST(ShardMapFuzz, VnodePointIsDeterministic) {
-  // The canonical point positions are part of the deployment contract (all
-  // nodes must agree); pin a few so accidental hash changes fail loudly.
-  for (int ring = 0; ring < 4; ++ring) {
-    for (int v = 0; v < 8; ++v) {
-      EXPECT_EQ(ShardMap::vnode_point(ring, v), ShardMap::vnode_point(ring, v));
-    }
+  // Key placement is part of the deployment contract (every node must route
+  // a key to the same ring), and KV routing and every K > 1 artifact depend
+  // on it. These literals were taken from the map as it shipped; any change
+  // to the hash, the vnode count, the dedup or the successor lookup moves
+  // at least one of them.
+  EXPECT_EQ(ShardMap::vnode_point(0, 0), 0x766bd286674d3963ull);
+  EXPECT_EQ(ShardMap::vnode_point(0, 63), 0xcb5b583b48b1eca7ull);
+  EXPECT_EQ(ShardMap::vnode_point(1, 0), 0x9c5c2d43b88fce17ull);
+  EXPECT_EQ(ShardMap::vnode_point(3, 17), 0xc0f0927917625335ull);
+  EXPECT_EQ(ShardMap::vnode_point(7, 5), 0xc5b0ec58e75219c6ull);
+
+  const ShardMap four(4);
+  const int group_ring[] = {2, 2, 3, 1, 3, 2, 1, 0};
+  for (int g = 0; g < 8; ++g) {
+    EXPECT_EQ(four.ring_of("group-" + std::to_string(g)), group_ring[g])
+        << "group-" << g;
   }
-  ShardMap a(4), b(4);
-  EXPECT_EQ(a.points(), b.points());
-  EXPECT_EQ(ShardMap(3, 16, 2).points(), ShardMap(3, 16, 2).points());
+
+  // FNV-1a fold of the owner of mix64(i), i in [0, 4096), per ring count.
+  const std::pair<int, uint64_t> folds[] = {{1, 0xb93a0c83ce3b6325ull},
+                                            {2, 0x3f86889870b06cb0ull},
+                                            {3, 0x0bfe2ba4d778b845ull},
+                                            {4, 0x81fb269a55cfe273ull},
+                                            {8, 0x036d495de1bf4215ull}};
+  for (const auto& [k, want] : folds) {
+    const ShardMap map(k);
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint64_t i = 0; i < 4096; ++i) {
+      h ^= static_cast<uint64_t>(map.ring_of_key(mix64(i)));
+      h *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(h, want) << "rings=" << k;
+  }
 }
 
 }  // namespace

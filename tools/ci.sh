@@ -94,16 +94,14 @@ smoke "kv service smoke, 1 shard" kv_service kv_1shard_artifacts \
   "--smoke --shards 1" BENCH_kv_smoke_1shard.json
 smoke "kv service smoke, 4 shards" kv_service kv_4shard_artifacts \
   "--smoke --shards 4" BENCH_kv_smoke_4shard.json
-# The WAN, storage and migration scenarios (and their seed corpora) run in
+# The WAN and storage scenarios (and their seed corpora) run in
 # check_campaign_test above; these rows smoke the benches of those stacks:
-# the topology classes (LAN/metro/regional), the KV smoke with per-node WAL
-# + checkpoint persistence, and the migration handoff phases.
+# the topology classes (LAN/metro/regional) and the KV smoke with per-node
+# WAL + checkpoint persistence.
 smoke "topology bench smoke" fig_wan_topologies wan_artifacts "--smoke" \
   "BENCH_wan_*.json"
 smoke "durable kv smoke" kv_service storage_artifacts \
   "--smoke --shards 1 --durable" BENCH_kv_smoke_1shard_durable.json
-smoke "handoff bench smoke" fig_migration migration_artifacts "--smoke" \
-  BENCH_migration_smoke.json
 
 # Wall-clock suite acceptance: bench/suite is a standalone project over the
 # library sources, so a src/ change can break it without breaking the main
@@ -158,7 +156,7 @@ EOF
 # next to the build/ tree above, and removed again.
 parent_digest() {
   local targets=(check_campaign obs_smoke kv_service fig_wan_topologies
-                 fig_migration fig_gray_failure)
+                 fig_gray_failure)
   local tree=build-parent/src
   echo "=== build-parent: digest against HEAD^ ==="
   git worktree remove --force "${tree}" 2>/dev/null || true

@@ -9,7 +9,7 @@
 #
 # <build-dir> is a configured and built tree of this repository (the
 # binaries it needs: tools/check_campaign, bench/obs_smoke, kv_service,
-# fig_wan_topologies, fig_migration, fig_gray_failure). <out-dir> is
+# fig_wan_topologies, fig_gray_failure). <out-dir> is
 # created; files already in it are overwritten. It takes about a minute
 # on one core.
 #
@@ -78,7 +78,6 @@ smoke kv_1shard kv_service --smoke --shards 1
 smoke kv_4shard kv_service --smoke --shards 4
 smoke kv_1shard_durable kv_service --smoke --shards 1 --durable
 smoke wan_topologies fig_wan_topologies --smoke
-smoke migration fig_migration --smoke
 
 echo "fig_gray_failure" >&2
 record "${build}/bench/fig_gray_failure" | strip_paths >fig_gray_failure.txt
