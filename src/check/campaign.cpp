@@ -105,7 +105,7 @@ Blame blame(const Schedule& schedule, const simnet::Topology& topo) {
   return b;
 }
 
-/// One run's system under test — a SimCluster, or a RingSet when K > 1 —
+/// One run's system under test — a RingSet of K rings, K = 1 included —
 /// with its stack's services and oracles: everything the fault applier
 /// acts on.
 struct Target {
@@ -114,9 +114,7 @@ struct Target {
   Target& operator=(const Target&) = delete;
 
   Stack stack = Stack::kRaw;
-  std::unique_ptr<harness::SimCluster> cluster;  ///< K == 1
-  std::unique_ptr<multiring::RingSet> ring_set;  ///< K > 1
-  std::vector<harness::SimCluster*> clusters;    ///< one per ring
+  std::unique_ptr<multiring::RingSet> rings;
   std::vector<std::unique_ptr<ClusterOracle>> oracles;  ///< one per ring
   std::unique_ptr<MergedOracle> merged;          ///< K > 1
   std::unique_ptr<ClientFleet> fleet;            ///< Stack::kClients
@@ -126,11 +124,13 @@ struct Target {
   std::unique_ptr<kv::SessionWorkload> workload;  ///< kv stacks
   uint32_t token_drops = 0;  ///< token datagrams still to absorb
 
-  [[nodiscard]] simnet::EventQueue& eq() {
-    return ring_set ? ring_set->eq() : cluster->eq();
-  }
-  [[nodiscard]] bool down(int n) const {
-    return clusters.front()->net().host_down(n);
+  [[nodiscard]] simnet::EventQueue& eq() { return rings->eq(); }
+  [[nodiscard]] int num_rings() const { return rings->num_rings(); }
+  [[nodiscard]] bool down(int n) const { return rings->node_down(n); }
+  /// `fn(cluster)` for every ring, in ring order.
+  template <typename Fn>
+  void each_ring(Fn fn) {
+    for (int r = 0; r < num_rings(); ++r) fn(rings->ring(r));
   }
   /// Crash `n` (no-op when it is down). The durability oracle snapshots the
   /// node's applied versions before the crash resolves its un-fsynced disk
@@ -138,11 +138,7 @@ struct Target {
   void crash(int n) {
     if (down(n)) return;
     if (durability) durability->note_crash(n);
-    if (ring_set) {
-      ring_set->crash_node(n);
-    } else {
-      cluster->crash_node(n);
-    }
+    rings->crash_node(n);
     for (const auto& oracle : oracles) oracle->note_crash(n);
     if (fleet) fleet->on_crash(n);
     if (service) service->on_crash(n);
@@ -151,7 +147,7 @@ struct Target {
   /// durability oracle judges the recovered versions last.
   bool restart(int n) {
     if (!down(n)) return false;
-    cluster->restart_node(n);
+    rings->restart_node(n);
     oracles.front()->note_restart(n);
     if (fleet) fleet->on_restart(n);
     if (service) {
@@ -169,23 +165,21 @@ struct Target {
 /// The fault applier. Network faults hit every ring's fabric; a timed one
 /// reverts after `duration` in one event for all rings.
 void apply(Target& t, const FaultEvent& e) {
-  if (!stack_applies(t.stack, static_cast<int>(t.clusters.size()), e.kind)) {
-    return;
-  }
+  if (!stack_applies(t.stack, t.num_rings(), e.kind)) return;
   using Net = simnet::Network;
   const auto nets = [&t](auto fn) {
-    for (harness::SimCluster* c : t.clusters) fn(c->net());
+    t.each_ring([&fn](harness::SimCluster& c) { fn(c.net()); });
   };
   const auto for_duration = [&](auto onset, auto expiry) {
     nets(onset);
     t.eq().schedule_after(e.duration, [&t, expiry] {
-      for (harness::SimCluster* c : t.clusters) expiry(c->net());
+      t.each_ring([&expiry](harness::SimCluster& c) { expiry(c.net()); });
     });
   };
   const auto disks = [&](auto fn) {
-    for (harness::SimCluster* c : t.clusters) fn(c->disk(e.node));
+    t.each_ring([&](harness::SimCluster& c) { fn(c.disk(e.node)); });
   };
-  const int nodes = t.clusters.front()->size();
+  const int nodes = t.rings->nodes_per_ring();
   switch (e.kind) {
     case FaultKind::kLossBurst:
       for_duration([&](Net& net) { net.set_loss_rate(e.rate); },
@@ -223,9 +217,9 @@ void apply(Target& t, const FaultEvent& e) {
       break;
     case FaultKind::kCpuMultiplier:
       // Droppable: rate 1 (or a multiplier shrunk away) is a no-op.
-      for (harness::SimCluster* c : t.clusters) {
-        c->process(e.node).set_cpu_multiplier(e.rate);
-      }
+      t.each_ring([&e](harness::SimCluster& c) {
+        c.process(e.node).set_cpu_multiplier(e.rate);
+      });
       break;
     case FaultKind::kLinkLoss:
       nets([&](Net& net) { net.set_link_loss(e.peer, e.node, e.rate); });
@@ -295,9 +289,8 @@ void apply(Target& t, const FaultEvent& e) {
       disks([](storage::SimDisk& disk) { disk.set_capacity(1); });
       t.disk_unsafe(e.node, "enospc");
       t.eq().schedule_after(e.duration, [&t, node = e.node] {
-        for (harness::SimCluster* c : t.clusters) {
-          c->disk(node).set_capacity(0);
-        }
+        t.each_ring(
+            [node](harness::SimCluster& c) { c.disk(node).set_capacity(0); });
       });
       break;
     case FaultKind::kDiskStall:
@@ -309,48 +302,82 @@ void apply(Target& t, const FaultEvent& e) {
   }
 }
 
-/// Single-ring stacks: the cluster, its oracle, and the stack's client
-/// fleet or KV service with its oracles and workload.
-void build_cluster(Target& t, const RunOptions& opt,
-                   const simnet::Topology& topo, bool wan, uint64_t seed) {
-  RunOptions ropt = opt;
+/// The ring set, a ClusterOracle per ring plus the MergedOracle over the
+/// merged streams when K > 1, and the stack's client fleet or KV service
+/// with its oracles and workload.
+void build(Target& t, const RunOptions& opt, const simnet::Topology& topo,
+           bool wan, uint64_t seed) {
+  multiring::MultiRingConfig mcfg{
+      .rings = opt.rings, .nodes_per_ring = opt.nodes, .topology = topo,
+      .fabric = opt.fabric, .proto = opt.proto, .profile = opt.profile,
+      .merge_batch = opt.merge_batch, .skip_interval = opt.skip_interval,
+      .seed = seed};
   if (t.stack == Stack::kClients) {
     // A client run must be able to overload its daemons within one burst:
     // clamp the engine queue so sends actually cross the high-water line.
-    ropt.proto.max_pending = std::min<size_t>(ropt.proto.max_pending, 384);
+    mcfg.proto.max_pending = std::min<size_t>(mcfg.proto.max_pending, 384);
   }
-  t.cluster = std::make_unique<harness::SimCluster>(
-      topo, ropt.fabric, ropt.proto, ropt.profile, seed);
-  harness::SimCluster& cluster = *t.cluster;
-  t.clusters = {&cluster};
+  t.rings = std::make_unique<multiring::RingSet>(mcfg);
+  multiring::RingSet& rings = *t.rings;
   // Metrics ride along only when a failure would dump them: recording is
   // perturbation-free (obs_determinism_test), so the verdict is unaffected,
   // and passing runs skip the registry allocations.
-  if (!opt.artifact_dir.empty()) cluster.enable_metrics();
-  t.oracles.push_back(std::make_unique<ClusterOracle>(opt.nodes));
-  t.oracles.back()->attach(cluster);
+  if (!opt.artifact_dir.empty()) rings.enable_metrics();
+  for (int r = 0; r < opt.rings; ++r) {
+    t.oracles.push_back(std::make_unique<ClusterOracle>(
+        opt.nodes, opt.rings > 1 ? "ring " + std::to_string(r) : ""));
+    t.oracles.back()->attach(rings.ring(r));
+  }
+
+  if (opt.rings > 1) {
+    t.merged = std::make_unique<MergedOracle>(opt.nodes);
+    MergedOracle& merged = *t.merged;
+    if (opt.inject_merge_bug) {
+      // Mutation: swap adjacent pairs of node 1's merged stream before the
+      // oracle sees them — a deliberate total-order bug the oracles must
+      // catch (and the shrinker must reduce).
+      auto held = std::make_shared<
+          std::optional<std::pair<int, protocol::Delivery>>>();
+      rings.add_on_merged([&merged, held](int node, int ring,
+                                          const protocol::Delivery& d, Nanos) {
+        if (node != 1) {
+          merged.on_merged(node, ring, d);
+          return;
+        }
+        if (!held->has_value()) {
+          *held = std::make_pair(ring, d);
+          return;
+        }
+        merged.on_merged(node, ring, d);
+        merged.on_merged(node, (*held)->first, (*held)->second);
+        held->reset();
+      });
+    } else {
+      merged.attach(rings);
+    }
+  }
 
   if (t.stack == Stack::kClients) {
     FleetOptions fopt;
     fopt.daemon.session_queue_limit = 48;
     fopt.seed = seed;
-    t.fleet = std::make_unique<ClientFleet>(cluster, fopt);
+    t.fleet = std::make_unique<ClientFleet>(rings.ring(0), fopt);
     return;
   }
   if (t.stack != Stack::kKv && t.stack != Stack::kDurableKv) return;
   kv::ServiceConfig scfg;
-  scfg.shards = 1;
+  scfg.shards = opt.rings;
   scfg.preload_keys = 0;  // the KvOracle needs a fully observed history
   if (t.stack == Stack::kDurableKv) {
     // Every (node, shard) replica persists to the node's SimDisk. The file
     // prefix starts with "shard" so kDiskBitRot (which targets that prefix)
     // corrupts WAL/checkpoint files but never the epoch file beside them.
-    scfg.store_factory = [&cluster](int node, int shard) {
+    scfg.store_factory = [&rings](int node, int shard) {
       return std::make_unique<storage::ReplicaStore>(
-          cluster.disk(node), "shard" + std::to_string(shard));
+          rings.ring(0).disk(node), "shard" + std::to_string(shard));
     };
   }
-  t.service = std::make_unique<kv::KvService>(cluster, scfg);
+  t.service = std::make_unique<kv::KvService>(rings, scfg);
   kv::KvService& service = *t.service;
   t.kv_oracle = std::make_unique<KvOracle>();
   t.kv_oracle->bind(service);
@@ -399,57 +426,6 @@ void build_cluster(Target& t, const RunOptions& opt,
   t.workload = std::make_unique<kv::SessionWorkload>(service, wcfg);
 }
 
-/// Multi-ring runs: the ring set, a ClusterOracle per ring, and the
-/// MergedOracle over the merged streams.
-void build_ring_set(Target& t, const RunOptions& opt,
-                    const simnet::Topology& topo, uint64_t seed) {
-  multiring::MultiRingConfig mcfg;
-  mcfg.topology = topo;  // empty: the classic single-switch fabric
-  mcfg.rings = opt.rings;
-  mcfg.nodes_per_ring = opt.nodes;
-  mcfg.fabric = opt.fabric;
-  mcfg.proto = opt.proto;
-  mcfg.profile = opt.profile;
-  mcfg.merge_batch = opt.merge_batch;
-  mcfg.skip_interval = opt.skip_interval;
-  mcfg.seed = seed;
-  t.ring_set = std::make_unique<multiring::RingSet>(mcfg);
-  multiring::RingSet& rings = *t.ring_set;
-  if (!opt.artifact_dir.empty()) rings.enable_metrics();
-  for (int r = 0; r < opt.rings; ++r) {
-    t.clusters.push_back(&rings.ring(r));
-    t.oracles.push_back(std::make_unique<ClusterOracle>(
-        opt.nodes, "ring " + std::to_string(r)));
-    t.oracles.back()->attach(rings.ring(r));
-  }
-
-  t.merged = std::make_unique<MergedOracle>(opt.nodes);
-  MergedOracle& merged = *t.merged;
-  if (opt.inject_merge_bug) {
-    // Mutation: swap adjacent pairs of node 1's merged stream before the
-    // oracle sees them — a deliberate total-order bug the oracles must
-    // catch (and the shrinker must reduce).
-    auto held = std::make_shared<
-        std::optional<std::pair<int, protocol::Delivery>>>();
-    rings.add_on_merged([&merged, held](int node, int ring,
-                                        const protocol::Delivery& d, Nanos) {
-      if (node != 1) {
-        merged.on_merged(node, ring, d);
-        return;
-      }
-      if (!held->has_value()) {
-        *held = std::make_pair(ring, d);
-        return;
-      }
-      merged.on_merged(node, ring, d);
-      merged.on_merged(node, (*held)->first, (*held)->second);
-      held->reset();
-    });
-  } else {
-    merged.attach(rings);
-  }
-}
-
 /// The stack's workload, armed after the faults (the KV workload started
 /// with the cluster).
 void arm(Target& t, const RunOptions& opt) {
@@ -468,12 +444,7 @@ void arm(Target& t, const RunOptions& opt) {
         t.oracles[static_cast<size_t>(ring)]->note_submit(node, index);
         auto payload = harness::make_payload(opt.payload_size,
                                              stamp_of(t.eq(), node, index));
-        if (t.ring_set) {
-          t.ring_set->submit(node, ring, pick_service(index),
-                             std::move(payload));
-        } else {
-          t.cluster->submit(node, pick_service(index), std::move(payload));
-        }
+        t.rings->submit(node, ring, pick_service(index), std::move(payload));
       });
       break;
   }
@@ -489,14 +460,15 @@ RunResult verdict(Target& t, const RunOptions& opt, const Blame& blamed,
   const auto take = [&res](const std::vector<Violation>& vs) {
     res.violations.insert(res.violations.end(), vs.begin(), vs.end());
   };
-  for (size_t r = 0; r < t.clusters.size(); ++r) {
-    harness::SimCluster& cluster = *t.clusters[r];
+  for (int r = 0; r < t.num_rings(); ++r) {
+    harness::SimCluster& cluster = t.rings->ring(r);
+    ClusterOracle& oracle = *t.oracles[static_cast<size_t>(r)];
     const harness::ClusterStats stats = cluster.stats();
     res.quarantines += stats.quarantines();
     res.readmits += stats.readmits();
-    t.oracles[r]->finalize(&stats);
-    res.delivered += t.oracles[r]->observed();
-    take(t.oracles[r]->violations());
+    oracle.finalize(&stats);
+    res.delivered += oracle.observed();
+    take(oracle.violations());
     // Healthy-member quarantine audit: every pid any engine's membership
     // layer ever quarantined (read from the quarantine log, which — unlike
     // the trace ring buffer — never wraps) must have been the target of a
@@ -512,7 +484,8 @@ RunResult verdict(Target& t, const RunOptions& opt, const Blame& blamed,
     for (const protocol::ProcessId v : victims) {
       if (blamed.degraded.contains(static_cast<int>(v))) continue;
       res.violations.push_back(Violation{
-          (t.ring_set ? "ring " + std::to_string(r) + ": " : std::string()) +
+          (t.num_rings() > 1 ? "ring " + std::to_string(r) + ": "
+                             : std::string()) +
           "healthy member quarantined: node " + std::to_string(v) +
           " was gray-failure evicted but no fault degraded it"});
     }
@@ -548,9 +521,7 @@ std::string dump_flight(Target& t, const RunOptions& opt,
                         const Schedule& schedule, uint64_t seed,
                         const RunResult& res) {
   const obs::MetricsRegistry metrics =
-      t.service    ? t.service->merged_metrics()
-      : t.ring_set ? t.ring_set->merged_metrics()
-                   : t.cluster->merged_metrics();
+      t.service ? t.service->merged_metrics() : t.rings->merged_metrics();
   obs::FlightRecord record;
   record.scenario = schedule.scenario;
   record.seed = seed;
@@ -558,15 +529,16 @@ std::string dump_flight(Target& t, const RunOptions& opt,
   for (const Violation& v : res.violations) {
     record.violations.push_back(v.what);
   }
-  for (size_t r = 0; r < t.clusters.size(); ++r) {
+  for (int r = 0; r < t.num_rings(); ++r) {
+    harness::SimCluster& cluster = t.rings->ring(r);
     for (int n = 0; n < opt.nodes; ++n) {
       obs::FlightNode fn;
-      fn.name = (t.ring_set ? "ring" + std::to_string(r) + "/" : "") +
+      fn.name = (t.num_rings() > 1 ? "ring" + std::to_string(r) + "/" : "") +
                 std::string("node") + std::to_string(n);
-      for (const std::string& line : t.clusters[r]->disk(n).fault_log()) {
+      for (const std::string& line : cluster.disk(n).fault_log()) {
         record.storage_faults.push_back(fn.name + ": " + line);
       }
-      fn.events = t.clusters[r]->tracer(n).snapshot();
+      fn.events = cluster.tracer(n).snapshot();
       record.nodes.push_back(std::move(fn));
     }
   }
@@ -641,18 +613,15 @@ RunResult run_schedule(const RunOptions& opt, const Schedule& schedule,
   Target t;
   // Ring sets run only the raw stack; single rings run the scenario's.
   t.stack = sc != nullptr && ropt.rings == 1 ? sc->stack : Stack::kRaw;
-  if (ropt.rings > 1) {
-    build_ring_set(t, ropt, wan ? topo : simnet::Topology{}, seed);
-  } else {
-    build_cluster(t, ropt, topo, wan, seed);
-  }
+  build(t, ropt, topo, wan, seed);
   // Ejection audit: with no churn in the schedule, a configuration that
   // excludes a healthy, reachable node is a false ejection. Single ring
   // only: on a K=4 ring set, loss bursts alone already eject members (e.g.
   // loss_bursts seed 1), which this counter has never covered.
-  if (!blamed.churn && t.cluster) {
-    t.cluster->add_on_config([&t, &ejected, &blamed, nodes = ropt.nodes](
-                                 int, const protocol::ConfigurationChange& c) {
+  if (!blamed.churn && ropt.rings == 1) {
+    t.rings->ring(0).add_on_config([&t, &ejected, &blamed, nodes = ropt.nodes](
+                                       int,
+                                       const protocol::ConfigurationChange& c) {
       if (c.transitional) return;
       for (int n = 0; n < nodes; ++n) {
         if (t.down(n) || blamed.degraded.contains(n)) continue;
@@ -664,20 +633,16 @@ RunResult run_schedule(const RunOptions& opt, const Schedule& schedule,
     });
   }
 
-  if (t.ring_set) {
-    t.ring_set->start_static();
-  } else {
-    t.cluster->start_static();
-  }
+  t.rings->start_static();
   if (t.workload) t.workload->start();
-  for (harness::SimCluster* c : t.clusters) {
-    c->net().set_drop_filter([&t](int, int, simnet::SocketId sock,
-                                  const std::vector<std::byte>&) {
+  t.each_ring([&t](harness::SimCluster& c) {
+    c.net().set_drop_filter([&t](int, int, simnet::SocketId sock,
+                                 const std::vector<std::byte>&) {
       if (sock != simnet::kTokenSocket || t.token_drops == 0) return false;
       --t.token_drops;
       return true;
     });
-  }
+  });
   simnet::EventQueue& eq = t.eq();
   for (const FaultEvent& e : schedule.events) {
     eq.schedule_after(e.at, [&t, e] { apply(t, e); });
@@ -687,17 +652,17 @@ RunResult run_schedule(const RunOptions& opt, const Schedule& schedule,
   // heal too: a quarantined member turns healthy here and probes its way
   // back through probation during the drain.
   eq.schedule_after(ropt.horizon, [&t] {
-    for (harness::SimCluster* c : t.clusters) {
-      c->net().heal();
-      c->net().set_loss_rate(0);
-      c->net().set_extra_latency(0);
-      c->net().clear_link_faults();  // WAN links up, brownouts off too
-      for (int n = 0; n < c->size(); ++n) {
+    t.each_ring([](harness::SimCluster& c) {
+      c.net().heal();
+      c.net().set_loss_rate(0);
+      c.net().set_extra_latency(0);
+      c.net().clear_link_faults();  // WAN links up, brownouts off too
+      for (int n = 0; n < c.size(); ++n) {
         // Back to the *constructed* speed: heterogeneous topologies keep
         // their hardware through a heal.
-        c->process(n).set_cpu_multiplier(c->base_cpu_multiplier(n));
+        c.process(n).set_cpu_multiplier(c.base_cpu_multiplier(n));
       }
-    }
+    });
     t.token_drops = 0;
   });
   eq.run_until(ropt.horizon + ropt.drain);

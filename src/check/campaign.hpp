@@ -1,8 +1,9 @@
 // Fault-injection campaign runner.
 //
-// run_schedule() drives one seeded simulation — a SimCluster, or a RingSet
-// when rings > 1 — under a fault Schedule with the safety oracles attached,
-// heals every fault at the horizon, drains, and returns the oracle verdict.
+// run_schedule() drives one seeded simulation — a RingSet of `rings` rings,
+// one ring included — under a fault Schedule with the safety oracles
+// attached, heals every fault at the horizon, drains, and returns the oracle
+// verdict.
 // run_campaign() sweeps every applicable scenario across N seeds, prints
 // each failure's seed and schedule (a failure reproduces from those alone),
 // and greedily shrinks the failing schedule to a minimal reproducer.
@@ -47,7 +48,9 @@ namespace accelring::check {
 
 struct RunOptions {
   int nodes = 5;
-  int rings = 1;  ///< 1 = single cluster; >1 = RingSet with K rings
+  /// K, the ring set's ring count. K = 1 runs every stack and fault; K > 1
+  /// runs the raw stack with the MergedOracle (see stack_applies()).
+  int rings = 1;
   Nanos horizon = util::msec(250);     ///< workload + fault window
   Nanos drain = util::msec(300);       ///< heal-all, then quiesce
   size_t payload_size = 64;

@@ -6,11 +6,9 @@
 
 namespace accelring::kv {
 
-Frontend::Frontend(ProcessId self, int shards, LeaseConfig lease,
-                   SubmitFn submit, NowFn now)
+Frontend::Frontend(ProcessId self, int shards, SubmitFn submit, NowFn now)
     : self_(self),
       map_(shards),
-      lease_cfg_(lease),
       submit_(std::move(submit)),
       now_(std::move(now)),
       machines_(static_cast<size_t>(shards), nullptr),
@@ -40,7 +38,7 @@ bool Frontend::issue(uint64_t uuid, uint64_t seq, const KvOp& op,
   const auto s = static_cast<size_t>(shard);
   const Nanos now = now_();
 
-  if (!is_mutation(op.type) && lease_cfg_.enabled && leases_[s] != nullptr &&
+  if (!is_mutation(op.type) && leases_[s] != nullptr &&
       machines_[s] != nullptr && leases_[s]->can_serve(self_, now) &&
       replicas_[s] != nullptr && !replicas_[s]->catching_up() &&
       machines_[s]->version() >= min_version) {

@@ -69,8 +69,7 @@ class Frontend {
     uint64_t submit_shed = 0;    ///< submits rejected by backpressure
   };
 
-  Frontend(ProcessId self, int shards, LeaseConfig lease, SubmitFn submit,
-           NowFn now);
+  Frontend(ProcessId self, int shards, SubmitFn submit, NowFn now);
 
   /// Wire (or re-wire after a restart) the local replica state of a shard.
   /// The replica gates the lease fast path: while it is catching up
@@ -126,7 +125,6 @@ class Frontend {
 
   ProcessId self_;
   multiring::ShardMap map_;
-  LeaseConfig lease_cfg_;
   SubmitFn submit_;
   NowFn now_;
   std::vector<const KvStateMachine*> machines_;  ///< per shard

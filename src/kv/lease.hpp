@@ -43,11 +43,6 @@ inline constexpr Nanos kLeaseGuard = util::msec(4);
 /// The holder re-multicasts its grant this often.
 inline constexpr Nanos kLeaseRenewEvery = util::msec(12);
 
-struct LeaseConfig {
-  /// Off: every read goes through the total order.
-  bool enabled = true;
-};
-
 /// Grant identity, unique per grant across the run: the holder plus the
 /// simulated time it submitted the grant (monotonic per holder, so a holder
 /// that crashes and returns never reuses an id).

@@ -35,34 +35,10 @@ std::string make_value(uint64_t id, size_t size) {
   return v;
 }
 
-KvService::KvService(harness::SimCluster& cluster, const ServiceConfig& cfg)
-    : cfg_(cfg), cluster_(&cluster), eq_(&cluster.eq()),
-      nodes_(cluster.size()) {
-  assert(cfg_.shards == 1);
-  init();
-  cluster_->add_on_deliver([this](int node, const protocol::Delivery& d,
-                                  Nanos at) { on_ring_delivery(node, 0, d, at); });
-  cluster_->add_on_config(
-      [this](int node, const protocol::ConfigurationChange& change) {
-        on_ring_config(node, 0, change);
-      });
-}
-
 KvService::KvService(multiring::RingSet& rings, const ServiceConfig& cfg)
-    : cfg_(cfg), rings_(&rings), eq_(&rings.eq()),
-      nodes_(rings.nodes_per_ring()) {
+    : cfg_(cfg), rings_(rings) {
   assert(cfg_.shards == rings.num_rings());
-  init();
-  rings_->add_on_merged([this](int node, int ring, const protocol::Delivery& d,
-                               Nanos at) { on_ring_delivery(node, ring, d, at); });
-  rings_->set_on_config(
-      [this](int node, int ring, const protocol::ConfigurationChange& change) {
-        on_ring_config(node, ring, change);
-      });
-}
-
-void KvService::init() {
-  const auto n = static_cast<size_t>(nodes_);
+  const auto n = static_cast<size_t>(nodes());
   const auto k = static_cast<size_t>(cfg_.shards);
   machines_.resize(n);
   replicas_.resize(n);
@@ -74,16 +50,22 @@ void KvService::init() {
   exposed_version_.assign(n, std::vector<uint64_t>(k, 0));
   down_.assign(n, false);
   frontends_.resize(n);
-  for (int node = 0; node < nodes_; ++node) {
+  for (int node = 0; node < nodes(); ++node) {
     const auto pid = static_cast<ProcessId>(node);
     frontends_[node] = std::make_unique<Frontend>(
-        pid, cfg_.shards, cfg_.lease,
+        pid, cfg_.shards,
         [this, node](int shard, std::vector<std::byte> frame) {
           return submit_frame(node, shard, std::move(frame));
         },
-        [this] { return eq_->now(); });
+        [this] { return rings_.eq().now(); });
     setup_node(node, /*founder=*/true);
   }
+  rings_.add_on_merged([this](int node, int ring, const protocol::Delivery& d,
+                              Nanos at) { on_ring_delivery(node, ring, d, at); });
+  rings_.set_on_config(
+      [this](int node, int ring, const protocol::ConfigurationChange& change) {
+        on_ring_config(node, ring, change);
+      });
 }
 
 void KvService::setup_node(int node, bool founder) {
@@ -129,13 +111,8 @@ void KvService::setup_node(int node, bool founder) {
         static_cast<ProcessId>(node), *machines[static_cast<size_t>(shard)],
         [this, node, shard](std::vector<std::byte> payload) {
           if (down_[static_cast<size_t>(node)]) return false;
-          if (cluster_ != nullptr) {
-            cluster_->submit(node, protocol::Service::kAgreed,
-                             std::move(payload));
-          } else {
-            rings_->submit(node, shard, protocol::Service::kAgreed,
-                           std::move(payload));
-          }
+          rings_.submit(node, shard, protocol::Service::kAgreed,
+                         std::move(payload));
           return true;
         },
         founder, cfg_.replica,
@@ -163,13 +140,8 @@ uint64_t KvService::total_divergence() const {
 }
 
 obs::MetricsRegistry KvService::merged_metrics() const {
-  obs::MetricsRegistry merged = cluster_ != nullptr
-                                    ? cluster_->merged_metrics()
-                                    : rings_->merged_metrics();
-  if (cluster_ != nullptr ? cluster_->metrics_enabled()
-                          : rings_->metrics_enabled()) {
-    rsm::add_counters(merged, replica_totals());
-  }
+  obs::MetricsRegistry merged = rings_.merged_metrics();
+  if (rings_.metrics_enabled()) rsm::add_counters(merged, replica_totals());
   return merged;
 }
 
@@ -188,7 +160,7 @@ void KvService::wire_shard(int node, int shard) {
     }
     exposed = std::max(exposed, applied.version);
     // Oracle first (record mutation history), then resolve the local op.
-    if (applied_obs_) applied_obs_(node, shard, applied, eq_->now());
+    if (applied_obs_) applied_obs_(node, shard, applied, rings_.eq().now());
     frontends_[static_cast<size_t>(node)]->on_applied(shard, applied);
   });
   frontends_[static_cast<size_t>(node)]->attach_shard(
@@ -253,10 +225,9 @@ void KvService::on_ring_config(int node, int shard,
   std::sort(members.begin(), members.end());
   views_[static_cast<size_t>(node)][static_cast<size_t>(shard)] = members;
   leases_[static_cast<size_t>(node)][static_cast<size_t>(shard)]
-      ->on_config_change(eq_->now());
+      ->on_config_change(rings_.eq().now());
   const uint64_t gen =
       ++lease_gen_[static_cast<size_t>(node)][static_cast<size_t>(shard)];
-  if (!cfg_.lease.enabled) return;
   if (designated_holder(members, shard) == static_cast<ProcessId>(node)) {
     submit_grant(node, shard);
     arm_renewal(node, shard, gen);
@@ -267,18 +238,13 @@ void KvService::submit_grant(int node, int shard) {
   util::Writer w(16);
   w.u8(kLeaseFrame);
   w.u16(static_cast<ProcessId>(node));
-  w.i64(eq_->now());
-  if (cluster_ != nullptr) {
-    cluster_->submit(node, protocol::Service::kAgreed, std::move(w).take());
-  } else {
-    rings_->submit(node, shard, protocol::Service::kAgreed,
-                   std::move(w).take());
-  }
+  w.i64(rings_.eq().now());
+  rings_.submit(node, shard, protocol::Service::kAgreed, std::move(w).take());
   ++stats_.grants_submitted;
 }
 
 void KvService::arm_renewal(int node, int shard, uint64_t gen) {
-  eq_->schedule_after(kLeaseRenewEvery, [this, node, shard, gen] {
+  rings_.eq().schedule_after(kLeaseRenewEvery, [this, node, shard, gen] {
     const auto n = static_cast<size_t>(node);
     const auto s = static_cast<size_t>(shard);
     if (down_[n] || lease_gen_[n][s] != gen) return;
@@ -313,7 +279,7 @@ void KvService::on_restart(int node) {
 
 void KvService::set_on_outcome(OutcomeFn fn) {
   outcome_obs_ = std::move(fn);
-  for (int node = 0; node < nodes_; ++node) {
+  for (int node = 0; node < nodes(); ++node) {
     frontends_[static_cast<size_t>(node)]->set_on_outcome(
         [this, node](const Frontend::Outcome& outcome) {
           if (outcome_obs_) outcome_obs_(node, outcome);

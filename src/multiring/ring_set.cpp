@@ -54,6 +54,9 @@ void RingSet::set_on_config(ConfigFn fn) {
 
 void RingSet::start_static() {
   for (auto& cluster : clusters_) cluster->start_static();
+  // One ring needs no skips: its rotation always returns to ring 0, so the
+  // merger never waits on another ring.
+  if (cfg_.rings == 1) return;
   for (int r = 0; r < cfg_.rings; ++r) {
     // Offset the first ticks so K skip daemons do not fire in lockstep.
     eq_.schedule_after(
@@ -86,6 +89,14 @@ void RingSet::crash_node(int node) {
   assert(node >= 0 && node < cfg_.nodes_per_ring);
   // One machine hosts this node's K engines: all of them go silent at once.
   for (auto& cluster : clusters_) cluster->crash_node(node);
+}
+
+void RingSet::restart_node(int node) {
+  // A restarted node's merger would restart its rotation out of step with
+  // the other nodes' mergers, so only a one-ring set, whose merge is the
+  // ring's own order, can restart a node.
+  assert(cfg_.rings == 1);
+  clusters_.front()->restart_node(node);
 }
 
 void RingSet::submit(int node, int ring, protocol::Service service,

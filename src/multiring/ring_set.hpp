@@ -12,10 +12,14 @@
 // applications written against a single ordered stream (groups, RSM) run
 // unchanged at K× the capacity.
 //
-// Liveness of the merge: node 0 of each ring arms a periodic skip daemon
-// that orders a skip message whenever its ring moved fewer than one merge
-// batch in the last interval, so an idle ring cannot stall the rotation
-// (merger.hpp explains the rule).
+// With K = 1 the merge is the ring's own order, so one ring is simply a
+// ring set of one: services and the fault campaigns build on a RingSet at
+// every K.
+//
+// Liveness of the merge (K > 1): node 0 of each ring arms a periodic skip
+// daemon that orders a skip message whenever its ring moved fewer than one
+// merge batch in the last interval, so an idle ring cannot stall the
+// rotation (merger.hpp explains the rule).
 #pragma once
 
 #include <functional>
@@ -57,8 +61,8 @@ class RingSet {
 
   explicit RingSet(const MultiRingConfig& cfg);
 
-  /// Start all K rings on pre-agreed static membership and arm the skip
-  /// daemons (the benchmark setup).
+  /// Start all K rings on pre-agreed static membership and, when K > 1, arm
+  /// the skip daemons (the benchmark setup).
   void start_static();
 
   /// Submit to an explicit ring (callers that already routed).
@@ -78,8 +82,11 @@ class RingSet {
   void set_on_config(ConfigFn fn);
 
   /// Fault injection: take logical node `node` down in every ring at once
-  /// (one machine hosting K engines loses power). The node stays down.
+  /// (one machine hosting K engines loses power).
   void crash_node(int node);
+  /// Cold-restart a crashed node (SimCluster::restart_node). One ring only,
+  /// so on a K-ring set a crashed node stays down: see the definition.
+  void restart_node(int node);
   [[nodiscard]] bool node_down(int node) const {
     return clusters_.front()->net().host_down(node);
   }

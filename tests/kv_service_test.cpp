@@ -1,28 +1,31 @@
-// End-to-end KV service tests over a SimCluster: replicated puts/gets with
-// oracle checking, the lease fast path, and restart recovery via chunked
-// state transfer (snapshot + retained suffix, not full replay).
+// End-to-end KV service tests over a one-ring RingSet: replicated puts/gets
+// with oracle checking, the lease fast path, and restart recovery via
+// chunked state transfer (snapshot + retained suffix, not full replay).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "check/kv_oracle.hpp"
-#include "harness/cluster.hpp"
 #include "kv/service.hpp"
+#include "multiring/ring_set.hpp"
 
 namespace accelring::kv {
 namespace {
 
 using check::KvOracle;
-using harness::ImplProfile;
-using harness::SimCluster;
+using multiring::RingSet;
 
-protocol::ProtocolConfig fast_cfg() {
-  protocol::ProtocolConfig cfg;
-  cfg.timeouts.token_loss = util::msec(30);
-  cfg.timeouts.join = util::msec(5);
-  cfg.timeouts.consensus = util::msec(60);
-  return cfg;
+/// One ring of three nodes on the 1 GbE fabric, with membership timeouts
+/// fast enough for view changes to finish inside a short run.
+multiring::MultiRingConfig one_ring(uint64_t seed) {
+  protocol::ProtocolConfig proto;
+  proto.timeouts.token_loss = util::msec(30);
+  proto.timeouts.join = util::msec(5);
+  proto.timeouts.consensus = util::msec(60);
+  return {.rings = 1, .nodes_per_ring = 3, .topology = {},
+          .fabric = simnet::FabricParams::one_gig(), .proto = proto,
+          .seed = seed};
 }
 
 /// Issues a scripted op sequence for one session, chaining each op off the
@@ -86,13 +89,12 @@ KvOp get_op(std::string key) {
 }
 
 TEST(KvService, ReplicatedPutsAndGetsConvergeUnderOracle) {
-  SimCluster cluster(3, simnet::FabricParams::one_gig(), fast_cfg(),
-                     ImplProfile::kLibrary, 101);
+  RingSet rings(one_ring(101));
   ServiceConfig cfg;
-  KvService service(cluster, cfg);
+  KvService service(rings, cfg);
   KvOracle oracle;
   oracle.attach(service);
-  cluster.start_static();
+  rings.start_static();
 
   std::vector<ScriptedSession> sessions(6);
   for (int s = 0; s < 6; ++s) {
@@ -106,7 +108,7 @@ TEST(KvService, ReplicatedPutsAndGetsConvergeUnderOracle) {
     }
     sessions[s].start(util::msec(20) + s * util::msec(1));
   }
-  cluster.run_until(util::sec(2));
+  rings.run_until(util::sec(2));
   oracle.finalize();
 
   EXPECT_TRUE(oracle.ok()) << oracle.report();
@@ -134,13 +136,12 @@ TEST(KvService, ReplicatedPutsAndGetsConvergeUnderOracle) {
 }
 
 TEST(KvService, LeaseHolderServesReadsLocally) {
-  SimCluster cluster(3, simnet::FabricParams::one_gig(), fast_cfg(),
-                     ImplProfile::kLibrary, 103);
+  RingSet rings(one_ring(103));
   ServiceConfig cfg;
-  KvService service(cluster, cfg);
+  KvService service(rings, cfg);
   KvOracle oracle;
   oracle.attach(service);
-  cluster.start_static();
+  rings.start_static();
 
   // One write to seed the key, then repeated reads from every node.
   ScriptedSession writer;
@@ -158,7 +159,7 @@ TEST(KvService, LeaseHolderServesReadsLocally) {
     // Start well after the first lease grant has been ordered.
     readers[n].start(util::msec(120));
   }
-  cluster.run_until(util::sec(2));
+  rings.run_until(util::sec(2));
   oracle.finalize();
   EXPECT_TRUE(oracle.ok()) << oracle.report();
 
@@ -186,13 +187,12 @@ TEST(KvService, LeaseHolderServesReadsLocally) {
 }
 
 TEST(KvService, LeaseRevokedOnViewChangeUntilRegrant) {
-  SimCluster cluster(3, simnet::FabricParams::one_gig(), fast_cfg(),
-                     ImplProfile::kLibrary, 107);
+  RingSet rings(one_ring(107));
   ServiceConfig cfg;
-  KvService service(cluster, cfg);
+  KvService service(rings, cfg);
   KvOracle oracle;
   oracle.attach(service);
-  cluster.start_static();
+  rings.start_static();
 
   ScriptedSession writer;
   writer.service = &service;
@@ -203,8 +203,8 @@ TEST(KvService, LeaseRevokedOnViewChangeUntilRegrant) {
 
   // Crash the designated holder (node 0) mid-run; the survivors must
   // re-grant among themselves and keep serving without stale reads.
-  cluster.eq().schedule(util::msec(300), [&] {
-    cluster.crash_node(0);
+  rings.eq().schedule(util::msec(300), [&] {
+    rings.crash_node(0);
     service.on_crash(0);
   });
   std::vector<ScriptedSession> readers(2);
@@ -215,7 +215,7 @@ TEST(KvService, LeaseRevokedOnViewChangeUntilRegrant) {
     for (int i = 0; i < 100; ++i) readers[n].script.push_back(get_op("k"));
     readers[n].start(util::msec(150));
   }
-  cluster.run_until(util::sec(3));
+  rings.run_until(util::sec(3));
   oracle.finalize();
 
   EXPECT_TRUE(oracle.ok()) << oracle.report();
@@ -229,14 +229,13 @@ TEST(KvService, LeaseRevokedOnViewChangeUntilRegrant) {
 }
 
 TEST(KvService, RestartRecoversViaStateTransferNotFullReplay) {
-  SimCluster cluster(3, simnet::FabricParams::one_gig(), fast_cfg(),
-                     ImplProfile::kLibrary, 109);
+  RingSet rings(one_ring(109));
   ServiceConfig cfg;
   cfg.replica.checkpoint_interval = 16;  // frequent checkpoints + compaction
-  KvService service(cluster, cfg);
+  KvService service(rings, cfg);
   KvOracle oracle;
   oracle.attach(service);
-  cluster.start_static();
+  rings.start_static();
 
   // Phase 1: 120 writes, then crash node 2.
   std::vector<ScriptedSession> sessions(3);
@@ -250,8 +249,8 @@ TEST(KvService, RestartRecoversViaStateTransferNotFullReplay) {
     }
     sessions[s].start(util::msec(20));
   }
-  cluster.eq().schedule(util::msec(400), [&] {
-    cluster.crash_node(2);
+  rings.eq().schedule(util::msec(400), [&] {
+    rings.crash_node(2);
     service.on_crash(2);
     oracle.note_restart(2);  // version floors reset with the node
   });
@@ -264,12 +263,12 @@ TEST(KvService, RestartRecoversViaStateTransferNotFullReplay) {
         put_op("k" + std::to_string(i % 12), "p2-" + std::to_string(i)));
   }
   late.start(util::msec(450));
-  cluster.eq().schedule(util::msec(900), [&] {
-    cluster.restart_node(2);
+  rings.eq().schedule(util::msec(900), [&] {
+    rings.restart_node(2);
     service.on_restart(2);
     oracle.note_restart(2);
   });
-  cluster.run_until(util::sec(4));
+  rings.run_until(util::sec(4));
   oracle.finalize();
 
   EXPECT_TRUE(oracle.ok()) << oracle.report();
@@ -293,14 +292,14 @@ TEST(KvService, RestartRecoversViaStateTransferNotFullReplay) {
 TEST(KvService, MergedRegistryCountsEveryIncarnation) {
   // The registry's protocol.* and rsm.* counters are copies of EngineStats
   // and ReplicaStats; a restart must lose neither incarnation's counts.
-  SimCluster cluster(3, simnet::FabricParams::one_gig(), fast_cfg(),
-                     ImplProfile::kLibrary, 109);
-  cluster.enable_metrics();
-  cluster.net().set_loss_rate(0.01);  // so the retransmission counts move
+  RingSet rings(one_ring(109));
+  rings.enable_metrics();
+  // So the retransmission counts move.
+  rings.ring(0).net().set_loss_rate(0.01);
   ServiceConfig cfg;
   cfg.replica.checkpoint_interval = 16;
-  KvService service(cluster, cfg);
-  cluster.start_static();
+  KvService service(rings, cfg);
+  rings.start_static();
 
   std::vector<ScriptedSession> sessions(3);
   for (int s = 0; s < 3; ++s) {
@@ -313,21 +312,21 @@ TEST(KvService, MergedRegistryCountsEveryIncarnation) {
     }
     sessions[s].start(util::msec(20));
   }
-  // The first incarnation's engine outlives the restart (the cluster
+  // The first incarnation's engine outlives the restart (the ring
   // retires it); its replica does not, so its stats are taken before.
-  const protocol::Engine* first_engine = &cluster.engine(2);
+  const protocol::Engine* first_engine = &rings.ring(0).engine(2);
   rsm::ReplicaStats first_replica;
-  cluster.eq().schedule(util::msec(400), [&] {
-    cluster.crash_node(2);
+  rings.eq().schedule(util::msec(400), [&] {
+    rings.crash_node(2);
     service.on_crash(2);
   });
-  cluster.eq().schedule(util::msec(900), [&] {
+  rings.eq().schedule(util::msec(900), [&] {
     first_replica = service.replica(2, 0).stats();
-    cluster.restart_node(2);
+    rings.restart_node(2);
     service.on_restart(2);
   });
-  cluster.run_until(util::sec(3));
-  ASSERT_NE(&cluster.engine(2), first_engine);
+  rings.run_until(util::sec(3));
+  ASSERT_NE(&rings.ring(0).engine(2), first_engine);
 
   const obs::MetricsRegistry merged = service.merged_metrics();
   auto value = [&merged](const char* component, const char* name) {
@@ -342,7 +341,9 @@ TEST(KvService, MergedRegistryCountsEveryIncarnation) {
       };
   for (const auto& [name, field] : protocol_counters) {
     uint64_t expected = first_engine->stats().*field;
-    for (int n = 0; n < 3; ++n) expected += cluster.engine(n).stats().*field;
+    for (int n = 0; n < 3; ++n) {
+      expected += rings.ring(0).engine(n).stats().*field;
+    }
     EXPECT_EQ(value("protocol", name), expected) << name;
   }
   const std::pair<const char*, uint64_t rsm::ReplicaStats::*> rsm_counters[] =

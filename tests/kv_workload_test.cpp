@@ -8,17 +8,23 @@
 #include <vector>
 
 #include "check/kv_oracle.hpp"
-#include "harness/cluster.hpp"
 #include "kv/service.hpp"
 #include "kv/workload.hpp"
+#include "multiring/ring_set.hpp"
 #include "util/rng.hpp"
 
 namespace accelring::kv {
 namespace {
 
 using check::KvOracle;
-using harness::ImplProfile;
-using harness::SimCluster;
+using multiring::RingSet;
+
+/// One ring of three nodes on the 1 GbE fabric with default timeouts.
+multiring::MultiRingConfig one_ring(uint64_t seed) {
+  return {.rings = 1, .nodes_per_ring = 3, .topology = {},
+          .fabric = simnet::FabricParams::one_gig(), .proto = {},
+          .seed = seed};
+}
 
 TEST(ZipfGen, ProbabilitiesNormalizeAndRankDecreasing) {
   ZipfGen zipf(1000, 0.99);
@@ -108,11 +114,10 @@ TEST(Workload, ArrivalCountMatchesTheIntensityIntegral) {
   // Run the real open-loop driver against a live 3-node service and compare
   // total arrivals (issued + skips) with base_rate * integral of the
   // diurnal factor. Poisson noise at N draws is ~sqrt(N); allow 5 sigma.
-  SimCluster cluster(3, simnet::FabricParams::one_gig(),
-                     protocol::ProtocolConfig{}, ImplProfile::kLibrary, 11);
+  RingSet rings(one_ring(11));
   ServiceConfig scfg;
-  KvService service(cluster, scfg);
-  cluster.start_static();
+  KvService service(rings, scfg);
+  rings.start_static();
 
   WorkloadConfig wcfg;
   wcfg.sessions = 3000;
@@ -127,7 +132,7 @@ TEST(Workload, ArrivalCountMatchesTheIntensityIntegral) {
   wcfg.seed = 7;
   SessionWorkload workload(service, wcfg);
   workload.start();
-  cluster.run_until(util::msec(1300));
+  rings.run_until(util::msec(1300));
 
   const auto& st = workload.stats();
   const uint64_t arrivals = st.issued + st.busy_skips + st.down_skips;
@@ -149,13 +154,12 @@ TEST(Workload, ArrivalCountMatchesTheIntensityIntegral) {
 }
 
 TEST(Workload, DriverStaysCorrectUnderOracleWithChurn) {
-  SimCluster cluster(3, simnet::FabricParams::one_gig(),
-                     protocol::ProtocolConfig{}, ImplProfile::kLibrary, 13);
+  RingSet rings(one_ring(13));
   ServiceConfig scfg;
-  KvService service(cluster, scfg);
+  KvService service(rings, scfg);
   KvOracle oracle;
   oracle.attach(service);
-  cluster.start_static();
+  rings.start_static();
 
   WorkloadConfig wcfg;
   wcfg.sessions = 60;  // small pool so churn actually hits in-flight ops
@@ -170,7 +174,7 @@ TEST(Workload, DriverStaysCorrectUnderOracleWithChurn) {
   wcfg.seed = 23;
   SessionWorkload workload(service, wcfg);
   workload.start();
-  cluster.run_until(util::msec(1200));
+  rings.run_until(util::msec(1200));
   oracle.finalize();
 
   EXPECT_TRUE(oracle.ok()) << oracle.report();

@@ -292,6 +292,48 @@ TEST(RingSet, IdleRingDoesNotStallTheMerge) {
   EXPECT_EQ(set.merger(0).queued(0), 0u);
 }
 
+TEST(RingSet, OneRingIsTheSingleCluster) {
+  // A one-ring merge is the ring's own order and arms no skip daemon, so a
+  // K = 1 set runs exactly the events of the bare cluster it wraps.
+  const MultiRingConfig cfg = small_config(1, 17);
+  RingSet set(cfg);
+  harness::SimCluster bare(cfg.nodes_per_ring, cfg.fabric, cfg.proto,
+                           cfg.profile, cfg.seed);
+  // Per-node (sender, seq, part, receipt time) lists.
+  using Lists = std::vector<
+      std::vector<std::tuple<uint16_t, protocol::SeqNum, uint32_t, Nanos>>>;
+  Lists merged(4), delivered(4);
+  set.set_on_merged([&merged](int node, int, const Delivery& d, Nanos at) {
+    merged[static_cast<size_t>(node)].emplace_back(d.sender, d.seq, d.part,
+                                                   at);
+  });
+  bare.set_on_deliver([&delivered](int node, const Delivery& d, Nanos at) {
+    delivered[static_cast<size_t>(node)].emplace_back(d.sender, d.seq, d.part,
+                                                      at);
+  });
+  set.start_static();
+  bare.start_static();
+  // The same submits and one 5% loss burst, each on its own clock.
+  for (harness::SimCluster* c : {&set.ring(0), &bare}) {
+    for (int node = 0; node < 4; ++node) {
+      for (uint32_t i = 0; i < 60; ++i) {
+        c->eq().schedule(util::usec(300) * (i + 1) + node, [c, node, i] {
+          c->submit(node, Service::kAgreed,
+                    tagged_payload(static_cast<uint32_t>(node), i));
+        });
+      }
+    }
+    c->eq().schedule(util::msec(5), [c] { c->net().set_loss_rate(0.05); });
+    c->eq().schedule(util::msec(12), [c] { c->net().set_loss_rate(0); });
+    c->run_until(util::msec(120));
+  }
+
+  ASSERT_EQ(delivered[0].size(), 240u);
+  EXPECT_EQ(merged, delivered);
+  EXPECT_EQ(set.eq().events_executed(), bare.eq().events_executed());
+  EXPECT_EQ(set.merger(0).stats().skip_msgs, 0u);
+}
+
 TEST(RingSet, PerRingStatsExposeDeliveriesAndTraffic) {
   RingSet set(small_config(2, 3));
   set.set_on_merged([](int, int, const Delivery&, Nanos) {});

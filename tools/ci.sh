@@ -4,7 +4,8 @@
 # trees (sanitizers change the ABI of everything they touch).
 #
 #   tools/ci.sh              # everything (~a few minutes)
-#   tools/ci.sh --fast       # plain build + tests + check-fast + bench smokes
+#   tools/ci.sh --fast       # plain build + tests + check-fast + simulated
+#                            # digest + accel_bench smokes
 #
 # The full run also compares this checkout's simulated output against its
 # parent commit's (HEAD^), so run it with the change under test committed.
@@ -49,59 +50,28 @@ configure_and_test build "${NO_BENCHMARK[@]}"
 echo "=== build: check-fast ==="
 cmake --build build --target check-fast
 
-# Gray-failure acceptance: a 10x CPU straggler must be quarantined and the
-# ring's agreed throughput must recover to >= 80% of the fault-free
-# baseline (the campaign above already audits that no HEALTHY member is
-# ever quarantined; this checks the flip side — the sick one actually is).
-echo "=== build: gray-failure A/B acceptance ==="
-cmake --build build --target fig_gray_failure
-./build/bench/fig_gray_failure
-
-# Bench smokes: each stage builds one bench, runs it short into a fresh
-# artifact dir under build/, and checks the BENCH_*.json it emits with
-# tools/validate_bench_json.py (populated, internally consistent latency
-# histograms; an unserializable registry fails).
-#
-#   smoke <title> <target> <artifact dir> <bench args> <artifacts>
-#
-# <bench args> and <artifacts> split on spaces; artifacts may be globs,
-# relative to the artifact dir.
-smoke() {
-  local title="$1" target="$2" dir="build/$3" args="$4" artifacts="$5"
-  echo "=== build: ${title} ==="
-  cmake --build build --target "${target}"
-  rm -rf "${dir}"
-  mkdir -p "${dir}"
-  # shellcheck disable=SC2086  # word splitting of args is intended
-  ACCELRING_BENCH_DIR="${dir}" "./build/bench/${target}" ${args} >/dev/null
-  local files=() pattern
-  for pattern in ${artifacts}; do
-    # shellcheck disable=SC2206  # glob expansion is intended
-    files+=("${dir}"/${pattern})
-  done
-  python3 tools/validate_bench_json.py "${files[@]}"
-}
-
-# Observability: one single-ring point and one K=4 multiring point; the
-# end-to-end guard that the metrics layer records (the determinism tests
-# prove it records without perturbing).
-smoke "obs artifact validation" obs_smoke obs_artifacts "" \
-  "BENCH_obs_smoke_1ring.json BENCH_obs_smoke_4ring.json"
-# KV service: a short million-key-space session workload end to end (rsm
-# replicas, lease reads, exactly-once frontends over the merged stream),
-# single-shard and K=4. The kv-labelled ctest suite covers the corners.
-smoke "kv service smoke, 1 shard" kv_service kv_1shard_artifacts \
-  "--smoke --shards 1" BENCH_kv_smoke_1shard.json
-smoke "kv service smoke, 4 shards" kv_service kv_4shard_artifacts \
-  "--smoke --shards 4" BENCH_kv_smoke_4shard.json
-# The WAN and storage scenarios (and their seed corpora) run in
-# check_campaign_test above; these rows smoke the benches of those stacks:
-# the topology classes (LAN/metro/regional) and the KV smoke with per-node
-# WAL + checkpoint persistence.
-smoke "topology bench smoke" fig_wan_topologies wan_artifacts "--smoke" \
-  "BENCH_wan_*.json"
-smoke "durable kv smoke" kv_service storage_artifacts \
-  "--smoke --shards 1 --durable" BENCH_kv_smoke_1shard_durable.json
+# Simulated outputs, run once: tools/sim_digest.sh runs the campaign seed
+# corpora at K = 1 and 4, every simulated bench smoke (obs_smoke, the KV
+# service at 1 and 4 shards and with per-node WAL + checkpoint persistence,
+# the WAN topology classes) and fig_gray_failure into build/sim_digest.
+# Every run must exit 0: for fig_gray_failure that is the gray-failure A/B
+# acceptance (a 10x CPU straggler is quarantined and agreed throughput
+# recovers to >= 80% of the fault-free baseline; the campaign audits that
+# no HEALTHY member is ever quarantined). Every BENCH_*.json a smoke wrote
+# must pass tools/validate_bench_json.py (populated, internally consistent
+# latency histograms; an unserializable registry fails). The full run
+# diffs the same directory against the parent commit's (parent_digest).
+echo "=== build: simulated digest ==="
+rm -rf build/sim_digest
+tools/sim_digest.sh build build/sim_digest
+for out in build/sim_digest/*.txt; do
+  status="$(tail -n 1 "${out}")"
+  if [[ "${status}" != "exit 0" ]]; then
+    echo "${out}: ${status}" >&2
+    exit 1
+  fi
+done
+python3 tools/validate_bench_json.py build/sim_digest/*/BENCH_*.json
 
 # Wall-clock suite acceptance: bench/suite is a standalone project over the
 # library sources, so a src/ change can break it without breaking the main
@@ -152,8 +122,8 @@ EOF
 # Parent digest: simulated output is deterministic, so a change that does
 # not mean to move it must leave tools/sim_digest.sh's output byte-identical
 # to the parent commit's. The parent is checked out as a detached worktree
-# under build-parent/ (ignored), built, digested with this tree's script
-# next to the build/ tree above, and removed again.
+# under build-parent/ (ignored), built, digested with this tree's script,
+# diffed against build/sim_digest from above, and removed again.
 parent_digest() {
   local targets=(check_campaign obs_smoke kv_service fig_wan_topologies
                  fig_gray_failure)
@@ -165,9 +135,8 @@ parent_digest() {
   trap 'git worktree remove --force build-parent/src' EXIT
   configure build-parent/build "${tree}" "${NO_BENCHMARK[@]}"
   cmake --build build-parent/build -j "$(nproc)" --target "${targets[@]}"
-  rm -rf build-parent/digest build/sim_digest
+  rm -rf build-parent/digest
   tools/sim_digest.sh build-parent/build build-parent/digest
-  tools/sim_digest.sh build build/sim_digest
   diff -r build-parent/digest build/sim_digest
   git worktree remove --force "${tree}"
   trap - EXIT
