@@ -3,9 +3,10 @@
 // Runs a 3-process ring on loopback (data by IP multicast, the token by
 // unicast, data and token on separate ports — the paper's §III-D
 // implementation choices), pushes a burst of messages through it, and
-// reports real-time throughput and delivery consistency. The identical
-// protocol::Engine code runs here and under the simulator — the engine is
-// sans-io.
+// reports real-time throughput, delivery consistency, and each node's data
+// datagrams next to the send calls that carried them (a token visit's
+// bursts leave as one segmented send each). The identical protocol::Engine
+// code runs here and under the simulator — the engine is sans-io.
 //
 //   $ ./udp_ring [seconds]
 #include <unistd.h>
@@ -94,10 +95,14 @@ int main(int argc, char** argv) {
   for (int i = 0; i < kNodes; ++i) {
     const double mbps =
         static_cast<double>(nodes[i].payload_bytes) * 8 / elapsed / 1e6;
+    const transport::UdpTransport& t = *nodes[i].transport;
     std::printf(
-        "  p%d delivered %llu messages (%.0f Mbps clean payload), aru=%lld\n",
+        "  p%d delivered %llu messages (%.0f Mbps clean payload), aru=%lld, "
+        "data datagrams=%llu in send calls=%llu\n",
         i, static_cast<unsigned long long>(nodes[i].delivered), mbps,
-        static_cast<long long>(nodes[i].engine->local_aru()));
+        static_cast<long long>(nodes[i].engine->local_aru()),
+        static_cast<unsigned long long>(t.data_datagrams_sent()),
+        static_cast<unsigned long long>(t.data_send_calls()));
     consistent = consistent && nodes[i].delivered == nodes[0].delivered;
   }
   std::printf("submitted=%llu; all nodes delivered the same count: %s\n",

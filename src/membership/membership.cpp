@@ -408,10 +408,10 @@ void Membership::on_recovered_delivery(const DataMsg& msg) {
     if (eor_received_.size() == engine_.ring_.size()) finalize_recovery();
     return;
   }
-  const auto inner = protocol::decode_data(msg.payload);
+  auto inner = protocol::decode_data(msg.payload);
   if (!inner) return;
   if (inner->ring_id == old_ring_.ring_id) {
-    old_buffer_.insert(*inner);
+    old_buffer_.insert(std::move(*inner));
   }
 }
 

@@ -173,7 +173,7 @@ void Engine::on_packet(SocketId sock, std::span<const std::byte> packet) {
   if (!type) return;
   switch (*type) {
     case PacketType::kData: {
-      if (auto msg = decode_data(packet)) handle_data(*msg);
+      if (auto msg = decode_data(packet)) handle_data(std::move(*msg));
       break;
     }
     case PacketType::kToken: {
@@ -223,7 +223,7 @@ void Engine::on_timer(TimerKind kind) {
 // Data handling (§III-B)
 // ---------------------------------------------------------------------------
 
-void Engine::handle_data(const DataMsg& msg) {
+void Engine::handle_data(DataMsg&& msg) {
   if (state_ == State::kIdle) return;
   if (msg.ring_id != ring_.ring_id) {
     membership_->on_foreign(msg.pid, msg.ring_id);
@@ -269,7 +269,7 @@ void Engine::handle_data(const DataMsg& msg) {
     host_.cancel_timer(kTimerTokenRetransmit);
   }
 
-  if (!buffer_.insert(msg)) {
+  if (!buffer_.insert(std::move(msg))) {
     ++stats_.duplicates;
     return;
   }
@@ -346,7 +346,9 @@ void Engine::handle_token(const TokenMsg& received) {
   // at creation (a sender trivially "has" its own messages).
   const uint32_t accel_window = cfg_.effective_accel_window();
   const bool aru_was_current = (received.aru == received.seq);
-  std::deque<DataMsg> post_queue;
+  // The queue of this visit's new messages not yet multicast: sequence
+  // numbers post_from..token.seq, each already in the buffer.
+  SeqNum post_from = token.seq + 1;
   uint32_t initiated = 0;
   for (uint32_t i = 0; i < allowed; ++i) {
     auto pending = pop_pending();
@@ -367,13 +369,10 @@ void Engine::handle_token(const TokenMsg& received) {
           OriginStamp{msg.seq, pending->submitted_at};
     }
     ++initiated;
-    buffer_.insert(msg);  // self-insertion
-    post_queue.push_back(std::move(msg));
-    if (post_queue.size() > accel_window) {
-      DataMsg front = std::move(post_queue.front());
-      post_queue.pop_front();
-      trace(util::TraceEvent::kDataTxPre, front.seq);
-      host_.multicast(kSockData, encode(front));
+    buffer_.insert(std::move(msg));  // self-insertion
+    if (token.seq - post_from + 1 > static_cast<SeqNum>(accel_window)) {
+      trace(util::TraceEvent::kDataTxPre, post_from);
+      multicast_data(post_from++, /*post_token=*/false);
     }
   }
   stats_.initiated += initiated;
@@ -462,12 +461,9 @@ void Engine::handle_token(const TokenMsg& received) {
                          token.rtr.empty() && token.aru == token.seq;
   send_token(token, ring_idle);
   token_high_priority_ = false;  // data has high priority after the token
-  while (!post_queue.empty()) {
-    DataMsg msg = std::move(post_queue.front());
-    post_queue.pop_front();
-    msg.post_token = true;
-    trace(util::TraceEvent::kDataTxPost, msg.seq);
-    host_.multicast(kSockData, encode(msg));
+  for (; post_from <= token.seq; ++post_from) {
+    trace(util::TraceEvent::kDataTxPost, post_from);
+    multicast_data(post_from, /*post_token=*/true);
   }
 
   // --- 8. deliver and discard (§III-A-4) -------------------------------------
@@ -515,7 +511,8 @@ uint32_t Engine::answer_retransmissions(std::vector<SeqNum>& rtr) {
   for (SeqNum seq : rtr) {
     if (const DataMsg* msg = buffer_.find(seq)) {
       trace(util::TraceEvent::kRetransTx, seq);
-      host_.multicast(kSockData, encode(*msg));
+      encode(*msg, msg->post_token, data_out_);
+      host_.multicast(kSockData, data_out_);
       ++sent;
     } else {
       unanswered.push_back(seq);
@@ -526,10 +523,18 @@ uint32_t Engine::answer_retransmissions(std::vector<SeqNum>& rtr) {
   return sent;
 }
 
+void Engine::multicast_data(SeqNum seq, bool post_token) {
+  const DataMsg* msg = buffer_.find(seq);
+  assert(msg != nullptr && "a new message is in the buffer until stable");
+  if (msg == nullptr) return;
+  encode(*msg, post_token, data_out_);
+  host_.multicast(kSockData, data_out_);
+}
+
 void Engine::send_token(const TokenMsg& token, bool idle) {
   trace(util::TraceEvent::kTokenTx, static_cast<int64_t>(token.round),
         token.seq);
-  last_token_sent_ = encode(token);
+  encode(token, last_token_sent_);
   const Nanos hold = idle ? cfg_.timeouts.idle_token_hold : 0;
   host_.unicast(ring_.successor_of(self_), kSockToken, last_token_sent_, hold);
   host_.set_timer(kTimerTokenRetransmit, cfg_.timeouts.token_retransmit + hold);
@@ -537,14 +542,15 @@ void Engine::send_token(const TokenMsg& token, bool idle) {
 
 void Engine::deliver_ready() {
   while (const DataMsg* next = buffer_.next_deliverable(safe_line_)) {
-    // Copy what we need before mutating the buffer.
-    const DataMsg msg = *next;
     buffer_.mark_delivered();
-    if (msg.recovered) {
+    if (next->recovered) {
+      // Membership may finish recovery in this call, installing the new
+      // configuration with its callbacks: it works on a copy.
+      const DataMsg msg = *next;
       membership_->on_recovered_delivery(msg);
       continue;
     }
-    deliver_one(msg);
+    deliver_one(*next);
   }
 }
 
@@ -566,13 +572,16 @@ void Engine::deliver_one(const DataMsg& msg) {
 }
 
 void Engine::emit(const DataMsg& msg) {
-  Delivery delivery;
+  assert(!emitting_ && "Host::deliver re-entered Engine::emit");
+  emitting_ = true;
+  Delivery& delivery = delivery_;
   delivery.sender = msg.pid;
   delivery.seq = msg.seq;
+  delivery.part = 0;
   delivery.service = msg.service;
   delivery.round = msg.round;
   delivery.ring_id = msg.ring_id;
-  const auto deliver = [&] {
+  const auto deliver = [&](std::span<const std::byte> payload) {
     if (requires_safe(msg.service)) {
       ++stats_.delivered_safe;
     } else {
@@ -580,23 +589,23 @@ void Engine::emit(const DataMsg& msg) {
     }
     trace(util::TraceEvent::kDeliver, delivery.seq,
           static_cast<int64_t>(delivery.service));
+    delivery.payload.assign(payload.begin(), payload.end());
     host_.deliver(delivery);
   };
   if (!msg.packed) {
-    delivery.payload = msg.payload;
-    deliver();
-    return;
+    deliver(msg.payload);
+  } else {
+    // Unpack [u32 length][bytes] frames and deliver each application
+    // message individually, in packing order, numbered by part.
+    util::Reader reader(msg.payload);
+    while (reader.remaining() > 0) {
+      const auto sub = reader.bytes();
+      if (!reader.ok()) break;  // malformed tail: stop, keep what we got
+      deliver(sub);
+      ++delivery.part;
+    }
   }
-  // Unpack [u32 length][bytes] frames and deliver each application message
-  // individually, in packing order, numbered by part.
-  util::Reader reader(msg.payload);
-  while (reader.remaining() > 0) {
-    const auto sub = reader.bytes();
-    if (!reader.ok()) break;  // malformed tail: stop, keep what we got
-    delivery.payload = util::to_vector(sub);
-    deliver();
-    ++delivery.part;
-  }
+  emitting_ = false;
 }
 
 bool Engine::pack_pending(PendingMsg& first) {
@@ -604,19 +613,18 @@ bool Engine::pack_pending(PendingMsg& first) {
   // 4-byte length frame per packed message.
   size_t total = first.payload.size() + 4;
   if (total > cfg_.packing_budget) return false;
-  std::vector<PendingMsg> extras;
-  while (!queue.empty()) {
-    const PendingMsg& next = queue.front();
+  size_t count = 0;
+  for (const PendingMsg& next : queue) {
     if (next.recovered || next.packed || next.service != first.service) break;
     if (total + next.payload.size() + 4 > cfg_.packing_budget) break;
     total += next.payload.size() + 4;
-    extras.push_back(std::move(queue.front()));
-    queue.pop_front();
+    ++count;
   }
-  if (extras.empty()) return false;
+  if (count == 0) return false;
   util::Writer w(total);
   w.bytes(first.payload);
-  for (const PendingMsg& extra : extras) w.bytes(extra.payload);
+  for (size_t i = 0; i < count; ++i) w.bytes(queue[i].payload);
+  queue.erase(queue.begin(), queue.begin() + static_cast<std::ptrdiff_t>(count));
   first.payload = std::move(w).take();
   first.packed = true;
   return true;

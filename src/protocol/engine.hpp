@@ -244,7 +244,9 @@ class Engine final : public PacketHandler {
 
   // --- token handling (§III-A) ---------------------------------------------
   void handle_token(const TokenMsg& token);
-  void handle_data(const DataMsg& msg);
+  void handle_data(DataMsg&& msg);
+  /// Multicast buffered message `seq` with post-token flag `post_token`.
+  void multicast_data(SeqNum seq, bool post_token);
 
   /// Answer rtr entries we can; removes answered entries. Returns count sent.
   uint32_t answer_retransmissions(std::vector<SeqNum>& rtr);
@@ -266,7 +268,8 @@ class Engine final : public PacketHandler {
   void deliver_one(const DataMsg& msg);
   /// Hand `msg` to the host: once, or once per frame (numbered by
   /// Delivery::part) when it is packed. The one unpack loop, shared with
-  /// recovery's old-ring deliveries.
+  /// recovery's old-ring deliveries. Not re-entrant: every delivery reuses
+  /// delivery_.
   void emit(const DataMsg& msg);
 
   // --- state shared with membership ----------------------------------------
@@ -304,6 +307,9 @@ class Engine final : public PacketHandler {
   SeqNum safe_line_ = 0;           ///< min of the two aru values above
   bool token_high_priority_ = false;
   std::vector<std::byte> last_token_sent_;  ///< for token retransmission
+  std::vector<std::byte> data_out_;  ///< data encode buffer, reused per send
+  Delivery delivery_;  ///< emit's delivery, its payload capacity reused
+  bool emitting_ = false;  ///< emit is running (re-entry check)
   uint16_t header_pad_ = 0;
   uint64_t tune_rounds_ = 0;        ///< rounds since last window adjustment
   uint64_t tune_last_loss_ = 0;     ///< loss counters at last adjustment

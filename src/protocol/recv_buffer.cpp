@@ -4,10 +4,10 @@
 
 namespace accelring::protocol {
 
-bool RecvBuffer::insert(DataMsg msg) {
+bool RecvBuffer::insert(DataMsg&& msg) {
   if (msg.seq <= discard_line_) return false;  // already stable everywhere
   if (msg.seq <= local_aru_) return false;     // duplicate below aru
-  const auto [it, inserted] = messages_.emplace(msg.seq, std::move(msg));
+  const auto [it, inserted] = messages_.try_emplace(msg.seq, std::move(msg));
   if (!inserted) return false;  // duplicate
   high_seq_ = std::max(high_seq_, it->first);
   advance_aru();

@@ -16,9 +16,10 @@ namespace accelring::protocol {
 
 class RecvBuffer {
  public:
-  /// Insert a received or self-originated message. Duplicates and messages
-  /// at or below the discard line are ignored. Returns true if inserted.
-  bool insert(DataMsg msg);
+  /// Insert a received or self-originated message, moving it in. Duplicates
+  /// and messages at or below the discard line are ignored (and left
+  /// unmoved). Returns true if inserted.
+  bool insert(DataMsg&& msg);
 
   [[nodiscard]] bool has(SeqNum seq) const;
   [[nodiscard]] const DataMsg* find(SeqNum seq) const;

@@ -32,10 +32,17 @@ size_t DataMsg::encoded_size(size_t payload_len, uint16_t pad) {
 }
 
 std::vector<std::byte> encode(const DataMsg& msg) {
-  Writer w(DataMsg::encoded_size(msg.payload.size(), msg.header_pad));
+  std::vector<std::byte> out;
+  encode(msg, msg.post_token, out);
+  return out;
+}
+
+void encode(const DataMsg& msg, bool post_token, std::vector<std::byte>& out) {
+  Writer w(std::move(out),
+           DataMsg::encoded_size(msg.payload.size(), msg.header_pad));
   w.u8(static_cast<uint8_t>(PacketType::kData));
   uint8_t flags = static_cast<uint8_t>(msg.service) & kServiceMask;
-  if (msg.post_token) flags |= kFlagPostToken;
+  if (post_token) flags |= kFlagPostToken;
   if (msg.recovered) flags |= kFlagRecovered;
   if (msg.packed) flags |= kFlagPacked;
   w.u8(flags);
@@ -47,7 +54,7 @@ std::vector<std::byte> encode(const DataMsg& msg) {
   for (uint16_t i = 0; i < msg.header_pad; ++i) w.u8(0);
   w.bytes(msg.payload);
   util::seal(w);
-  return std::move(w).take();
+  out = std::move(w).take();
 }
 
 std::optional<DataMsg> decode_data(std::span<const std::byte> packet) {
@@ -79,7 +86,13 @@ std::optional<DataMsg> decode_data(std::span<const std::byte> packet) {
 // --- token -----------------------------------------------------------------
 
 std::vector<std::byte> encode(const TokenMsg& msg) {
-  Writer w(64 + 8 * msg.rtr.size() + 14 * msg.health.size());
+  std::vector<std::byte> out;
+  encode(msg, out);
+  return out;
+}
+
+void encode(const TokenMsg& msg, std::vector<std::byte>& out) {
+  Writer w(std::move(out), 64 + 8 * msg.rtr.size() + 14 * msg.health.size());
   w.u8(static_cast<uint8_t>(PacketType::kToken));
   w.u64(msg.ring_id);
   w.u64(msg.token_id);
@@ -104,7 +117,7 @@ std::vector<std::byte> encode(const TokenMsg& msg) {
     }
   }
   util::seal(w);
-  return std::move(w).take();
+  out = std::move(w).take();
 }
 
 std::optional<TokenMsg> decode_token(std::span<const std::byte> packet) {

@@ -56,6 +56,9 @@ struct DataMsg {
 };
 
 [[nodiscard]] std::vector<std::byte> encode(const DataMsg& msg);
+/// Encode `msg` into `out`, reusing its capacity, with the post-token flag
+/// `post_token` in place of msg.post_token.
+void encode(const DataMsg& msg, bool post_token, std::vector<std::byte>& out);
 [[nodiscard]] std::optional<DataMsg> decode_data(
     std::span<const std::byte> packet);
 
@@ -88,6 +91,8 @@ struct TokenMsg {
 };
 
 [[nodiscard]] std::vector<std::byte> encode(const TokenMsg& msg);
+/// Encode `msg` into `out`, reusing its capacity.
+void encode(const TokenMsg& msg, std::vector<std::byte>& out);
 [[nodiscard]] std::optional<TokenMsg> decode_token(
     std::span<const std::byte> packet);
 

@@ -4,7 +4,9 @@
 #include <fcntl.h>
 #include <linux/filter.h>
 #include <netinet/in.h>
+#include <netinet/udp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -24,6 +26,12 @@ namespace {
 constexpr int kTimerKinds = 16;
 constexpr int kDelayedTokenTimer = kTimerKinds;
 constexpr int kTimerIds = kTimerKinds + 1;
+
+// A batch's bounds: the kernel takes at most 64 segments in one UDP_SEGMENT
+// send on every kernel that has it, and at most one IP datagram's worth
+// (64 KB less the headers) in all.
+constexpr int kMaxSegments = 64;
+constexpr size_t kMaxBatchBytes = 60 * 1024;
 
 static_assert(protocol::kSockData == 0 && protocol::kSockToken == 1,
               "Peer::addr is indexed by SocketId");
@@ -117,6 +125,9 @@ void open_group_socket(int& fd, const sockaddr_in& group,
   const sock_fprog filter{static_cast<unsigned short>(std::size(code)), code};
   set_option(fd, SOL_SOCKET, SO_ATTACH_FILTER, &filter, sizeof(filter),
              "SO_ATTACH_FILTER");
+  // A segmented burst then queues as one buffer, not one per datagram.
+  const int one = 1;
+  set_option(fd, SOL_UDP, UDP_GRO, &one, sizeof(one), "UDP_GRO");
 }
 
 }  // namespace
@@ -208,24 +219,99 @@ void UdpTransport::send(int fd, const sockaddr_in& to,
     n = ::sendto(fd, data.data(), data.size(), 0,
                  reinterpret_cast<const sockaddr*>(&to), sizeof(to));
   } while (n < 0 && errno == EINTR);
+  const bool ok = n == static_cast<ssize_t>(data.size());
+  if (fd == data_fd_) {
+    ++data_calls_;
+    if (ok) ++data_sent_;
+  }
   // UDP gives no delivery guarantee anyway, so a full socket buffer
   // (EAGAIN), an unreachable peer, or a short write is exactly a dropped
   // datagram: count it and move on — the ring's retransmission machinery is
   // the recovery path, not the syscall return code.
-  if (n == static_cast<ssize_t>(data.size())) {
+  if (ok) {
     ++sent_;
   } else {
     ++send_drops_;
   }
 }
 
+template <typename Fn>
+void UdpTransport::dispatch(Fn&& fn) {
+  dispatching_ = true;
+  fn();
+  dispatching_ = false;
+  flush_data();
+}
+
+void UdpTransport::queue_data(std::span<const std::byte> data) {
+  if (batched_ > 0 &&
+      (data.size() > segment_ || batched_ == kMaxSegments ||
+       batch_.size() + data.size() > kMaxBatchBytes)) {
+    flush_data();
+  }
+  if (batched_ == 0) segment_ = data.size();
+  batch_.insert(batch_.end(), data.begin(), data.end());
+  ++batched_;
+  // Only the last segment of a batch may be short.
+  if (data.size() < segment_) flush_data();
+}
+
+void UdpTransport::flush_data() {
+  if (batched_ == 0) return;
+  if (batched_ == 1) {
+    send(data_fd_, *group_, batch_);
+  } else {
+    iovec iov{batch_.data(), batch_.size()};
+    alignas(cmsghdr) char control[CMSG_SPACE(sizeof(uint16_t))] = {};
+    msghdr msg{};
+    msg.msg_name = &*group_;
+    msg.msg_namelen = sizeof(*group_);
+    msg.msg_iov = &iov;
+    msg.msg_iovlen = 1;
+    msg.msg_control = control;
+    msg.msg_controllen = sizeof(control);
+    cmsghdr* cm = CMSG_FIRSTHDR(&msg);
+    cm->cmsg_level = SOL_UDP;
+    cm->cmsg_type = UDP_SEGMENT;
+    cm->cmsg_len = CMSG_LEN(sizeof(uint16_t));
+    const auto size = static_cast<uint16_t>(segment_);
+    std::memcpy(CMSG_DATA(cm), &size, sizeof(size));
+    ssize_t n;
+    do {
+      n = ::sendmsg(data_fd_, &msg, 0);
+    } while (n < 0 && errno == EINTR);
+    ++data_calls_;
+    if (n == static_cast<ssize_t>(batch_.size())) {
+      sent_ += static_cast<uint64_t>(batched_);
+      data_sent_ += static_cast<uint64_t>(batched_);
+    } else if (n < 0 && (errno == EINVAL || errno == EIO)) {
+      // A route that cannot segment (say, a shared address whose MTU is
+      // below the segment size): the datagrams go one by one instead.
+      const std::span<const std::byte> all(batch_);
+      for (size_t off = 0; off < all.size(); off += segment_) {
+        send(data_fd_, *group_,
+             all.subspan(off, std::min(segment_, all.size() - off)));
+      }
+    } else {
+      send_drops_ += static_cast<uint64_t>(batched_);
+    }
+  }
+  batch_.clear();
+  batched_ = 0;
+}
+
 void UdpTransport::multicast(protocol::SocketId sock,
                              std::span<const std::byte> data) {
   if (group_ && sock == protocol::kSockData) {
-    send(data_fd_, *group_, data);
+    if (dispatching_) {
+      queue_data(data);
+    } else {
+      send(data_fd_, *group_, data);
+    }
     return;
   }
   // Unicast fan-out logical multicast (§III-D).
+  flush_data();
   for (const Peer& peer : peers_) {
     if (peer.id != self_) send(fd_of(sock), peer.addr[sock], data);
   }
@@ -233,6 +319,9 @@ void UdpTransport::multicast(protocol::SocketId sock,
 
 void UdpTransport::unicast(protocol::ProcessId to, protocol::SocketId sock,
                            std::span<const std::byte> data, Nanos delay) {
+  // Queued data precedes whatever follows it on the wire: pre-token data
+  // stays ahead of the token.
+  flush_data();
   if (delay <= 0) {
     send_to(to, sock, data);
     return;
@@ -260,7 +349,7 @@ void UdpTransport::on_configuration(
 void UdpTransport::set_timer(protocol::TimerKind kind, Nanos delay) {
   assert(kind >= 0 && kind < kTimerKinds);
   loop_.set_timer(timer_base_ + kind, delay, [this, kind] {
-    if (handler_ != nullptr) handler_->on_timer(kind);
+    if (handler_ != nullptr) dispatch([&] { handler_->on_timer(kind); });
   });
 }
 
@@ -282,14 +371,40 @@ bool UdpTransport::read_one() {
 bool UdpTransport::receive(int fd, protocol::SocketId sock) {
   if (handler_ == nullptr) return false;
   std::byte buf[65536];
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))];
+  iovec iov{buf, sizeof(buf)};
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = control;
+  msg.msg_controllen = sizeof(control);
   ssize_t n;
   do {
-    n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    n = ::recvmsg(fd, &msg, MSG_DONTWAIT);
   } while (n < 0 && errno == EINTR);
   if (n <= 0) return false;
-  ++received_;
-  handler_->on_packet(sock,
-                      std::span<const std::byte>(buf, static_cast<size_t>(n)));
+  const auto size = static_cast<size_t>(n);
+  // A coalesced read says its segment size; without one it is one datagram.
+  size_t segment = size;
+  for (cmsghdr* cm = CMSG_FIRSTHDR(&msg); cm != nullptr;
+       cm = CMSG_NXTHDR(&msg, cm)) {
+    if (cm->cmsg_level == SOL_UDP && cm->cmsg_type == UDP_GRO) {
+      int gro = 0;
+      std::memcpy(&gro, CMSG_DATA(cm), sizeof(gro));
+      if (gro > 0) segment = static_cast<size_t>(gro);
+    }
+  }
+  for (size_t off = 0; off < size; off += segment) {
+    if (off > 0) {
+      while (handler_->preferred_socket() == protocol::kSockToken &&
+             receive(token_fd_, protocol::kSockToken)) {
+      }
+    }
+    ++received_;
+    const std::span<const std::byte> datagram(buf + off,
+                                              std::min(segment, size - off));
+    dispatch([&] { handler_->on_packet(sock, datagram); });
+  }
   return true;
 }
 

@@ -7,14 +7,22 @@
 //
 // The data path follows from the peer map, with no option:
 //  - Every peer on one IP address (a ring on one host, loopback included):
-//    each data datagram is one sendto to an IPv4 group in 239.255.0.0/16
-//    whose low 16 bits are those of the shared address, on the lowest-id
-//    member's data port. That port is bound exclusively by its owner, so no
-//    other ring on the address uses the group port. Each node receives on
-//    a group socket joined on its own address; a classic BPF filter on it
-//    drops the node's own copies (UDP source port == its data port) in the
-//    kernel. Delivery never leaves the interface, so no multicast routing
-//    is needed.
+//    data datagrams go to an IPv4 group in 239.255.0.0/16 whose low 16 bits
+//    are those of the shared address, on the lowest-id member's data port.
+//    That port is bound exclusively by its owner, so no other ring on the
+//    address uses the group port. Each node receives on a group socket
+//    joined on its own address; a classic BPF filter on it drops the node's
+//    own copies (UDP source port == its data port) in the kernel. Delivery
+//    never leaves the interface, so no multicast routing is needed.
+//    The group path batches through the kernel. While the transport hands a
+//    datagram or a timer to its handler (a dispatch), the data multicasts
+//    the handler makes queue; the queue leaves as one UDP_SEGMENT (GSO)
+//    sendmsg before any unicast and when the handler returns. A token visit
+//    thus sends its pre-token data in one call, the token, then its
+//    post-token burst in one call (§III-A). Outside a dispatch a multicast
+//    is one sendto, as is a batch of one. The group socket sets UDP_GRO, so
+//    a burst arrives as one coalesced read, handed to the handler one
+//    segment at a time.
 //  - Peers on several addresses: unicast fan-out logical multicast, one
 //    sendto per peer (an option Spread also ships). Multicast across hosts
 //    needs a multicast-routed segment that the peer map cannot name yet.
@@ -23,8 +31,9 @@
 // second transport on a taken port throws instead of sharing its traffic.
 //
 // Single-threaded: everything runs on the owning EventLoop. The priority
-// mechanism reads the engine's preferred socket before every receive, so a
-// raised token priority takes effect mid-burst exactly as in §III-C.
+// mechanism reads the engine's preferred socket before every datagram it
+// hands up, segments of a coalesced read included, so a raised token
+// priority takes effect mid-burst exactly as in §III-C.
 #pragma once
 
 #include <netinet/in.h>
@@ -55,7 +64,7 @@ class UdpTransport final : public protocol::Host {
   /// sockets per peers[self]; when every peer shares one address, also joins
   /// the ring's data group (see the file comment). Throws std::runtime_error
   /// when an address does not parse, a port is taken, or the group cannot
-  /// be joined or filtered.
+  /// be joined, filtered or set to UDP_GRO (Linux 5.0 or later).
   UdpTransport(protocol::ProcessId self,
                std::map<protocol::ProcessId, PeerAddress> peers,
                EventLoop& loop);
@@ -84,8 +93,15 @@ class UdpTransport final : public protocol::Host {
   /// per-rotation delta just like in the simulator.
   Nanos cpu_time() override;
 
+  /// Datagrams, counted one by one also when a batch carried them.
   [[nodiscard]] uint64_t datagrams_sent() const { return sent_; }
   [[nodiscard]] uint64_t datagrams_received() const { return received_; }
+  /// The datagrams among datagrams_sent() that left the data socket: data
+  /// messages and joins, the token excluded.
+  [[nodiscard]] uint64_t data_datagrams_sent() const { return data_sent_; }
+  /// Send calls on the data socket: one per batch, one per datagram
+  /// otherwise. data_datagrams_sent() over this is the batching factor.
+  [[nodiscard]] uint64_t data_send_calls() const { return data_calls_; }
   /// Datagrams the kernel refused to take (EAGAIN, unreachable, short
   /// write). Treated as wire loss: the protocol retransmits.
   [[nodiscard]] uint64_t send_drops() const { return send_drops_; }
@@ -102,12 +118,24 @@ class UdpTransport final : public protocol::Host {
 
   void open_sockets(const PeerAddress& me);
   void close_sockets();
-  /// Drain up to one datagram from the preferred socket (or the other if
-  /// the preferred one is empty). Returns false when both are empty.
+  /// Drain up to one read from the preferred socket (or the other if the
+  /// preferred one is empty). Returns false when both are empty.
   bool read_one();
-  /// Hand one datagram waiting at `fd` to the handler as arriving on
-  /// `sock`; false when there is none.
+  /// Hand one read waiting at `fd` to the handler as arriving on `sock`,
+  /// segment by segment if the kernel coalesced it; false when there is
+  /// none. Before each later segment, reads the token socket first while
+  /// the handler prefers it, as read_one() would between datagrams.
   bool receive(int fd, protocol::SocketId sock);
+  /// Call `fn`, a call into the handler, as a dispatch: group data
+  /// multicasts queue meanwhile and leave when it returns.
+  template <typename Fn>
+  void dispatch(Fn&& fn);
+  /// Add one group datagram to the batch, sending the batch first if the
+  /// datagram cannot join it, and after it if it is shorter than the rest.
+  void queue_data(std::span<const std::byte> data);
+  /// Send the batch, if any: one sendto for one datagram, else one
+  /// UDP_SEGMENT sendmsg.
+  void flush_data();
   void send_to(protocol::ProcessId to, protocol::SocketId sock,
                std::span<const std::byte> data);
   /// Send from the socket matching `sock`, so captures look sane.
@@ -129,9 +157,15 @@ class UdpTransport final : public protocol::Host {
   ConfigFn config_;
   std::vector<std::byte> pending_token_;  ///< delayed (idle-hold) token
   protocol::ProcessId pending_token_to_ = protocol::kNoProcess;
+  bool dispatching_ = false;
+  std::vector<std::byte> batch_;  ///< queued group datagrams, back to back
+  size_t segment_ = 0;  ///< the first queued datagram's size
+  int batched_ = 0;     ///< datagrams in batch_
   uint64_t sent_ = 0;
   uint64_t received_ = 0;
   uint64_t send_drops_ = 0;
+  uint64_t data_sent_ = 0;
+  uint64_t data_calls_ = 0;
 };
 
 }  // namespace accelring::transport

@@ -24,6 +24,12 @@ class Writer {
   Writer() = default;
   /// Reserve capacity up front to avoid reallocation on hot paths.
   explicit Writer(size_t reserve) { buf_.reserve(reserve); }
+  /// Write into `buf`'s storage, emptied first: a caller that hands the
+  /// same buffer back each time (via take()) stops allocating.
+  Writer(std::vector<std::byte> buf, size_t reserve) : buf_(std::move(buf)) {
+    buf_.clear();
+    buf_.reserve(reserve);
+  }
 
   void u8(uint8_t v) { buf_.push_back(std::byte{v}); }
   void u16(uint16_t v) { append_le(v); }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace accelring::protocol {
 namespace {
 
@@ -154,7 +156,7 @@ TEST(RecvBuffer, FindReturnsStoredMessage) {
   RecvBuffer b;
   DataMsg m = msg(7, Service::kSafe);
   m.round = 42;
-  b.insert(m);
+  b.insert(std::move(m));
   const DataMsg* found = b.find(7);
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->round, 42u);

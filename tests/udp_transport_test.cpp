@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -56,24 +57,21 @@ std::map<ProcessId, PeerAddress> make_peers(int n) {
 }
 
 /// Sits between an engine and its transport and counts the data traffic:
-/// the transport's datagrams per data multicast, the application messages
-/// those multicasts carry, and the data datagrams the transport hands up.
+/// the data multicasts, the application messages they carry, and the data
+/// datagrams the transport hands up.
 struct Tap final : protocol::Host, protocol::PacketHandler {
   UdpTransport& transport;
   protocol::PacketHandler* engine = nullptr;
   uint64_t multicasts = 0;
   uint64_t messages = 0;  ///< application messages multicast (packed: each)
-  std::vector<uint64_t> datagrams_per_multicast;
   uint64_t data_received = 0;
 
   explicit Tap(UdpTransport& t) : transport(t) {}
 
   void multicast(protocol::SocketId sock,
                  std::span<const std::byte> data) override {
-    const uint64_t before = transport.datagrams_sent();
     transport.multicast(sock, data);
     ++multicasts;
-    datagrams_per_multicast.push_back(transport.datagrams_sent() - before);
     if (const auto msg = protocol::decode_data(data)) {
       if (!msg->packed) {
         ++messages;
@@ -225,13 +223,16 @@ class UdpRingTest : public ::testing::TestWithParam<Mode> {
     EXPECT_TRUE(protocol::gap_free(order));
     // Each node multicast its own messages, packed (fewer multicasts than
     // messages); one datagram per data multicast, or one per other member.
+    // A batch leaves at its flush, not in the multicast call that queued
+    // it, so the property holds for the totals.
     const uint64_t per_multicast = GetParam() == Mode::kMulticast ? 1 : 2;
     for (const auto& n : nodes) {
       EXPECT_GE(n.tap->messages, count / 3);
       EXPECT_LT(n.tap->multicasts, n.tap->messages);
-      for (const uint64_t sent : n.tap->datagrams_per_multicast) {
-        ASSERT_EQ(sent, per_multicast);
-      }
+      EXPECT_EQ(n.transport->data_datagrams_sent(),
+                per_multicast * n.tap->multicasts);
+      EXPECT_LE(n.transport->data_send_calls(),
+                n.transport->data_datagrams_sent());
     }
     // No handler sees a datagram its own node sent: each node receives
     // exactly the others' data datagrams.
@@ -338,9 +339,11 @@ TEST(UdpTransport, RejectsUnparseablePeerAddress) {
   EXPECT_NO_THROW(UdpTransport(0, peers, loop));
 }
 
+using Packets = std::vector<std::pair<protocol::SocketId, std::string>>;
+
 /// Records the packets and timers a transport hands it.
 struct Recorder final : protocol::PacketHandler {
-  std::vector<std::pair<protocol::SocketId, std::string>> packets;
+  Packets packets;
   std::vector<protocol::TimerKind> fired;
   void on_packet(protocol::SocketId sock,
                  std::span<const std::byte> packet) override {
@@ -424,10 +427,165 @@ TEST(UdpTransport, UnicastDataReachesThePeerInMulticastMode) {
   a.multicast(protocol::kSockData, util::as_bytes(std::string_view("all")));
   loop.run_for(util::msec(20));
   std::sort(hb.packets.begin(), hb.packets.end());
-  using Packets = std::vector<std::pair<protocol::SocketId, std::string>>;
   EXPECT_EQ(hb.packets, (Packets{{protocol::kSockData, "all"},
                                  {protocol::kSockData, "one"}}));
   EXPECT_TRUE(ha.packets.empty());
+}
+
+/// Datagram `i` of a burst: `size` bytes that no other datagram of the
+/// burst repeats.
+std::string datagram(size_t i, size_t size) {
+  std::string d(size, '\0');
+  for (size_t b = 0; b < size; ++b) {
+    d[b] = static_cast<char>((i * 131 + b * 7) & 0xFF);
+  }
+  return d;
+}
+
+/// Multicasts `burst` on the data socket from inside one timer dispatch,
+/// then (if set) unicasts `token` to node 1's token socket.
+struct Burster final : protocol::PacketHandler {
+  UdpTransport& transport;
+  std::vector<std::string> burst;
+  std::string token;
+  uint64_t data_calls_after_token = 0;  ///< data_send_calls() then
+
+  explicit Burster(UdpTransport& t) : transport(t) {}
+  void on_packet(protocol::SocketId,
+                 std::span<const std::byte>) override {}
+  void on_timer(protocol::TimerKind) override {
+    for (const std::string& d : burst) {
+      transport.multicast(protocol::kSockData, util::as_bytes(d));
+    }
+    if (!token.empty()) {
+      transport.unicast(1, protocol::kSockToken, util::as_bytes(token), 0);
+      data_calls_after_token = transport.data_send_calls();
+    }
+  }
+  [[nodiscard]] protocol::SocketId preferred_socket() const override {
+    return protocol::kSockData;
+  }
+};
+
+/// A sender and two receivers on one loop, all on 127.0.0.1 (the group
+/// path), on the first port block whose ports are free.
+struct GroupOfThree {
+  EventLoop loop;
+  std::vector<std::unique_ptr<UdpTransport>> t;
+
+  GroupOfThree() {
+    for (int attempt = 0; t.size() < 3; ++attempt) {
+      t.clear();
+      try {
+        const auto peers = make_peers(3, base_port(attempt));
+        for (ProcessId i = 0; i < 3; ++i) {
+          t.push_back(std::make_unique<UdpTransport>(i, peers, loop));
+        }
+      } catch (const std::runtime_error&) {
+        if (attempt == 20) throw;
+      }
+    }
+  }
+};
+
+Packets as_data(const std::vector<std::string>& burst) {
+  Packets packets;
+  for (const std::string& d : burst) packets.emplace_back(protocol::kSockData, d);
+  return packets;
+}
+
+TEST(UdpTransport, OneBurstReachesEachPeerAsTheSameDatagramsInOrder) {
+  GroupOfThree g;
+  Burster sender(*g.t[0]);
+  Recorder r1;
+  Recorder r2;
+  g.t[0]->bind(sender);
+  g.t[1]->bind(r1);
+  g.t[2]->bind(r2);
+  for (size_t i = 0; i < 20; ++i) sender.burst.push_back(datagram(i, 1000));
+  g.t[0]->set_timer(protocol::kTimerJoin, 0);
+  g.loop.run_for(util::msec(30));
+  EXPECT_EQ(r1.packets, as_data(sender.burst));
+  EXPECT_EQ(r2.packets, as_data(sender.burst));
+  EXPECT_EQ(g.t[0]->datagrams_received(), 0u);  // its own copies filtered
+  EXPECT_EQ(g.t[1]->datagrams_received(), 20u);
+  EXPECT_EQ(g.t[0]->data_datagrams_sent(), 20u);
+  EXPECT_EQ(g.t[0]->data_send_calls(), 1u);
+  EXPECT_EQ(g.t[0]->send_drops(), 0u);
+}
+
+TEST(UdpTransport, MixedSizesGoThroughTheBatchByteIdentical) {
+  GroupOfThree g;
+  Burster sender(*g.t[0]);
+  Recorder r1;
+  Recorder r2;
+  g.t[0]->bind(sender);
+  g.t[1]->bind(r1);
+  g.t[2]->bind(r2);
+  // Sends, by the batch rules: [100 100 100 50] closed by the shorter 50;
+  // [100] alone, flushed by the longer 200, so a plain sendto; [200 200 10];
+  // [300 300 64]; 64 x 64, the segment limit; 64; 43 x 1400, the byte
+  // limit; 7 x 1400. Eight send calls for 126 datagrams.
+  std::vector<size_t> sizes = {100, 100, 100, 50, 100, 200, 200, 10, 300, 300};
+  sizes.insert(sizes.end(), 66, 64);
+  sizes.insert(sizes.end(), 50, 1400);
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    sender.burst.push_back(datagram(i, sizes[i]));
+  }
+  g.t[0]->set_timer(protocol::kTimerJoin, 0);
+  g.loop.run_for(util::msec(30));
+  EXPECT_EQ(r1.packets, as_data(sender.burst));
+  EXPECT_EQ(r2.packets, as_data(sender.burst));
+  EXPECT_EQ(g.t[0]->data_datagrams_sent(), 126u);
+  EXPECT_EQ(g.t[0]->data_send_calls(), 8u);
+  EXPECT_EQ(g.t[0]->send_drops(), 0u);
+}
+
+/// Records what it is handed and prefers the token socket from the k-th
+/// data datagram on, until it is handed a token.
+struct PriorityFlipper final : protocol::PacketHandler {
+  size_t flip_after;
+  size_t data_seen = 0;
+  Packets packets;
+
+  explicit PriorityFlipper(size_t k) : flip_after(k) {}
+  void on_packet(protocol::SocketId sock,
+                 std::span<const std::byte> packet) override {
+    packets.emplace_back(
+        sock, std::string(reinterpret_cast<const char*>(packet.data()),
+                          packet.size()));
+    if (sock == protocol::kSockData) ++data_seen;
+    if (sock == protocol::kSockToken) flip_after = SIZE_MAX;
+  }
+  void on_timer(protocol::TimerKind) override {}
+  [[nodiscard]] protocol::SocketId preferred_socket() const override {
+    return data_seen >= flip_after ? protocol::kSockToken : protocol::kSockData;
+  }
+};
+
+TEST(UdpTransport, TokenPreferredMidReadIsHandledBeforeTheNextSegment) {
+  // The burst arrives as one coalesced read. After the second segment the
+  // handler prefers the token, which waits at the token socket: it must
+  // come next, ahead of the third segment, as between separate datagrams.
+  GroupOfThree g;
+  Burster sender(*g.t[0]);
+  PriorityFlipper receiver(2);
+  Recorder r2;
+  g.t[0]->bind(sender);
+  g.t[1]->bind(receiver);
+  g.t[2]->bind(r2);
+  for (size_t i = 0; i < 6; ++i) sender.burst.push_back(datagram(i, 500));
+  sender.token = "token";
+  g.t[0]->set_timer(protocol::kTimerJoin, 0);
+  g.loop.run_for(util::msec(30));
+  Packets expected = as_data(sender.burst);
+  expected.insert(expected.begin() + 2, {protocol::kSockToken, "token"});
+  EXPECT_EQ(receiver.packets, expected);
+  EXPECT_EQ(r2.packets, as_data(sender.burst));
+  // The queued burst left before the token: data sent ahead of the token
+  // in a visit stays ahead of it on the wire.
+  EXPECT_EQ(sender.data_calls_after_token, 1u);
+  EXPECT_EQ(g.t[0]->data_send_calls(), 1u);
 }
 
 TEST(EventLoopTest, ReservedTimerIdsAreDisjoint) {

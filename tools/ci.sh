@@ -47,6 +47,22 @@ NO_BENCHMARK=(-DCMAKE_DISABLE_FIND_PACKAGE_benchmark=ON)
 
 configure_and_test build "${NO_BENCHMARK[@]}"
 
+# The loopback ring's token visits send their data in segmented bursts, so
+# node 0 sends several data datagrams per send call; one per call means the
+# batching silently stopped.
+echo "=== build: udp_ring batching ==="
+./build/examples/udp_ring 1 | tee build/udp_ring.txt
+python3 - build/udp_ring.txt <<'EOF'
+import re, sys
+m = re.search(r"p0 .*data datagrams=(\d+) in send calls=(\d+)",
+              open(sys.argv[1]).read())
+datagrams, calls = int(m.group(1)), int(m.group(2))
+per_call = datagrams / max(calls, 1)
+print(f"udp_ring p0 data datagrams per send call = {per_call:.2f}")
+sys.exit(0 if per_call >= 2 else
+         "below 2: the group path is not batching its sends")
+EOF
+
 echo "=== build: check-fast ==="
 cmake --build build --target check-fast
 
