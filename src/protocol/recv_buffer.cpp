@@ -1,41 +1,80 @@
 #include "protocol/recv_buffer.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <utility>
 
 namespace accelring::protocol {
+
+RecvBuffer::RecvBuffer(RecvBuffer&& other) noexcept {
+  *this = std::move(other);
+}
+
+RecvBuffer& RecvBuffer::operator=(RecvBuffer&& other) noexcept {
+  slots_ = std::exchange(other.slots_, {});
+  count_ = std::exchange(other.count_, 0);
+  local_aru_ = std::exchange(other.local_aru_, 0);
+  high_seq_ = std::exchange(other.high_seq_, 0);
+  delivered_ = std::exchange(other.delivered_, 0);
+  discard_line_ = std::exchange(other.discard_line_, 0);
+  return *this;
+}
 
 bool RecvBuffer::insert(DataMsg&& msg) {
   if (msg.seq <= discard_line_) return false;  // already stable everywhere
   if (msg.seq <= local_aru_) return false;     // duplicate below aru
-  const auto [it, inserted] = messages_.try_emplace(msg.seq, std::move(msg));
-  if (!inserted) return false;  // duplicate
-  high_seq_ = std::max(high_seq_, it->first);
+  const SeqNum span = msg.seq - discard_line_;
+  if (span > kMaxSpan) return false;  // beyond anything flow control allows
+  if (span > static_cast<SeqNum>(slots_.size())) grow(span);
+  Slot& slot = slots_[index(msg.seq)];
+  if (slot.present) return false;  // duplicate
+  slot.present = true;
+  slot.msg = std::move(msg);
+  ++count_;
+  high_seq_ = std::max(high_seq_, slot.msg.seq);
   advance_aru();
   return true;
 }
 
+void RecvBuffer::grow(SeqNum span) {
+  size_t capacity = std::max(slots_.size(), kInitialSlots);
+  while (static_cast<SeqNum>(capacity) < span) capacity *= 2;
+  std::vector<Slot> grown(capacity);
+  for (Slot& slot : slots_) {
+    if (slot.present) {
+      grown[static_cast<size_t>(slot.msg.seq) & (capacity - 1)] =
+          std::move(slot);
+    }
+  }
+  slots_ = std::move(grown);
+}
+
+const RecvBuffer::Slot* RecvBuffer::slot_of(SeqNum seq) const {
+  if (seq <= discard_line_ ||
+      seq - discard_line_ > static_cast<SeqNum>(slots_.size())) {
+    return nullptr;
+  }
+  const Slot& slot = slots_[index(seq)];
+  return slot.present ? &slot : nullptr;
+}
+
 bool RecvBuffer::has(SeqNum seq) const {
   if (seq <= local_aru_) return true;
-  return messages_.contains(seq);
+  return slot_of(seq) != nullptr;
 }
 
 const DataMsg* RecvBuffer::find(SeqNum seq) const {
-  const auto it = messages_.find(seq);
-  return it == messages_.end() ? nullptr : &it->second;
+  const Slot* slot = slot_of(seq);
+  return slot == nullptr ? nullptr : &slot->msg;
 }
 
 void RecvBuffer::advance_aru() {
-  auto it = messages_.find(local_aru_ + 1);
-  while (it != messages_.end() && it->first == local_aru_ + 1) {
-    ++local_aru_;
-    ++it;
-  }
+  while (slot_of(local_aru_ + 1) != nullptr) ++local_aru_;
 }
 
 const DataMsg* RecvBuffer::next_deliverable(SeqNum safe_line) {
-  const auto it = messages_.find(delivered_ + 1);
-  if (it == messages_.end()) return nullptr;  // gap or nothing new
-  const DataMsg& msg = it->second;
+  const Slot* slot = slot_of(delivered_ + 1);
+  if (slot == nullptr) return nullptr;  // gap or nothing new
+  const DataMsg& msg = slot->msg;
   if (requires_safe(msg.service) && msg.seq > safe_line) {
     // Not yet known received by all participants: blocks the total order.
     return nullptr;
@@ -48,15 +87,24 @@ void RecvBuffer::mark_delivered() { ++delivered_; }
 void RecvBuffer::discard_up_to(SeqNum line) {
   line = std::min(line, delivered_);
   if (line <= discard_line_) return;
+  const SeqNum end =
+      std::min(line, discard_line_ + static_cast<SeqNum>(slots_.size()));
+  for (SeqNum seq = discard_line_ + 1; seq <= end; ++seq) {
+    Slot& slot = slots_[index(seq)];
+    if (!slot.present) continue;
+    slot.present = false;
+    // Release the payload's memory; `= {}` would keep its capacity.
+    std::vector<std::byte>().swap(slot.msg.payload);
+    --count_;
+  }
   discard_line_ = line;
-  messages_.erase(messages_.begin(), messages_.upper_bound(line));
 }
 
 std::vector<SeqNum> RecvBuffer::missing_up_to(
     SeqNum bound, const std::vector<SeqNum>& already_requested) const {
   std::vector<SeqNum> missing;
   for (SeqNum s = local_aru_ + 1; s <= bound; ++s) {
-    if (messages_.contains(s)) continue;
+    if (slot_of(s) != nullptr) continue;
     bool requested = false;
     for (SeqNum r : already_requested) {
       if (r == s) {
@@ -70,11 +118,9 @@ std::vector<SeqNum> RecvBuffer::missing_up_to(
 }
 
 size_t RecvBuffer::undelivered() const {
-  size_t n = 0;
-  for (const auto& [seq, msg] : messages_) {
-    if (seq > delivered_) ++n;
-  }
-  return n;
+  // Every seq in (discard line, delivered] is present: delivery stops at the
+  // first gap, and nothing undelivered is discarded.
+  return count_ - static_cast<size_t>(delivered_ - discard_line_);
 }
 
 }  // namespace accelring::protocol

@@ -133,7 +133,9 @@ struct ProtocolConfig {
   /// Ignored (treated as 0) when variant == kOriginal.
   uint32_t accelerated_window = 15;
   /// Bound on token.seq - Global_aru: limits how far sequencing may run
-  /// ahead of the slowest receiver (receive-buffer bound).
+  /// ahead of the slowest receiver (receive-buffer bound). Keep it well
+  /// below RecvBuffer::kMaxSpan, the furthest past its discard line a
+  /// receive buffer accepts a message.
   SeqNum max_seq_gap = 4096;
   /// Bound on the application send queue; submit() fails beyond this.
   size_t max_pending = 10'000;

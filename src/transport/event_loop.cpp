@@ -1,7 +1,5 @@
 #include "transport/event_loop.hpp"
 
-#include <poll.h>
-
 #include <algorithm>
 
 namespace accelring::transport {
@@ -11,10 +9,12 @@ EventLoop::EventLoop() : epoch_(std::chrono::steady_clock::now()) {}
 void EventLoop::add_fd(int fd, Callback fn) {
   fds_.push_back(FdHandler{fd, next_serial_++,
                            std::make_shared<Callback>(std::move(fn))});
+  pollfds_stale_ = true;
 }
 
 void EventLoop::remove_fd(int fd) {
   std::erase_if(fds_, [fd](const FdHandler& h) { return h.fd == fd; });
+  pollfds_stale_ = true;
 }
 
 void EventLoop::set_timer(int id, Nanos delay, Callback fn) {
@@ -62,19 +62,27 @@ void EventLoop::poll_once(Nanos max_wait) {
   const Nanos until_timer = fire_due_timers();
   Nanos wait = max_wait;
   if (until_timer >= 0) wait = std::min(wait, until_timer);
-  std::vector<pollfd> pfds;
-  pfds.reserve(fds_.size());
-  for (const FdHandler& h : fds_) pfds.push_back(pollfd{h.fd, POLLIN, 0});
+  if (pollfds_stale_) {
+    pollfds_.clear();
+    for (const FdHandler& h : fds_) {
+      pollfds_.push_back(pollfd{h.fd, POLLIN, 0});
+    }
+    pollfds_stale_ = false;
+  }
   // Handlers registered from here on were not polled; one may reuse the fd
   // number of a handler that a callback below removes.
   const uint64_t polled = next_serial_;
   const int timeout_ms =
       static_cast<int>(std::min<Nanos>(wait / util::kMillisecond, 100));
-  const int rc = ::poll(pfds.data(), pfds.size(), std::max(timeout_ms, 0));
+  const int rc =
+      ::poll(pollfds_.data(), pollfds_.size(), std::max(timeout_ms, 0));
   if (rc <= 0) return;
   // Callbacks add and remove fds, so look each ready fd's handler up again
-  // rather than trusting its index; one removed meanwhile is skipped.
-  for (const pollfd& p : pfds) {
+  // rather than trusting its index; one removed meanwhile is skipped. They
+  // only mark the poll array stale, so it stays as polled until the next
+  // poll_once.
+  for (size_t i = 0; i < pollfds_.size(); ++i) {
+    const pollfd p = pollfds_[i];
     if ((p.revents & POLLIN) == 0) continue;
     const auto it =
         std::find_if(fds_.begin(), fds_.end(), [&](const FdHandler& h) {

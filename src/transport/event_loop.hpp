@@ -5,6 +5,8 @@
 // the nearest timer deadline, so timers fire without busy-waiting.
 #pragma once
 
+#include <poll.h>
+
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -71,6 +73,10 @@ class EventLoop {
 
   std::chrono::steady_clock::time_point epoch_;
   std::vector<FdHandler> fds_;
+  /// What poll(2) is handed: one entry per fds_ handler, rebuilt only when
+  /// add_fd or remove_fd changed the set since the last poll.
+  std::vector<pollfd> pollfds_;
+  bool pollfds_stale_ = false;
   std::map<int, Timer> timers_;
   uint64_t next_serial_ = 1;  ///< for timer armings and fd registrations
   int next_reserved_id_ = kFirstReservedTimerId;

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -198,12 +199,14 @@ struct OwnedRing {
 
 class UdpRingTest : public ::testing::TestWithParam<Mode> {
  protected:
-  /// Submit `count` messages round-robin, run the ring to completion and
-  /// check what every mode must hold.
-  void run_ring(Service service, size_t count) {
+  /// Submit `count` messages round-robin, message i at `service_of(i)`, run
+  /// the ring to completion and check what every mode must hold.
+  void run_ring(size_t count,
+                const std::function<Service(size_t)>& service_of) {
     for (size_t i = 0; i < count; ++i) {
       ring_->nodes[i % 3].engine->submit(
-          service, util::to_vector(util::as_bytes("msg" + std::to_string(i))));
+          service_of(i),
+          util::to_vector(util::as_bytes("msg" + std::to_string(i))));
     }
     ring_.run_until_delivered(count);
     const auto& nodes = ring_->nodes;
@@ -249,18 +252,40 @@ class UdpRingTest : public ::testing::TestWithParam<Mode> {
 };
 
 TEST_P(UdpRingTest, AgreedRingDeliversTotallyOrdered) {
-  run_ring(Service::kAgreed, 30);
+  run_ring(30, [](size_t) { return Service::kAgreed; });
 }
 
 TEST_P(UdpRingTest, SafeRingDeliversTotallyOrdered) {
-  run_ring(Service::kSafe, 30);
+  run_ring(30, [](size_t) { return Service::kSafe; });
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, UdpRingTest, ::testing::Values(Mode::kMulticast, Mode::kFanOut),
-    [](const ::testing::TestParamInfo<Mode>& mode) {
-      return mode.param == Mode::kMulticast ? "Multicast" : "FanOut";
-    });
+std::string mode_name(const ::testing::TestParamInfo<Mode>& mode) {
+  return mode.param == Mode::kMulticast ? "Multicast" : "FanOut";
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, UdpRingTest,
+                         ::testing::Values(Mode::kMulticast, Mode::kFanOut),
+                         mode_name);
+
+/// Rings long enough to wrap every node's receive buffer many times.
+class UdpRingWrapTest : public UdpRingTest {};
+
+TEST_P(UdpRingWrapTest, MixedRingWrapsTheReceiveBufferAndStaysGapFree) {
+  // Each node's queue alternates Agreed and Safe every two messages, so
+  // pairs pack and a service change ends each packet: about 1500 seqs,
+  // many times the receive buffer's initial slots.
+  run_ring(3000, [](size_t i) {
+    return (i / 6) % 2 == 0 ? Service::kAgreed : Service::kSafe;
+  });
+  for (const auto& n : ring_->nodes) {
+    EXPECT_GT(n.engine->local_aru(),
+              static_cast<protocol::SeqNum>(
+                  8 * protocol::RecvBuffer::kInitialSlots));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Multicast, UdpRingWrapTest,
+                         ::testing::Values(Mode::kMulticast), mode_name);
 
 TEST(UdpTransport, RingsOnDisjointPortsInOneLoopKeepTheirOwnData) {
   // Both rings on 127.0.0.1 with the same ring id: only their group ports

@@ -7,8 +7,9 @@
 #   tools/ci.sh --fast       # plain build + tests + check-fast + simulated
 #                            # digest + accel_bench smokes
 #
-# The full run also compares this checkout's simulated output against its
-# parent commit's (HEAD^), so run it with the change under test committed.
+# The full run also compares this checkout's simulated output and its
+# wall-clock bench/suite numbers against its parent commit's (HEAD^), so run
+# it with the change under test committed.
 #
 # Any failure stops the script with a nonzero exit.
 set -euo pipefail
@@ -154,8 +155,50 @@ parent_digest() {
   rm -rf build-parent/digest
   tools/sim_digest.sh build-parent/build build-parent/digest
   diff -r build-parent/digest build/sim_digest
+  wall_clock_gate "${tree}"
   git worktree remove --force "${tree}"
   trap - EXIT
+}
+
+# Wall-clock gate: the parent's bench/suite, built from the worktree, and
+# this tree's build-bench run every BENCHMARK.json workload in alternating
+# pairs, and compare.py sets them side by side. Three pairs on a shared
+# host rarely resolve a speed-up (compare.py wants ten), so an `unresolved`
+# row passes; a `worse` row, a regression beyond the metric's bound with
+# both sides tight, fails. accel_bench itself fails a run whose correctness
+# checks fail.
+wall_clock_gate() {
+  local tree="$1" gate=build-parent/gate workload seed side
+  echo "=== build-parent: wall-clock gate against HEAD^ ==="
+  local start=${SECONDS}
+  configure build-parent/bench "${tree}/bench/suite" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build build-parent/bench -j "$(nproc)" --target accel_bench
+  rm -rf "${gate}"
+  mkdir -p "${gate}/parent" "${gate}/change"
+  local workloads
+  workloads="$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+  for workload in ${workloads}; do
+    for seed in 1 2 3; do
+      # Alternate which side runs first, so drift on the host hits both.
+      local sides=(parent change)
+      ((seed % 2 == 0)) && sides=(change parent)
+      for side in "${sides[@]}"; do
+        local bin=build-bench/accel_bench
+        [[ "${side}" == parent ]] && bin=build-parent/bench/accel_bench
+        "${bin}" --workload "${workload}" --seed "${seed}" --seconds 10 \
+          --out "${gate}/${side}" >/dev/null
+      done
+    done
+  done
+  python3 bench/suite/compare.py --a "${gate}/parent" --b "${gate}/change" \
+    | tee "${gate}/compare.txt" || true
+  echo "wall-clock gate: $((SECONDS - start)) s"
+  if grep -E ' worse \(bound|runs with failures' "${gate}/compare.txt"; then
+    echo "wall-clock gate: a metric is worse than at the parent" >&2
+    exit 1
+  fi
 }
 
 if [[ "${FAST}" == "0" ]]; then
