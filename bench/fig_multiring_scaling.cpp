@@ -10,23 +10,20 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "multiring/measure.hpp"
 
 namespace accelring::bench {
 namespace {
 
 using harness::PointResult;
-using multiring::MultiPointConfig;
 
-MultiPointConfig scaling_point(int rings, protocol::Service service,
-                               double per_ring_mbps) {
-  MultiPointConfig cfg;
-  cfg.ring.rings = rings;
-  cfg.ring.nodes_per_ring = 8;
-  cfg.ring.fabric = simnet::FabricParams::ten_gig();
-  cfg.ring.proto = harness::bench_protocol(Variant::kAccelerated);
-  cfg.ring.profile = ImplProfile::kLibrary;
-  cfg.ring.merge_batch = 16;
+PointConfig scaling_point(int rings, protocol::Service service,
+                          double per_ring_mbps) {
+  PointConfig cfg;
+  cfg.rings = rings;
+  cfg.nodes = 8;
+  cfg.fabric = simnet::FabricParams::ten_gig();
+  cfg.proto = harness::bench_protocol(Variant::kAccelerated);
+  cfg.profile = ImplProfile::kLibrary;
   cfg.service = service;
   cfg.payload_size = 1350;
   cfg.offered_mbps = per_ring_mbps * rings;
@@ -42,7 +39,7 @@ PointResult best_point(int rings, protocol::Service service) {
   PointResult best;
   for (double per_ring : {3000.0, 3750.0, 4250.0, 4750.0, 5250.0}) {
     const PointResult r =
-        multiring::run_multiring_point(scaling_point(rings, service, per_ring));
+        harness::run_point(scaling_point(rings, service, per_ring));
     if (r.achieved_mbps > best.achieved_mbps) best = r;
     if (r.achieved_mbps < 0.85 * r.offered_mbps) break;
   }

@@ -6,7 +6,6 @@
 // regresses (empty histograms, missing quantiles, unserializable registry),
 // without paying a full figure sweep.
 #include "bench_common.hpp"
-#include "multiring/measure.hpp"
 #include "obs/flight.hpp"
 
 namespace {
@@ -65,12 +64,12 @@ int main() {
   print_curve(single);
   emit_bench_artifacts("obs_smoke_1ring", {single});
 
-  accelring::multiring::MultiPointConfig mc;
-  mc.ring.rings = 4;
-  mc.ring.nodes_per_ring = 8;
-  mc.ring.fabric = accelring::simnet::FabricParams::ten_gig();
-  mc.ring.proto = accelring::harness::bench_protocol(Variant::kAccelerated);
-  mc.ring.profile = ImplProfile::kLibrary;
+  PointConfig mc;
+  mc.rings = 4;
+  mc.nodes = 8;
+  mc.fabric = accelring::simnet::FabricParams::ten_gig();
+  mc.proto = accelring::harness::bench_protocol(Variant::kAccelerated);
+  mc.profile = ImplProfile::kLibrary;
   mc.service = Service::kAgreed;
   mc.offered_mbps = 2000;
   mc.streams_per_node = 64;
@@ -78,7 +77,7 @@ int main() {
   mc.measure = accelring::util::msec(100);
   Curve multi;
   multi.label = "K=4 multiring / library / accelerated / agreed / 1350B";
-  multi.points.push_back(accelring::multiring::run_multiring_point(mc));
+  multi.points.push_back(accelring::harness::run_point(mc));
   print_curve(multi);
   emit_bench_artifacts("obs_smoke_4ring", {multi});
 

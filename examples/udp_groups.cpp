@@ -3,12 +3,11 @@
 // thing in this repo to running three Spread daemons on one machine.
 //
 //   $ ./udp_groups
-#include <unistd.h>
-
 #include <cstdio>
 #include <memory>
 
 #include "daemon/client.hpp"
+#include "loopback_ring.hpp"
 #include "membership/membership.hpp"
 #include "transport/udp_transport.hpp"
 #include "util/bytes.hpp"
@@ -17,16 +16,6 @@ using namespace accelring;
 
 int main() {
   const int kDaemons = 3;
-  const auto base =
-      static_cast<uint16_t>(26000 + (::getpid() % 5000) * 2 % 30000);
-
-  std::map<protocol::ProcessId, transport::PeerAddress> peers;
-  for (int i = 0; i < kDaemons; ++i) {
-    peers[static_cast<protocol::ProcessId>(i)] = transport::PeerAddress{
-        "127.0.0.1", static_cast<uint16_t>(base + i * 2),
-        static_cast<uint16_t>(base + i * 2 + 1)};
-  }
-
   transport::EventLoop loop;
   struct Node {
     std::unique_ptr<transport::UdpTransport> transport;
@@ -40,10 +29,10 @@ int main() {
   for (int i = 0; i < kDaemons; ++i) {
     ring.members.push_back(static_cast<protocol::ProcessId>(i));
   }
+  auto transports = examples::bind_loopback_ring(kDaemons, 26000, 5000, loop);
   for (int i = 0; i < kDaemons; ++i) {
     auto& node = nodes[i];
-    node.transport = std::make_unique<transport::UdpTransport>(
-        static_cast<protocol::ProcessId>(i), peers, loop);
+    node.transport = std::move(transports[i]);
     node.engine = std::make_unique<protocol::Engine>(
         static_cast<protocol::ProcessId>(i), protocol::ProtocolConfig{},
         *node.transport);

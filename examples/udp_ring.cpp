@@ -9,13 +9,12 @@
 // code runs here and under the simulator — the engine is sans-io.
 //
 //   $ ./udp_ring [seconds]
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "loopback_ring.hpp"
 #include "membership/membership.hpp"
 #include "transport/udp_transport.hpp"
 #include "util/bytes.hpp"
@@ -25,16 +24,6 @@ using namespace accelring;
 int main(int argc, char** argv) {
   const int kNodes = 3;
   const int seconds = argc > 1 ? std::atoi(argv[1]) : 2;
-  const auto base =
-      static_cast<uint16_t>(24000 + (::getpid() % 10000) * 2 % 30000);
-
-  std::map<protocol::ProcessId, transport::PeerAddress> peers;
-  for (int i = 0; i < kNodes; ++i) {
-    peers[static_cast<protocol::ProcessId>(i)] = transport::PeerAddress{
-        "127.0.0.1", static_cast<uint16_t>(base + i * 2),
-        static_cast<uint16_t>(base + i * 2 + 1)};
-  }
-
   transport::EventLoop loop;
   struct Node {
     std::unique_ptr<transport::UdpTransport> transport;
@@ -50,11 +39,12 @@ int main(int argc, char** argv) {
     ring.members.push_back(static_cast<protocol::ProcessId>(i));
   }
 
+  auto transports = examples::bind_loopback_ring(kNodes, 24000, 10000, loop);
+
   protocol::ProtocolConfig config;
   config.timeouts.token_retransmit = util::msec(20);
   for (int i = 0; i < kNodes; ++i) {
-    nodes[i].transport = std::make_unique<transport::UdpTransport>(
-        static_cast<protocol::ProcessId>(i), peers, loop);
+    nodes[i].transport = std::move(transports[i]);
     nodes[i].engine = std::make_unique<protocol::Engine>(
         static_cast<protocol::ProcessId>(i), config, *nodes[i].transport);
     nodes[i].transport->bind(*nodes[i].engine);

@@ -77,8 +77,9 @@ struct DaemonMetrics {
 
 class Daemon {
  public:
-  /// The engine must outlive the daemon. Call attach() on the engine's host
-  /// callbacks (see bind_to_sim_host / examples) so deliveries reach us.
+  /// The engine must outlive the daemon. Route the engine's Host deliver
+  /// and config callbacks to on_delivery() and on_configuration() so
+  /// deliveries reach us (examples/spread_daemon.cpp does this).
   Daemon(protocol::ProcessId pid, protocol::Engine& engine,
          DaemonConfig config = {});
 

@@ -2,8 +2,8 @@
 // over an explicit measurement window, mirroring the paper's methodology
 // (§IV-A): latency is the mean time from client injection to client receipt
 // across all receivers; throughput counts clean application payload only.
-// Every point runner (harness::run_point, multiring::run_multiring_point,
-// baselines::run_baseline_point) fills its PointResult through one
+// Both point runners (harness::run_point for the rings at every K,
+// baselines::run_baseline_point) fill their PointResult through one
 // LatencyRecorder.
 #pragma once
 
@@ -17,6 +17,8 @@
 
 namespace accelring::harness {
 
+/// run_point fills every field; run_baseline_point fills the recorder's
+/// (offered_mbps through messages).
 struct PointResult {
   double offered_mbps = 0;
   double achieved_mbps = 0;  ///< clean payload per receiver (mean)
@@ -28,23 +30,24 @@ struct PointResult {
   Nanos max_latency = 0;
   uint64_t messages = 0;        ///< messages measured (one receiver)
   uint64_t buffer_drops = 0;    ///< switch port-buffer tail drops
-  uint64_t socket_drops = 0;    ///< host socket-buffer drops (run_point)
+  uint64_t socket_drops = 0;    ///< host socket-buffer drops
   uint64_t retransmits = 0;     ///< data retransmissions (all nodes)
-  uint64_t rtr_requested = 0;   ///< rtr requests added to tokens (run_point)
-  uint64_t token_retransmits = 0;  ///< (run_point)
+  uint64_t rtr_requested = 0;   ///< rtr requests added to tokens
+  uint64_t token_retransmits = 0;
   uint64_t submit_rejected = 0; ///< backpressure at the senders
   /// Highest per-node virtual CPU utilization over the run (busy time /
   /// elapsed). The paper stresses that the single-threaded daemon must not
   /// consume more than one core; this is that number.
   double max_cpu_utilization = 0;
-  /// Ring set only: each ring's share of node 0's merged stream, and the
-  /// skips node 0's merger consumed.
+  /// Each ring's share of node 0's merged stream, and the skips node 0's
+  /// merger consumed.
   std::vector<double> per_ring_mbps;
   uint64_t skip_msgs = 0;
   /// Cluster-wide metric registry for the point (engine/membership metrics
-  /// merged across nodes, plus the harness's cross-node delivery-latency
-  /// histogram under ("harness", "delivery_latency_ns")). Shared so
-  /// PointResult stays cheaply copyable through curve/max-search plumbing.
+  /// merged across nodes and rings, every node's merger metrics, plus the
+  /// harness's cross-node delivery-latency histogram under ("harness",
+  /// "delivery_latency_ns")). Shared so PointResult stays cheaply copyable
+  /// through curve/max-search plumbing.
   std::shared_ptr<const obs::MetricsRegistry> metrics;
 };
 

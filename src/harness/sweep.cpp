@@ -3,53 +3,76 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "multiring/ring_set.hpp"
+
 namespace accelring::harness {
 
 PointResult run_point(const PointConfig& config) {
-  const simnet::Topology topo = config.topology.hosts.empty()
-                                    ? simnet::Topology::single_dc(config.nodes)
-                                    : config.topology;
-  SimCluster cluster(topo, config.fabric, config.proto, config.profile,
-                     config.seed);
-  const int nodes = cluster.size();
+  multiring::MultiRingConfig set;
+  set.rings = config.rings;
+  set.nodes_per_ring = config.topology.hosts.empty()
+                           ? config.nodes
+                           : config.topology.num_hosts();
+  set.topology = config.topology;
+  set.fabric = config.fabric;
+  set.proto = config.proto;
+  set.profile = config.profile;
+  set.seed = config.seed;
+  multiring::RingSet rings(set);
+  const int nodes = rings.nodes_per_ring();
   // Always-on: recording is free of perturbation (obs_determinism_test pins
   // this), and every bench point then ships its latency histograms.
-  cluster.enable_metrics();
+  rings.enable_metrics();
   const Nanos window_end = config.warmup + config.measure;
   LatencyRecorder recorder(nodes, config.warmup, window_end);
-  cluster.set_on_deliver(
-      [&recorder](int node, const protocol::Delivery& d, Nanos at) {
-        recorder.record(node, d, at);
-      });
+  std::vector<uint64_t> ring_bytes(static_cast<size_t>(config.rings), 0);
+  rings.set_on_merged([&](int node, int ring, const protocol::Delivery& d,
+                          Nanos at) {
+    if (recorder.record(node, d, at) && node == 0) {
+      ring_bytes[static_cast<size_t>(ring)] += d.payload.size();
+    }
+  });
 
   RateInjector::Options inject;
   inject.payload_size = config.payload_size;
   inject.aggregate_mbps = config.offered_mbps;
   inject.start = util::usec(100);  // let the ring form first
   inject.stop = window_end;
+  // Each sender cycles through its own `streams_per_node` ordering keys, so
+  // the shard map spreads the load across rings.
+  const auto streams = static_cast<uint64_t>(config.streams_per_node);
   RateInjector injector(
-      cluster.eq(), nodes, inject,
-      [&cluster, service = config.service](int node, uint32_t,
-                                           std::vector<std::byte> payload) {
-        cluster.submit(node, service, std::move(payload));
+      rings.eq(), nodes, inject,
+      [&rings, service = config.service, streams](
+          int node, uint32_t index, std::vector<std::byte> payload) {
+        rings.submit_keyed(
+            node, static_cast<uint64_t>(node) * streams + index % streams,
+            service, std::move(payload));
       });
 
-  cluster.start_static();
+  rings.start_static();
   injector.arm();
   // Drain time lets in-flight messages deliver (they only count if they
   // arrive inside the window).
-  cluster.run_until(window_end + util::msec(50));
+  rings.run_until(window_end + util::msec(50));
 
-  PointResult r =
-      recorder.result(config.offered_mbps, cluster.merged_metrics());
-  const ClusterStats stats = cluster.stats();
-  r.buffer_drops = stats.net.drops_buffer;
-  r.socket_drops = stats.socket_drops();
-  r.retransmits = stats.retransmits();
-  r.rtr_requested = stats.rtr_requested();
-  r.token_retransmits = stats.token_retransmits();
-  r.submit_rejected = stats.submit_rejected();
-  r.max_cpu_utilization = stats.max_cpu_utilization();
+  PointResult r = recorder.result(config.offered_mbps, rings.merged_metrics());
+  r.skip_msgs = rings.merger(0).stats().skip_msgs;
+  const double window_sec = util::to_sec(config.measure);
+  for (const uint64_t bytes : ring_bytes) {
+    r.per_ring_mbps.push_back(static_cast<double>(bytes) * 8.0 / 1e6 /
+                              window_sec);
+  }
+  for (const ClusterStats& stats : rings.ring_stats()) {
+    r.buffer_drops += stats.net.drops_buffer;
+    r.socket_drops += stats.socket_drops();
+    r.retransmits += stats.retransmits();
+    r.rtr_requested += stats.rtr_requested();
+    r.token_retransmits += stats.token_retransmits();
+    r.submit_rejected += stats.submit_rejected();
+    r.max_cpu_utilization =
+        std::max(r.max_cpu_utilization, stats.max_cpu_utilization());
+  }
   return r;
 }
 

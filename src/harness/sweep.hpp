@@ -1,7 +1,7 @@
-// Experiment driver: run one (protocol, profile, fabric, load) point or a
-// whole latency-vs-throughput series, producing the rows behind each figure
-// in the paper. Used by every binary under bench/ and by the integration
-// tests' smoke checks.
+// Experiment driver: run one (protocol, profile, fabric, rings, load) point
+// or a whole latency-vs-throughput series, producing the rows behind each
+// figure in the paper and the multi-ring scaling table. Used by every binary
+// under bench/ and by the integration tests' smoke checks.
 #pragma once
 
 #include <string>
@@ -26,9 +26,18 @@ struct PointConfig {
   Nanos warmup = util::msec(150);
   Nanos measure = util::msec(600);
   uint64_t seed = 1;
+  /// Rings in the set (K). Every node runs one engine per ring, and the
+  /// measured stream is each node's merge of the K rings (at K = 1, the
+  /// ring's own order).
+  int rings = 1;
+  /// Distinct ordering keys per sender; messages round-robin across them and
+  /// the shard map spreads the keys over the rings.
+  int streams_per_node = 32;
 };
 
-/// Run one point: build a cluster, inject at the offered rate, measure.
+/// Run one point: build a set of `rings` rings, inject at the offered rate,
+/// measure the merged stream. Counters are summed over the rings and CPU is
+/// the busiest engine's.
 [[nodiscard]] PointResult run_point(const PointConfig& config);
 
 /// A labelled latency-vs-throughput curve (one line in a paper figure).

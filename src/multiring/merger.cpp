@@ -45,42 +45,57 @@ void add_counters(obs::MetricsRegistry& registry, const MergerStats& stats) {
 }
 
 void DeterministicMerger::push(int ring, const protocol::Delivery& delivery) {
-  queues_[static_cast<size_t>(ring)].push_back(delivery);
+  auto& queue = queues_[static_cast<size_t>(ring)];
+  if (ring == cursor_ && queue.empty()) {
+    // Consumable on arrival (always so with one ring): emit it in place
+    // rather than copy it, payload and all, through the queue.
+    end_stall();
+    consume(delivery);
+  } else {
+    queue.push_back(delivery);
+  }
   pump();
 }
 
-void DeterministicMerger::pump() {
-  auto* queue = &queues_[static_cast<size_t>(cursor_)];
-  if (!queue->empty() && stall_started_ > 0) {
-    // Head-of-line block resolved: the cursor ring finally ordered something
-    // (a message or a skip) while other rings sat queued behind it.
-    if (metrics_.merge_stall_ns != nullptr && clock_) {
-      metrics_.merge_stall_ns->record(clock_() - stall_started_);
-    }
-    stall_started_ = 0;
+void DeterministicMerger::end_stall() {
+  if (stall_started_ == 0) return;
+  // Head-of-line block resolved: the cursor ring finally ordered something
+  // (a message or a skip) while other rings sat queued behind it.
+  if (metrics_.merge_stall_ns != nullptr && clock_) {
+    metrics_.merge_stall_ns->record(clock_() - stall_started_);
   }
-  while (!queue->empty()) {
-    const protocol::Delivery d = std::move(queue->front());
-    queue->pop_front();
-    if (const auto slots = decode_skip(d.payload)) {
-      trace(util::TraceEvent::kSkipMsg, cursor_, d.seq);
-      ++stats_.skip_msgs;
-      stats_.skipped_slots += *slots;
-      credit_ += *slots;
-    } else {
-      trace(util::TraceEvent::kMergeDeliver, cursor_, d.seq);
-      ++stats_.merged;
-      credit_ += 1;
-      if (on_merged_) on_merged_(cursor_, d);
-    }
-    if (credit_ >= batch_) {
-      // Burst complete (excess skip credit is discarded — identically at
-      // every subscriber, so determinism is preserved).
-      credit_ = 0;
-      cursor_ = (cursor_ + 1) % num_rings();
-      ++stats_.rotations;
-      queue = &queues_[static_cast<size_t>(cursor_)];
-    }
+  stall_started_ = 0;
+}
+
+void DeterministicMerger::consume(const protocol::Delivery& d) {
+  if (const auto slots = decode_skip(d.payload)) {
+    trace(util::TraceEvent::kSkipMsg, cursor_, d.seq);
+    ++stats_.skip_msgs;
+    stats_.skipped_slots += *slots;
+    credit_ += *slots;
+  } else {
+    trace(util::TraceEvent::kMergeDeliver, cursor_, d.seq);
+    ++stats_.merged;
+    credit_ += 1;
+    if (on_merged_) on_merged_(cursor_, d);
+  }
+  if (credit_ >= batch_) {
+    // Burst complete (excess skip credit is discarded — identically at
+    // every subscriber, so determinism is preserved).
+    credit_ = 0;
+    cursor_ = (cursor_ + 1) % num_rings();
+    ++stats_.rotations;
+  }
+}
+
+void DeterministicMerger::pump() {
+  if (!queues_[static_cast<size_t>(cursor_)].empty()) end_stall();
+  for (;;) {
+    auto& queue = queues_[static_cast<size_t>(cursor_)];
+    if (queue.empty()) break;
+    const protocol::Delivery d = std::move(queue.front());
+    queue.pop_front();
+    consume(d);
   }
   if (stall_started_ == 0 && metrics_.merge_stall_ns != nullptr && clock_) {
     // The cursor ring is dry; if any other ring has ordered output waiting,

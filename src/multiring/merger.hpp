@@ -101,6 +101,10 @@ class DeterministicMerger {
 
  private:
   void pump();
+  void end_stall();
+  /// Account one delivery of the cursor ring and emit it unless it is a
+  /// skip; rotates the cursor when the burst is complete.
+  void consume(const protocol::Delivery& d);
   void trace(util::TraceEvent event, int64_t a, int64_t b) {
     if (tracer_ != nullptr) tracer_->record(clock_ ? clock_() : 0, event, a, b);
   }

@@ -13,8 +13,8 @@
 // unchanged at K× the capacity.
 //
 // With K = 1 the merge is the ring's own order, so one ring is simply a
-// ring set of one: services and the fault campaigns build on a RingSet at
-// every K.
+// ring set of one: services, the fault campaigns and the bench points
+// (harness::run_point) build on a RingSet at every K.
 //
 // Liveness of the merge (K > 1): node 0 of each ring arms a periodic skip
 // daemon that orders a skip message whenever its ring moved fewer than one

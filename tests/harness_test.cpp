@@ -109,6 +109,27 @@ TEST(RunPoint, AcceleratedBeatsOriginalNearSaturation) {
   EXPECT_LT(accel.mean_latency, orig.mean_latency);
 }
 
+TEST(RunPoint, OneRingPointIsDeterministic) {
+  // Every single-ring figure comes through this point. These literals were
+  // taken from run_point as it shipped over a bare SimCluster, before it
+  // measured a one-ring RingSet's merged stream; any change to the events a
+  // one-ring point runs, or to how it counts them, moves at least one.
+  PointConfig pc;
+  pc.nodes = 5;
+  pc.fabric.loss_rate = 0.002;  // so that retransmits are pinned too
+  pc.offered_mbps = 300;
+  pc.warmup = util::msec(30);
+  pc.measure = util::msec(80);
+  pc.seed = 7;
+  const PointResult r = run_point(pc);
+  EXPECT_EQ(r.messages, 2230u);
+  EXPECT_DOUBLE_EQ(r.achieved_mbps, 301.023);
+  EXPECT_EQ(r.p50_latency, 460509);
+  EXPECT_EQ(r.p99_latency, 10369672);
+  EXPECT_EQ(r.retransmits, 23u);
+  EXPECT_DOUBLE_EQ(r.max_cpu_utilization, 0.049792338781773304);
+}
+
 TEST(Profiles, SpreadUsesConservativePriorityAndBigHeaders) {
   SimCluster cluster(2, simnet::FabricParams::one_gig(), {},
                      ImplProfile::kSpread);

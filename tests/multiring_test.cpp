@@ -9,7 +9,7 @@
 #include <set>
 
 #include "groups/group_layer.hpp"
-#include "multiring/measure.hpp"
+#include "harness/sweep.hpp"
 #include "multiring/merger.hpp"
 #include "multiring/ring_set.hpp"
 #include "multiring/shard_map.hpp"
@@ -557,13 +557,15 @@ TEST(MultiRingRsm, ReplicasConvergeAtopShardedRings) {
 // --- measurement helper -----------------------------------------------------
 
 TEST(MultiRingMeasure, PointRunsAndAccountsPerRing) {
-  MultiPointConfig cfg;
-  cfg.ring = small_config(2, 2);
+  harness::PointConfig cfg;
+  cfg.rings = 2;
+  cfg.nodes = 4;
+  cfg.seed = 2;
   cfg.offered_mbps = 60;
   cfg.payload_size = 400;
   cfg.warmup = util::msec(30);
   cfg.measure = util::msec(60);
-  const harness::PointResult r = run_multiring_point(cfg);
+  const harness::PointResult r = harness::run_point(cfg);
   EXPECT_GT(r.achieved_mbps, 40.0);
   EXPECT_GT(r.messages, 100u);
   EXPECT_GT(r.mean_latency, 0);

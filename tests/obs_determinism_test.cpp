@@ -3,12 +3,12 @@
 // clock getters, so a run with registries attached and queried must be
 // event-identical — same trace streams, same deliveries, same event count,
 // same wire bytes — to the same seed without them. This A/B is what lets
-// run_point / run_multiring_point / the campaign runner enable metrics
-// unconditionally without invalidating seed-reproducibility.
+// run_point and the campaign runner enable metrics unconditionally without
+// invalidating seed-reproducibility.
 #include <gtest/gtest.h>
 
 #include "harness/sweep.hpp"
-#include "multiring/measure.hpp"
+#include "multiring/ring_set.hpp"
 #include "obs/export.hpp"
 
 namespace accelring::harness {
@@ -145,65 +145,54 @@ TEST(ObsDeterminism, MetricsDoNotPerturbMultiRing) {
 
 TEST(ObsDeterminism, MeasuredPointIsSeedStable) {
   // run_point enables metrics internally; two invocations at one seed must
-  // produce identical measured numbers (the bench-level restatement).
-  PointConfig pc;
-  pc.nodes = 5;
-  pc.offered_mbps = 200;
-  pc.warmup = util::msec(30);
-  pc.measure = util::msec(60);
-  pc.seed = 9;
-  const PointResult a = run_point(pc);
-  const PointResult b = run_point(pc);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.p50_latency, b.p50_latency);
-  EXPECT_EQ(a.p999_latency, b.p999_latency);
-  EXPECT_DOUBLE_EQ(a.achieved_mbps, b.achieved_mbps);
-  ASSERT_TRUE(a.metrics && b.metrics);
-  EXPECT_EQ(obs::registry_to_json(*a.metrics),
-            obs::registry_to_json(*b.metrics));
-  const obs::Histogram* dist =
-      a.metrics->find_histogram("harness", "delivery_latency_ns");
-  ASSERT_NE(dist, nullptr);
-  EXPECT_GT(dist->count(), 0u);
-}
-
-TEST(ObsDeterminism, MeasuredMultiRingPointIsSeedStable) {
-  // run_multiring_point's twin of the check above, over every result field.
-  multiring::MultiPointConfig mc;
-  mc.ring.rings = 2;
-  mc.ring.nodes_per_ring = 4;
-  mc.ring.fabric = simnet::FabricParams::one_gig();
-  mc.ring.merge_batch = 8;
-  mc.ring.seed = 9;
-  mc.offered_mbps = 120;
-  mc.payload_size = 400;
-  mc.warmup = util::msec(30);
-  mc.measure = util::msec(60);
-  const PointResult a = multiring::run_multiring_point(mc);
-  const PointResult b = multiring::run_multiring_point(mc);
-  EXPECT_GT(a.messages, 0u);
-  EXPECT_EQ(a.offered_mbps, b.offered_mbps);
-  EXPECT_EQ(a.achieved_mbps, b.achieved_mbps);
-  EXPECT_EQ(a.mean_latency, b.mean_latency);
-  EXPECT_EQ(a.p50_latency, b.p50_latency);
-  EXPECT_EQ(a.p90_latency, b.p90_latency);
-  EXPECT_EQ(a.p99_latency, b.p99_latency);
-  EXPECT_EQ(a.p999_latency, b.p999_latency);
-  EXPECT_EQ(a.max_latency, b.max_latency);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.buffer_drops, b.buffer_drops);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.submit_rejected, b.submit_rejected);
-  EXPECT_EQ(a.max_cpu_utilization, b.max_cpu_utilization);
-  EXPECT_EQ(a.per_ring_mbps, b.per_ring_mbps);
-  EXPECT_EQ(a.skip_msgs, b.skip_msgs);
-  ASSERT_TRUE(a.metrics && b.metrics);
-  EXPECT_EQ(obs::registry_to_json(*a.metrics),
-            obs::registry_to_json(*b.metrics));
-  const obs::Histogram* dist =
-      a.metrics->find_histogram("harness", "delivery_latency_ns");
-  ASSERT_NE(dist, nullptr);
-  EXPECT_GT(dist->count(), 0u);
+  // produce identical measured numbers in every result field (the
+  // bench-level restatement), on one ring and on a merged pair.
+  PointConfig one;
+  one.nodes = 5;
+  one.offered_mbps = 200;
+  one.warmup = util::msec(30);
+  one.measure = util::msec(60);
+  one.seed = 9;
+  PointConfig two;
+  two.rings = 2;
+  two.nodes = 4;
+  two.seed = 9;
+  two.offered_mbps = 120;
+  two.payload_size = 400;
+  two.warmup = util::msec(30);
+  two.measure = util::msec(60);
+  for (const PointConfig& pc : {one, two}) {
+    SCOPED_TRACE(testing::Message() << "rings=" << pc.rings);
+    const PointResult a = run_point(pc);
+    const PointResult b = run_point(pc);
+    EXPECT_GT(a.messages, 0u);
+    EXPECT_EQ(a.offered_mbps, b.offered_mbps);
+    EXPECT_EQ(a.achieved_mbps, b.achieved_mbps);
+    EXPECT_EQ(a.mean_latency, b.mean_latency);
+    EXPECT_EQ(a.p50_latency, b.p50_latency);
+    EXPECT_EQ(a.p90_latency, b.p90_latency);
+    EXPECT_EQ(a.p99_latency, b.p99_latency);
+    EXPECT_EQ(a.p999_latency, b.p999_latency);
+    EXPECT_EQ(a.max_latency, b.max_latency);
+    EXPECT_EQ(a.messages, b.messages);
+    EXPECT_EQ(a.buffer_drops, b.buffer_drops);
+    EXPECT_EQ(a.socket_drops, b.socket_drops);
+    EXPECT_EQ(a.retransmits, b.retransmits);
+    EXPECT_EQ(a.rtr_requested, b.rtr_requested);
+    EXPECT_EQ(a.token_retransmits, b.token_retransmits);
+    EXPECT_EQ(a.submit_rejected, b.submit_rejected);
+    EXPECT_EQ(a.max_cpu_utilization, b.max_cpu_utilization);
+    EXPECT_EQ(a.per_ring_mbps.size(), static_cast<size_t>(pc.rings));
+    EXPECT_EQ(a.per_ring_mbps, b.per_ring_mbps);
+    EXPECT_EQ(a.skip_msgs, b.skip_msgs);
+    ASSERT_TRUE(a.metrics && b.metrics);
+    EXPECT_EQ(obs::registry_to_json(*a.metrics),
+              obs::registry_to_json(*b.metrics));
+    const obs::Histogram* dist =
+        a.metrics->find_histogram("harness", "delivery_latency_ns");
+    ASSERT_NE(dist, nullptr);
+    EXPECT_GT(dist->count(), 0u);
+  }
 }
 
 }  // namespace
