@@ -7,9 +7,7 @@
 #include <memory>
 
 #include "daemon/client.hpp"
-#include "loopback_ring.hpp"
-#include "membership/membership.hpp"
-#include "transport/udp_transport.hpp"
+#include "transport/loopback_ring.hpp"
 #include "util/bytes.hpp"
 
 using namespace accelring;
@@ -17,40 +15,19 @@ using namespace accelring;
 int main() {
   const int kDaemons = 3;
   transport::EventLoop loop;
-  struct Node {
-    std::unique_ptr<transport::UdpTransport> transport;
-    std::unique_ptr<protocol::Engine> engine;
-    std::unique_ptr<daemon::Daemon> daemon;
-  };
-  std::vector<Node> nodes(kDaemons);
-
-  protocol::RingConfig ring;
-  ring.ring_id = membership::make_ring_id(1, 0);
+  transport::LoopbackRing ring(loop, kDaemons, protocol::ProtocolConfig{});
+  std::vector<std::unique_ptr<daemon::Daemon>> daemons;
   for (int i = 0; i < kDaemons; ++i) {
-    ring.members.push_back(static_cast<protocol::ProcessId>(i));
+    daemon::Daemon& d = *daemons.emplace_back(std::make_unique<daemon::Daemon>(
+        static_cast<protocol::ProcessId>(i), ring.engine(i)));
+    ring.set_deliver(i, [&d](const protocol::Delivery& delivery) {
+      d.on_delivery(delivery);
+    });
+    ring.set_config(i, [&d](const protocol::ConfigurationChange& c) {
+      d.on_configuration(c);
+    });
   }
-  auto transports = examples::bind_loopback_ring(kDaemons, 26000, 5000, loop);
-  for (int i = 0; i < kDaemons; ++i) {
-    auto& node = nodes[i];
-    node.transport = std::move(transports[i]);
-    node.engine = std::make_unique<protocol::Engine>(
-        static_cast<protocol::ProcessId>(i), protocol::ProtocolConfig{},
-        *node.transport);
-    node.transport->bind(*node.engine);
-    node.daemon = std::make_unique<daemon::Daemon>(
-        static_cast<protocol::ProcessId>(i), *node.engine);
-    node.transport->set_deliver(
-        [d = node.daemon.get()](const protocol::Delivery& delivery) {
-          d->on_delivery(delivery);
-        });
-    node.transport->set_config(
-        [d = node.daemon.get()](const protocol::ConfigurationChange& c) {
-          d->on_configuration(c);
-        });
-  }
-  for (int i = kDaemons - 1; i >= 0; --i) {
-    nodes[i].engine->start_with_ring(ring);
-  }
+  ring.start();
 
   auto printer = [](const char* who) {
     return [who](const std::string& group, const std::string& sender,
@@ -60,9 +37,9 @@ int main() {
                   reinterpret_cast<const char*>(payload.data()));
     };
   };
-  daemon::Client alice(*nodes[0].daemon, "alice", printer("alice@d0"));
-  daemon::Client bob(*nodes[1].daemon, "bob", printer("bob@d1"));
-  daemon::Client carol(*nodes[2].daemon, "carol", printer("carol@d2"));
+  daemon::Client alice(*daemons[0], "alice", printer("alice@d0"));
+  daemon::Client bob(*daemons[1], "bob", printer("bob@d1"));
+  daemon::Client carol(*daemons[2], "carol", printer("carol@d2"));
 
   alice.join("udp-room");
   bob.join("udp-room");
@@ -77,8 +54,8 @@ int main() {
   loop.run_for(util::msec(400));
 
   std::printf("done; engine arus: %lld %lld %lld\n",
-              static_cast<long long>(nodes[0].engine->local_aru()),
-              static_cast<long long>(nodes[1].engine->local_aru()),
-              static_cast<long long>(nodes[2].engine->local_aru()));
+              static_cast<long long>(ring.engine(0).local_aru()),
+              static_cast<long long>(ring.engine(1).local_aru()),
+              static_cast<long long>(ring.engine(2).local_aru()));
   return 0;
 }

@@ -11,12 +11,9 @@
 //   $ ./udp_ring [seconds]
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <vector>
 
-#include "loopback_ring.hpp"
-#include "membership/membership.hpp"
-#include "transport/udp_transport.hpp"
+#include "transport/loopback_ring.hpp"
 #include "util/bytes.hpp"
 
 using namespace accelring;
@@ -25,49 +22,29 @@ int main(int argc, char** argv) {
   const int kNodes = 3;
   const int seconds = argc > 1 ? std::atoi(argv[1]) : 2;
   transport::EventLoop loop;
-  struct Node {
-    std::unique_ptr<transport::UdpTransport> transport;
-    std::unique_ptr<protocol::Engine> engine;
-    uint64_t delivered = 0;
-    uint64_t payload_bytes = 0;
-  };
-  std::vector<Node> nodes(kNodes);
-
-  protocol::RingConfig ring;
-  ring.ring_id = membership::make_ring_id(1, 0);
-  for (int i = 0; i < kNodes; ++i) {
-    ring.members.push_back(static_cast<protocol::ProcessId>(i));
-  }
-
-  auto transports = examples::bind_loopback_ring(kNodes, 24000, 10000, loop);
-
   protocol::ProtocolConfig config;
   config.timeouts.token_retransmit = util::msec(20);
+  transport::LoopbackRing ring(loop, kNodes, config);
+  std::vector<uint64_t> delivered(kNodes);
+  std::vector<uint64_t> payload_bytes(kNodes);
   for (int i = 0; i < kNodes; ++i) {
-    nodes[i].transport = std::move(transports[i]);
-    nodes[i].engine = std::make_unique<protocol::Engine>(
-        static_cast<protocol::ProcessId>(i), config, *nodes[i].transport);
-    nodes[i].transport->bind(*nodes[i].engine);
-    nodes[i].transport->set_deliver(
-        [&nodes, i](const protocol::Delivery& d) {
-          ++nodes[i].delivered;
-          nodes[i].payload_bytes += d.payload.size();
-        });
+    ring.set_deliver(i, [&, i](const protocol::Delivery& d) {
+      ++delivered[i];
+      payload_bytes[i] += d.payload.size();
+    });
   }
-  for (int i = kNodes - 1; i >= 0; --i) {
-    nodes[i].engine->start_with_ring(ring);
-  }
+  ring.start();
 
   // Keep every node's send queue topped up with 1350-byte messages.
   const std::vector<std::byte> payload(1350, std::byte{0x42});
-  loop.set_timer(50, util::msec(1), [] {});  // noop; primes timer machinery
   const auto started = loop.now();
   uint64_t submitted = 0;
   // Refill loop: a timer that re-arms itself every 2 ms.
   std::function<void()> refill = [&] {
-    for (auto& node : nodes) {
-      for (int k = 0; k < 40 && node.engine->pending() < 200; ++k) {
-        if (node.engine->submit(protocol::Service::kAgreed, payload)) {
+    for (int i = 0; i < kNodes; ++i) {
+      protocol::Engine& engine = ring.engine(i);
+      for (int k = 0; k < 40 && engine.pending() < 200; ++k) {
+        if (engine.submit(protocol::Service::kAgreed, payload)) {
           ++submitted;
         }
       }
@@ -79,21 +56,21 @@ int main(int argc, char** argv) {
   loop.run_for(util::sec(seconds));
 
   std::printf("real UDP ring, %d processes on loopback, %d s, data by %s:\n",
-              kNodes, seconds, nodes[0].transport->data_path().c_str());
+              kNodes, seconds, ring.transport(0).data_path().c_str());
   const double elapsed = util::to_sec(loop.now() - started);
   bool consistent = true;
   for (int i = 0; i < kNodes; ++i) {
     const double mbps =
-        static_cast<double>(nodes[i].payload_bytes) * 8 / elapsed / 1e6;
-    const transport::UdpTransport& t = *nodes[i].transport;
+        static_cast<double>(payload_bytes[i]) * 8 / elapsed / 1e6;
+    const transport::UdpTransport& t = ring.transport(i);
     std::printf(
         "  p%d delivered %llu messages (%.0f Mbps clean payload), aru=%lld, "
         "data datagrams=%llu in send calls=%llu\n",
-        i, static_cast<unsigned long long>(nodes[i].delivered), mbps,
-        static_cast<long long>(nodes[i].engine->local_aru()),
+        i, static_cast<unsigned long long>(delivered[i]), mbps,
+        static_cast<long long>(ring.engine(i).local_aru()),
         static_cast<unsigned long long>(t.data_datagrams_sent()),
         static_cast<unsigned long long>(t.data_send_calls()));
-    consistent = consistent && nodes[i].delivered == nodes[0].delivered;
+    consistent = consistent && delivered[i] == delivered[0];
   }
   std::printf("submitted=%llu; all nodes delivered the same count: %s\n",
               static_cast<unsigned long long>(submitted),

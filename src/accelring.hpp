@@ -7,6 +7,7 @@
 //   protocol::Host          — environment interface the engine runs against
 //   membership::Membership  — gather/commit/recover (owned by the engine)
 //   transport::UdpTransport — real sockets;  transport::SimHost — simulator
+//   transport::LoopbackRing — N engines on real sockets over loopback
 //   daemon::Daemon/Client   — client-daemon architecture + groups
 //   rsm::Replica            — replicated state machines on top
 //   harness::SimCluster     — simulated clusters for tests and benchmarks
@@ -21,6 +22,7 @@
 #include "membership/membership.hpp"
 #include "protocol/engine.hpp"
 #include "rsm/replica.hpp"
+#include "transport/loopback_ring.hpp"
 #include "transport/sim_host.hpp"
 #include "transport/udp_transport.hpp"
 #include "util/trace.hpp"

@@ -39,18 +39,35 @@ Nanos EventLoop::fire_due_timers() {
   Nanos next = -1;
   // Collect the due armings first, then fire each one that is still armed:
   // a callback may cancel or re-arm a timer later in the batch.
-  std::vector<std::pair<int, uint64_t>> due;
+  struct Due {
+    int id;
+    uint64_t arming;
+    Nanos deadline;
+  };
+  std::vector<Due> due;
   const Nanos t = now();
+  Nanos earliest = t;  // the most overdue deadline
   for (const auto& [id, timer] : timers_) {
     if (timer.deadline <= t) {
-      due.emplace_back(id, timer.arming);
+      due.push_back(Due{id, timer.arming, timer.deadline});
+      earliest = std::min(earliest, timer.deadline);
     } else {
       next = next < 0 ? timer.deadline - t : std::min(next, timer.deadline - t);
     }
   }
-  for (const auto& [id, arming] : due) {
-    auto it = timers_.find(id);
-    if (it == timers_.end() || it->second.arming != arming) continue;
+  // The loop could not run for `late`: every timer waited that long too, so
+  // all of them move on by it. The most overdue fires now; the rest keep
+  // their spacing to it and fire on a later sweep.
+  const Nanos late = t - earliest;
+  if (late > kPause) {
+    for (auto& [id, timer] : timers_) timer.deadline += late;
+    std::erase_if(due, [earliest](const Due& d) {
+      return d.deadline != earliest;
+    });
+  }
+  for (const Due& d : due) {
+    auto it = timers_.find(d.id);
+    if (it == timers_.end() || it->second.arming != d.arming) continue;
     Callback fn = std::move(it->second.fn);
     timers_.erase(it);
     fn();

@@ -3,6 +3,14 @@
 // Single-threaded, like the daemons the paper benchmarks: file-descriptor
 // readiness callbacks plus one-shot timers. The poll timeout is derived from
 // the nearest timer deadline, so timers fire without busy-waiting.
+//
+// A paused process is not a slow network: when a sweep finds a timer more
+// than kPause past its deadline, the loop itself could not run (the thread
+// was descheduled or stopped), so every armed deadline moves later by the
+// most overdue timer's lateness before anything fires. That timer fires at
+// once and the others keep their spacing, so a pause longer than the
+// protocol's token-loss timeout does not expire every node's timer at once
+// before the sockets holding the token are read.
 #pragma once
 
 #include <poll.h>
@@ -33,6 +41,10 @@ class EventLoop {
   /// (Re)arm one-shot timer `id` to fire `delay` from now.
   void set_timer(int id, Nanos delay, Callback fn);
   void cancel_timer(int id);
+
+  /// A timer this far past its deadline means the loop was paused; see the
+  /// file comment.
+  static constexpr Nanos kPause = util::msec(10);
 
   /// Ids at or above this are handed out by reserve_timer_ids(); ids a
   /// caller picks for itself stay below it.

@@ -7,11 +7,9 @@
 #include <unistd.h>
 
 #include <fstream>
-#include <stdexcept>
 
 #include "daemon/config_file.hpp"
-#include "membership/membership.hpp"
-#include "transport/udp_transport.hpp"
+#include "transport/loopback_ring.hpp"
 #include "util/bytes.hpp"
 
 namespace accelring::daemon {
@@ -24,72 +22,35 @@ std::string unique_path(const char* tag) {
 /// Two daemons over loopback UDP, each with an IPC server, one event loop.
 struct TwoDaemonStack {
   transport::EventLoop loop;
-  std::map<protocol::ProcessId, transport::PeerAddress> peers;
-  struct Node {
-    std::unique_ptr<transport::UdpTransport> transport;
-    std::unique_ptr<protocol::Engine> engine;
-    std::unique_ptr<Daemon> daemon;
-    std::unique_ptr<IpcServer> ipc;
-  };
-  std::vector<Node> nodes;
+  transport::LoopbackRing ring{loop, 2, protocol::ProtocolConfig{}};
+  std::vector<std::unique_ptr<Daemon>> daemons;
+  std::vector<std::unique_ptr<IpcServer>> ipc;
 
   TwoDaemonStack() {
-    nodes.resize(2);
-    // The transports bind their ports exclusively, so a port another
-    // process holds throws: try the next pid-derived block.
-    for (int attempt = 0;; ++attempt) {
-      const auto base = static_cast<uint16_t>(
-          30000 + (::getpid() % 8000 * 2 + attempt * 211) % 30000);
-      for (int i = 0; i < 2; ++i) {
-        peers[static_cast<protocol::ProcessId>(i)] = transport::PeerAddress{
-            "127.0.0.1", static_cast<uint16_t>(base + i * 2),
-            static_cast<uint16_t>(base + i * 2 + 1)};
-      }
-      try {
-        for (int i = 0; i < 2; ++i) {
-          nodes[i].transport = std::make_unique<transport::UdpTransport>(
-              static_cast<protocol::ProcessId>(i), peers, loop);
-        }
-        break;
-      } catch (const std::runtime_error&) {
-        if (attempt == 20) throw;
-      }
-    }
-    protocol::RingConfig ring;
-    ring.ring_id = membership::make_ring_id(1, 0);
-    ring.members = {0, 1};
     for (int i = 0; i < 2; ++i) {
-      auto& node = nodes[i];
-      node.engine = std::make_unique<protocol::Engine>(
-          static_cast<protocol::ProcessId>(i), protocol::ProtocolConfig{},
-          *node.transport);
-      node.transport->bind(*node.engine);
-      node.daemon = std::make_unique<Daemon>(
-          static_cast<protocol::ProcessId>(i), *node.engine);
-      node.transport->set_deliver(
-          [d = node.daemon.get()](const protocol::Delivery& delivery) {
-            d->on_delivery(delivery);
-          });
-      node.transport->set_config(
-          [d = node.daemon.get()](const protocol::ConfigurationChange& c) {
-            d->on_configuration(c);
-          });
-      node.ipc = std::make_unique<IpcServer>(
-          *node.daemon, loop,
-          unique_path(i == 0 ? "d0" : "d1"));
+      Daemon& d = *daemons.emplace_back(std::make_unique<Daemon>(
+          static_cast<protocol::ProcessId>(i), ring.engine(i)));
+      ring.set_deliver(i, [&d](const protocol::Delivery& delivery) {
+        d.on_delivery(delivery);
+      });
+      ring.set_config(i, [&d](const protocol::ConfigurationChange& c) {
+        d.on_configuration(c);
+      });
+      ipc.push_back(std::make_unique<IpcServer>(
+          d, loop, unique_path(i == 0 ? "d0" : "d1")));
     }
-    for (int i = 1; i >= 0; --i) nodes[i].engine->start_with_ring(ring);
+    ring.start();
   }
 };
 
 TEST(IpcServerTest, RemoteClientsChatAcrossDaemons) {
   TwoDaemonStack stack;
-  RemoteClient alice(stack.nodes[0].ipc->socket_path(), "alice");
-  RemoteClient bob(stack.nodes[1].ipc->socket_path(), "bob");
+  RemoteClient alice(stack.ipc[0]->socket_path(), "alice");
+  RemoteClient bob(stack.ipc[1]->socket_path(), "bob");
   stack.loop.run_for(util::msec(100));
   ASSERT_TRUE(alice.complete_handshake());
   ASSERT_TRUE(bob.complete_handshake());
-  EXPECT_EQ(stack.nodes[0].ipc->connection_count(), 1u);
+  EXPECT_EQ(stack.ipc[0]->connection_count(), 1u);
 
   ASSERT_TRUE(alice.join("room"));
   ASSERT_TRUE(bob.join("room"));
@@ -129,19 +90,19 @@ TEST(IpcServerTest, RemoteClientsChatAcrossDaemons) {
 TEST(IpcServerTest, DisconnectCleansUpSession) {
   TwoDaemonStack stack;
   {
-    RemoteClient transient(stack.nodes[0].ipc->socket_path(), "t");
+    RemoteClient transient(stack.ipc[0]->socket_path(), "t");
     stack.loop.run_for(util::msec(100));
     ASSERT_TRUE(transient.complete_handshake());
-    EXPECT_EQ(stack.nodes[0].daemon->session_count(), 1u);
+    EXPECT_EQ(stack.daemons[0]->session_count(), 1u);
   }  // destructor sends kDisconnect and closes the socket
   stack.loop.run_for(util::msec(200));
-  EXPECT_EQ(stack.nodes[0].daemon->session_count(), 0u);
-  EXPECT_EQ(stack.nodes[0].ipc->connection_count(), 0u);
+  EXPECT_EQ(stack.daemons[0]->session_count(), 0u);
+  EXPECT_EQ(stack.ipc[0]->connection_count(), 0u);
 }
 
 TEST(IpcServerTest, RequestsBeforeHandshakeRejectedClientSide) {
   TwoDaemonStack stack;
-  RemoteClient c(stack.nodes[0].ipc->socket_path(), "early");
+  RemoteClient c(stack.ipc[0]->socket_path(), "early");
   // Handshake response not yet consumed: the client refuses to send.
   EXPECT_FALSE(c.join("room"));
   stack.loop.run_for(util::msec(100));

@@ -1,6 +1,7 @@
-// Integration tests for the real UDP transport: engines over loopback
-// sockets, all driven by a single event loop, on both data paths (multicast
-// with every peer on 127.0.0.1, unicast fan-out across 127.0.0.1-3).
+// Integration tests for the real UDP transport and its event loop: engines
+// over loopback sockets in transport::LoopbackRings, all driven by a single
+// event loop, on both data paths (multicast with every peer on 127.0.0.1,
+// unicast fan-out across 127.0.0.1-3).
 #include "transport/udp_transport.hpp"
 
 #include <gtest/gtest.h>
@@ -14,11 +15,14 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 
+#include "check/oracle.hpp"
 #include "delivery_order.hpp"
-#include "membership/membership.hpp"
+#include "harness/workload.hpp"
 #include "protocol/wire.hpp"
+#include "transport/loopback_ring.hpp"
 #include "util/bytes.hpp"
 
 namespace accelring::transport {
@@ -28,41 +32,13 @@ using protocol::Delivery;
 using protocol::ProcessId;
 using protocol::Service;
 
-/// How a test's peers are addressed: all on 127.0.0.1 (the transport
-/// multicasts data) or each on its own loopback address (unicast fan-out).
-enum class Mode { kMulticast, kFanOut };
-
-/// A pid-derived block of ports, so parallel test runs rarely collide;
-/// `attempt` moves to another block after a collision.
-uint16_t base_port(int attempt = 0) {
-  return static_cast<uint16_t>(20000 +
-                               (::getpid() * 7 + attempt * 211) % 20000);
-}
-
-std::map<ProcessId, PeerAddress> make_peers(int n, uint16_t base,
-                                            Mode mode = Mode::kMulticast) {
-  std::map<ProcessId, PeerAddress> peers;
-  for (int i = 0; i < n; ++i) {
-    PeerAddress a;
-    a.ip = mode == Mode::kMulticast ? "127.0.0.1"
-                                    : "127.0.0." + std::to_string(i + 1);
-    a.data_port = static_cast<uint16_t>(base + i * 2);
-    a.token_port = static_cast<uint16_t>(base + i * 2 + 1);
-    peers[static_cast<ProcessId>(i)] = a;
-  }
-  return peers;
-}
-
-std::map<ProcessId, PeerAddress> make_peers(int n) {
-  return make_peers(n, base_port());
-}
+using Addresses = LoopbackRing::Addresses;
 
 /// Sits between an engine and its transport and counts the data traffic:
 /// the data multicasts, the application messages they carry, and the data
 /// datagrams the transport hands up.
-struct Tap final : protocol::Host, protocol::PacketHandler {
+struct Tap final : LoopbackRing::Shim {
   UdpTransport& transport;
-  protocol::PacketHandler* engine = nullptr;
   uint64_t multicasts = 0;
   uint64_t messages = 0;  ///< application messages multicast (packed: each)
   uint64_t data_received = 0;
@@ -114,141 +90,130 @@ struct Tap final : protocol::Host, protocol::PacketHandler {
   }
 };
 
-struct UdpNode {
-  std::unique_ptr<UdpTransport> transport;
-  std::unique_ptr<Tap> tap;
-  std::unique_ptr<protocol::Engine> engine;
+/// What one node of a TappedRing delivered.
+struct Log {
   std::vector<std::tuple<uint16_t, protocol::SeqNum, uint32_t>> delivered;
   std::vector<std::string> payloads;
+  int configs = 0;  ///< configurations installed
 };
 
-struct UdpRing {
+/// A started LoopbackRing of `n` whose engines sit on Taps, whose nodes log
+/// what they deliver, and whose streams feed an EVS oracle.
+struct TappedRing {
   EventLoop& loop;
-  std::vector<UdpNode> nodes;
+  std::vector<std::unique_ptr<Tap>> taps;
+  std::vector<Log> logs;
+  check::ClusterOracle oracle;
+  LoopbackRing ring;
 
-  UdpRing(EventLoop& l, const std::map<ProcessId, PeerAddress>& peers)
-      : loop(l) {
-    const int n = static_cast<int>(peers.size());
-    protocol::ProtocolConfig cfg;
-    cfg.timeouts.token_retransmit = util::msec(20);
-    cfg.timeouts.token_loss = util::msec(500);
-    nodes.resize(n);
-    protocol::RingConfig ring;
-    ring.ring_id = membership::make_ring_id(1, 0);
+  TappedRing(EventLoop& l, int n, Addresses addresses = Addresses::kShared)
+      : loop(l),
+        logs(static_cast<size_t>(n)),
+        oracle(n),
+        ring(l, n, ring_config(), addresses,
+             [this](UdpTransport& t) -> LoopbackRing::Shim& {
+               return *taps.emplace_back(std::make_unique<Tap>(t));
+             }) {
     for (int i = 0; i < n; ++i) {
-      ring.members.push_back(static_cast<ProcessId>(i));
-    }
-    for (int i = 0; i < n; ++i) {
-      auto& node = nodes[i];
-      node.transport = std::make_unique<UdpTransport>(
-          static_cast<ProcessId>(i), peers, loop);
-      node.tap = std::make_unique<Tap>(*node.transport);
-      node.engine = std::make_unique<protocol::Engine>(
-          static_cast<ProcessId>(i), cfg, *node.tap);
-      node.tap->engine = node.engine.get();
-      node.transport->bind(*node.tap);
-      node.transport->set_deliver([&node](const Delivery& d) {
-        node.delivered.emplace_back(d.sender, d.seq, d.part);
-        node.payloads.emplace_back(
+      Log& log = logs[static_cast<size_t>(i)];
+      ring.set_deliver(i, [this, i, &log](const Delivery& d) {
+        oracle.on_deliver(i, d);
+        log.delivered.emplace_back(d.sender, d.seq, d.part);
+        log.payloads.emplace_back(
             reinterpret_cast<const char*>(d.payload.data()), d.payload.size());
       });
+      ring.set_config(
+          i, [this, i, &log](const protocol::ConfigurationChange& c) {
+            oracle.on_config(i, c);
+            ++log.configs;
+          });
     }
-    // Non-representatives first so the first token finds everyone ready.
-    for (int i = n - 1; i >= 0; --i) {
-      nodes[i].engine->start_with_ring(ring);
-    }
+    ring.start();
+  }
+
+  static protocol::ProtocolConfig ring_config() {
+    protocol::ProtocolConfig cfg;
+    cfg.timeouts.token_retransmit = util::msec(20);
+    return cfg;
   }
 
   [[nodiscard]] bool all_delivered(size_t count) const {
-    for (const auto& n : nodes) {
-      if (n.delivered.size() < count) return false;
-    }
-    return true;
+    return std::all_of(logs.begin(), logs.end(), [count](const Log& log) {
+      return log.delivered.size() >= count;
+    });
   }
-};
-
-/// A ring of `n` on its own loop, on the first port block whose ports are
-/// all free: the transports bind exclusively, so a port another process
-/// holds throws.
-struct OwnedRing {
-  EventLoop loop;
-  std::unique_ptr<UdpRing> ring;
-
-  explicit OwnedRing(int n, Mode mode = Mode::kMulticast) {
-    for (int attempt = 0;; ++attempt) {
-      try {
-        ring = std::make_unique<UdpRing>(
-            loop, make_peers(n, base_port(attempt), mode));
-        return;
-      } catch (const std::runtime_error&) {
-        if (attempt == 20) throw;
-      }
-    }
-  }
-  UdpRing* operator->() { return ring.get(); }
 
   /// Run until every node delivered `count` (or 3 s worst case), then a
   /// little longer so that every datagram in flight is read.
   void run_until_delivered(size_t count) {
-    for (int spin = 0; spin < 60 && !ring->all_delivered(count); ++spin) {
+    for (int spin = 0; spin < 60 && !all_delivered(count); ++spin) {
       loop.run_for(util::msec(50));
     }
     loop.run_for(util::msec(50));
   }
 };
 
-class UdpRingTest : public ::testing::TestWithParam<Mode> {
+/// The peer map of a LoopbackRing of `n` that was built and torn down just
+/// now: its ports were free a moment ago, for tests that bind transports of
+/// their own.
+std::map<ProcessId, PeerAddress> free_peers(int n) {
+  EventLoop loop;
+  return LoopbackRing(loop, n, protocol::ProtocolConfig{}).peers();
+}
+
+class UdpRingTest : public ::testing::TestWithParam<Addresses> {
  protected:
   /// Submit `count` messages round-robin, message i at `service_of(i)`, run
   /// the ring to completion and check what every mode must hold.
   void run_ring(size_t count,
                 const std::function<Service(size_t)>& service_of) {
     for (size_t i = 0; i < count; ++i) {
-      ring_->nodes[i % 3].engine->submit(
-          service_of(i),
-          util::to_vector(util::as_bytes("msg" + std::to_string(i))));
+      ring_.ring.engine(static_cast<int>(i % 3))
+          .submit(service_of(i),
+                  util::to_vector(util::as_bytes("msg" + std::to_string(i))));
     }
     ring_.run_until_delivered(count);
-    const auto& nodes = ring_->nodes;
-    for (const auto& n : nodes) {
-      ASSERT_EQ(n.delivered.size(), count);
-      EXPECT_EQ(n.delivered, nodes[0].delivered);
-      EXPECT_EQ(n.transport->send_drops(), 0u);
-      EXPECT_EQ(n.transport->data_path().rfind(
-                    GetParam() == Mode::kMulticast ? "multicast" : "unicast", 0),
-                0u)
-          << n.transport->data_path();
-    }
-    std::vector<protocol::SeqPart> order;
-    for (const auto& [sender, seq, part] : nodes[0].delivered) {
-      order.emplace_back(seq, part);
-    }
-    EXPECT_TRUE(protocol::gap_free(order));
     // Each node multicast its own messages, packed (fewer multicasts than
     // messages); one datagram per data multicast, or one per other member.
     // A batch leaves at its flush, not in the multicast call that queued
     // it, so the property holds for the totals.
-    const uint64_t per_multicast = GetParam() == Mode::kMulticast ? 1 : 2;
-    for (const auto& n : nodes) {
-      EXPECT_GE(n.tap->messages, count / 3);
-      EXPECT_LT(n.tap->multicasts, n.tap->messages);
-      EXPECT_EQ(n.transport->data_datagrams_sent(),
-                per_multicast * n.tap->multicasts);
-      EXPECT_LE(n.transport->data_send_calls(),
-                n.transport->data_datagrams_sent());
+    const bool shared = GetParam() == Addresses::kShared;
+    const auto& logs = ring_.logs;
+    const auto& taps = ring_.taps;
+    for (int i = 0; i < 3; ++i) {
+      const Log& log = logs[static_cast<size_t>(i)];
+      const Tap& tap = *taps[static_cast<size_t>(i)];
+      const UdpTransport& t = ring_.ring.transport(i);
+      ASSERT_EQ(log.delivered.size(), count);
+      EXPECT_EQ(log.delivered, logs[0].delivered);
+      EXPECT_EQ(t.send_drops(), 0u);
+      EXPECT_EQ(t.data_path().rfind(shared ? "multicast" : "unicast", 0), 0u)
+          << t.data_path();
+      EXPECT_GE(tap.messages, count / 3);
+      EXPECT_LT(tap.multicasts, tap.messages);
+      EXPECT_EQ(t.data_datagrams_sent(), (shared ? 1 : 2) * tap.multicasts);
+      EXPECT_LE(t.data_send_calls(), t.data_datagrams_sent());
     }
+    std::vector<protocol::SeqPart> order;
+    for (const auto& [sender, seq, part] : logs[0].delivered) {
+      order.emplace_back(seq, part);
+    }
+    EXPECT_TRUE(protocol::gap_free(order));
     // No handler sees a datagram its own node sent: each node receives
     // exactly the others' data datagrams.
-    for (size_t i = 0; i < nodes.size(); ++i) {
+    for (size_t i = 0; i < taps.size(); ++i) {
       uint64_t others = 0;
-      for (size_t j = 0; j < nodes.size(); ++j) {
-        if (j != i) others += nodes[j].tap->multicasts;
+      for (size_t j = 0; j < taps.size(); ++j) {
+        if (j != i) others += taps[j]->multicasts;
       }
-      EXPECT_EQ(nodes[i].tap->data_received, others) << "node " << i;
+      EXPECT_EQ(taps[i]->data_received, others) << "node " << i;
     }
+    ring_.oracle.finalize();
+    EXPECT_TRUE(ring_.oracle.ok()) << ring_.oracle.report();
   }
 
-  OwnedRing ring_{3, GetParam()};
+  EventLoop loop_;
+  TappedRing ring_{loop_, 3, GetParam()};
 };
 
 TEST_P(UdpRingTest, AgreedRingDeliversTotallyOrdered) {
@@ -259,12 +224,13 @@ TEST_P(UdpRingTest, SafeRingDeliversTotallyOrdered) {
   run_ring(30, [](size_t) { return Service::kSafe; });
 }
 
-std::string mode_name(const ::testing::TestParamInfo<Mode>& mode) {
-  return mode.param == Mode::kMulticast ? "Multicast" : "FanOut";
+std::string mode_name(const ::testing::TestParamInfo<Addresses>& mode) {
+  return mode.param == Addresses::kShared ? "Multicast" : "FanOut";
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, UdpRingTest,
-                         ::testing::Values(Mode::kMulticast, Mode::kFanOut),
+                         ::testing::Values(Addresses::kShared,
+                                           Addresses::kPerNode),
                          mode_name);
 
 /// Rings long enough to wrap every node's receive buffer many times.
@@ -277,32 +243,25 @@ TEST_P(UdpRingWrapTest, MixedRingWrapsTheReceiveBufferAndStaysGapFree) {
   run_ring(3000, [](size_t i) {
     return (i / 6) % 2 == 0 ? Service::kAgreed : Service::kSafe;
   });
-  for (const auto& n : ring_->nodes) {
-    EXPECT_GT(n.engine->local_aru(),
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_GT(ring_.ring.engine(i).local_aru(),
               static_cast<protocol::SeqNum>(
                   8 * protocol::RecvBuffer::kInitialSlots));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Multicast, UdpRingWrapTest,
-                         ::testing::Values(Mode::kMulticast), mode_name);
+                         ::testing::Values(Addresses::kShared), mode_name);
 
 TEST(UdpTransport, RingsOnDisjointPortsInOneLoopKeepTheirOwnData) {
   // Both rings on 127.0.0.1 with the same ring id: only their group ports
-  // (each ring's lowest-id data port) keep their data apart.
+  // (each ring's lowest-id data port) keep their data apart. The second
+  // ring finds the first's port block taken and binds the next.
   EventLoop loop;
-  std::vector<std::unique_ptr<UdpRing>> rings;
-  for (int attempt = 0; rings.size() < 2; ++attempt) {
-    try {
-      rings.push_back(
-          std::make_unique<UdpRing>(loop, make_peers(3, base_port(attempt))));
-    } catch (const std::runtime_error&) {
-      ASSERT_LT(attempt, 20);
-    }
-  }
+  std::array<TappedRing, 2> rings{TappedRing(loop, 3), TappedRing(loop, 3)};
   for (size_t r = 0; r < rings.size(); ++r) {
     for (int i = 0; i < 30; ++i) {
-      rings[r]->nodes[i % 3].engine->submit(
+      rings[r].ring.engine(i % 3).submit(
           Service::kAgreed,
           util::to_vector(util::as_bytes("ring" + std::to_string(r) + "-" +
                                          std::to_string(i))));
@@ -310,14 +269,14 @@ TEST(UdpTransport, RingsOnDisjointPortsInOneLoopKeepTheirOwnData) {
   }
   for (int spin = 0; spin < 60; ++spin) {
     loop.run_for(util::msec(50));
-    if (rings[0]->all_delivered(30) && rings[1]->all_delivered(30)) break;
+    if (rings[0].all_delivered(30) && rings[1].all_delivered(30)) break;
   }
   loop.run_for(util::msec(50));
   for (size_t r = 0; r < rings.size(); ++r) {
     const std::string own = "ring" + std::to_string(r) + "-";
-    for (const auto& n : rings[r]->nodes) {
-      ASSERT_EQ(n.payloads.size(), 30u);
-      for (const std::string& p : n.payloads) {
+    for (const Log& log : rings[r].logs) {
+      ASSERT_EQ(log.payloads.size(), 30u);
+      for (const std::string& p : log.payloads) {
         EXPECT_EQ(p.rfind(own, 0), 0u) << p;
       }
     }
@@ -326,37 +285,73 @@ TEST(UdpTransport, RingsOnDisjointPortsInOneLoopKeepTheirOwnData) {
 
 TEST(UdpTransport, SecondTransportOnTakenPortsThrows) {
   EventLoop loop;
-  const auto peers = make_peers(3);
-  UdpTransport first(1, peers, loop);
-  EXPECT_THROW(UdpTransport(1, peers, loop), std::runtime_error);
+  LoopbackRing ring(loop, 3, protocol::ProtocolConfig{});
+  EXPECT_THROW(UdpTransport(1, ring.peers(), loop), std::runtime_error);
 }
 
 TEST(UdpTransport, SingleMemberRingPassesTheTokenToItself) {
   // A lone member's successor is itself: its token travels over its own
   // token socket, so delivery needs unicast to self to reach that socket.
-  OwnedRing ring(1);
-  ring->nodes[0].engine->submit(Service::kAgreed,
-                                util::to_vector(util::as_bytes("alone")));
+  EventLoop loop;
+  TappedRing ring(loop, 1);
+  ring.ring.engine(0).submit(Service::kAgreed,
+                             util::to_vector(util::as_bytes("alone")));
   ring.run_until_delivered(1);
-  EXPECT_EQ(ring->nodes[0].delivered.size(), 1u);
-  EXPECT_GT(ring->nodes[0].transport->datagrams_received(), 0u);
+  EXPECT_EQ(ring.logs[0].delivered.size(), 1u);
+  EXPECT_GT(ring.ring.transport(0).datagrams_received(), 0u);
   // Its own multicast copy is dropped before it reaches the handler.
-  EXPECT_EQ(ring->nodes[0].tap->multicasts, 1u);
-  EXPECT_EQ(ring->nodes[0].tap->data_received, 0u);
+  EXPECT_EQ(ring.taps[0]->multicasts, 1u);
+  EXPECT_EQ(ring.taps[0]->data_received, 0u);
 }
 
 TEST(UdpTransport, CountsTraffic) {
-  OwnedRing ring(2);
-  ring->nodes[0].engine->submit(Service::kAgreed,
-                                util::to_vector(util::as_bytes("x")));
-  ring.loop.run_for(util::msec(300));
-  EXPECT_GT(ring->nodes[0].transport->datagrams_sent(), 0u);
-  EXPECT_GT(ring->nodes[1].transport->datagrams_received(), 0u);
+  EventLoop loop;
+  TappedRing ring(loop, 2);
+  ring.ring.engine(0).submit(Service::kAgreed,
+                             util::to_vector(util::as_bytes("x")));
+  loop.run_for(util::msec(300));
+  EXPECT_GT(ring.ring.transport(0).datagrams_sent(), 0u);
+  EXPECT_GT(ring.ring.transport(1).datagrams_received(), 0u);
+}
+
+TEST(LoopbackRingTest, PausedDriverIsNotTokenLoss) {
+  // The one thread that drives the ring stops for 150 ms, longer than the
+  // 100 ms token-loss timeout, five times under Agreed and Safe load. The
+  // network lost nothing, so the ring must not reform: every node installs
+  // only its first configuration, all deliver the same messages, and the
+  // EVS oracle finds nothing.
+  EventLoop loop;
+  TappedRing ring(loop, 3);
+  size_t submitted = 0;
+  for (uint32_t index = 0; index < 200; ++index) {
+    for (int i = 0; i < 3; ++i) {
+      const harness::PayloadStamp stamp{loop.now(), static_cast<uint32_t>(i),
+                                        index};
+      if (ring.ring.engine(i).submit(
+              index % 2 == 0 ? Service::kAgreed : Service::kSafe,
+              harness::make_payload(200, stamp))) {
+        ring.oracle.note_submit(i, index);
+        ++submitted;
+      }
+    }
+    if (index % 40 == 39) {
+      loop.run_for(util::msec(5));
+      std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    }
+  }
+  ring.run_until_delivered(submitted);
+  ring.oracle.finalize();
+  EXPECT_TRUE(ring.oracle.ok()) << ring.oracle.report();
+  for (const Log& log : ring.logs) {
+    EXPECT_EQ(log.configs, 1);
+    EXPECT_EQ(log.delivered, ring.logs[0].delivered);
+  }
+  EXPECT_EQ(ring.logs[0].delivered.size(), submitted);
 }
 
 TEST(UdpTransport, RejectsUnparseablePeerAddress) {
   EventLoop loop;
-  auto peers = make_peers(3);
+  auto peers = free_peers(3);
   peers[2].ip = "10.0.0.300";
   EXPECT_THROW(UdpTransport(0, peers, loop), std::runtime_error);
   // The same map with the address fixed is accepted.
@@ -384,7 +379,7 @@ struct Recorder final : protocol::PacketHandler {
 
 TEST(UdpTransport, TransportsSharingALoopKeepTheirOwnTimers) {
   EventLoop loop;
-  const auto peers = make_peers(2);
+  const auto peers = free_peers(2);
   UdpTransport a(0, peers, loop);
   UdpTransport b(1, peers, loop);
   Recorder ha;
@@ -415,7 +410,7 @@ TEST(UdpTransport, TransportsSharingALoopKeepTheirOwnTimers) {
 
 TEST(UdpTransport, DestroyedTransportLeavesNoTimerArmed) {
   EventLoop loop;
-  const auto peers = make_peers(2);
+  const auto peers = free_peers(2);
   Recorder ha;
   Recorder hb;
   UdpTransport b(1, peers, loop);
@@ -439,7 +434,7 @@ TEST(UdpTransport, UnicastDataReachesThePeerInMulticastMode) {
   // data socket (the baselines do): that must reach the peer's handler as
   // data too, next to the group's traffic.
   EventLoop loop;
-  const auto peers = make_peers(2);
+  const auto peers = free_peers(2);
   UdpTransport a(0, peers, loop);
   UdpTransport b(1, peers, loop);
   ASSERT_EQ(a.data_path().rfind("multicast", 0), 0u);
@@ -493,22 +488,15 @@ struct Burster final : protocol::PacketHandler {
 };
 
 /// A sender and two receivers on one loop, all on 127.0.0.1 (the group
-/// path), on the first port block whose ports are free.
+/// path).
 struct GroupOfThree {
   EventLoop loop;
   std::vector<std::unique_ptr<UdpTransport>> t;
 
   GroupOfThree() {
-    for (int attempt = 0; t.size() < 3; ++attempt) {
-      t.clear();
-      try {
-        const auto peers = make_peers(3, base_port(attempt));
-        for (ProcessId i = 0; i < 3; ++i) {
-          t.push_back(std::make_unique<UdpTransport>(i, peers, loop));
-        }
-      } catch (const std::runtime_error&) {
-        if (attempt == 20) throw;
-      }
+    const auto peers = free_peers(3);
+    for (ProcessId i = 0; i < 3; ++i) {
+      t.push_back(std::make_unique<UdpTransport>(i, peers, loop));
     }
   }
 };
@@ -634,6 +622,26 @@ TEST(EventLoopTest, TimersFireInOrder) {
   EXPECT_EQ(fired[0], 2);
   EXPECT_EQ(fired[1], 3);
   EXPECT_EQ(fired[2], 1);
+}
+
+TEST(EventLoopTest, PausedLoopMovesItsTimersOnByTheMostOverdue) {
+  // The loop cannot run for 150 ms. The timer due at 20 ms, the most
+  // overdue, fires at once; the one due at 100 ms keeps its 80 ms spacing
+  // to it instead of firing in the same sweep.
+  EventLoop loop;
+  Nanos first = -1;
+  Nanos second = -1;
+  loop.set_timer(1, util::msec(20), [&] { first = loop.now(); });
+  loop.set_timer(2, util::msec(100), [&] { second = loop.now(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  const Nanos woke = loop.now();
+  loop.run_for(util::msec(1));
+  ASSERT_GE(first, 0);
+  EXPECT_LT(first - woke, util::msec(10));
+  EXPECT_EQ(second, -1);
+  loop.run_for(util::msec(200));
+  ASSERT_GE(second, 0);
+  EXPECT_GE(second - woke, util::msec(80));
 }
 
 TEST(EventLoopTest, CancelTimerPreventsFire) {

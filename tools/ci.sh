@@ -187,8 +187,16 @@ print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]
       for side in "${sides[@]}"; do
         local bin=build-bench/accel_bench
         [[ "${side}" == parent ]] && bin=build-parent/bench/accel_bench
-        "${bin}" --workload "${workload}" --seed "${seed}" --seconds 10 \
-          --out "${gate}/${side}" >/dev/null
+        # A failed run names itself and its errors, then fails the gate.
+        if ! "${bin}" --workload "${workload}" --seed "${seed}" \
+          --seconds 10 --out "${gate}/${side}" >/dev/null; then
+          echo "wall-clock gate: ${workload} seed ${seed} failed on the" \
+            "${side} side; its errors:" >&2
+          python3 -c 'import json, sys
+print(json.dumps(json.load(open(sys.argv[1]))["errors"], indent=1))' \
+            "${gate}/${side}/${workload}.seed${seed}.json" >&2 || true
+          exit 1
+        fi
       done
     done
   done
