@@ -241,28 +241,27 @@ void SimCluster::start_discovery() {
 }
 
 void SimCluster::submit(int node, protocol::Service service,
-                        std::vector<std::byte> payload) {
+                        std::vector<std::byte> payload, bool wake) {
   assert(node >= 0 && node < size());
   SimNode& n = nodes_[node];
   const Nanos cpu_cost = setup_.client_inject_cost;
   if (profile_ == ImplProfile::kLibrary) {
     // The application and the engine share a process: direct submit.
     n.process->run_soon(
-        [engine = n.engine.get(), service, p = std::move(payload)]() mutable {
-          engine->submit(service, std::move(p));
-        },
+        [engine = n.engine.get(), service, p = std::move(payload),
+         wake]() mutable { engine->submit(service, std::move(p), wake); },
         cpu_cost);
     return;
   }
   // Daemon/Spread: the client writes to the IPC socket; the daemon reads it
   // one IPC hop later, paying the read cost on its own CPU.
   eq_.schedule_after(setup_.ipc_latency, [this, node, service, cpu_cost,
-                                          p = std::move(payload)]() mutable {
+                                          p = std::move(payload),
+                                          wake]() mutable {
     SimNode& target = nodes_[node];
     target.process->run_soon(
-        [engine = target.engine.get(), service, p = std::move(p)]() mutable {
-          engine->submit(service, std::move(p));
-        },
+        [engine = target.engine.get(), service, p = std::move(p),
+         wake]() mutable { engine->submit(service, std::move(p), wake); },
         cpu_cost);
   });
 }

@@ -174,9 +174,11 @@ class SimCluster {
 
   /// Application-level send from `node` at the current simulation time:
   /// models the full client path of the profile (IPC hop for daemon/Spread,
-  /// direct submit for library). Payload is delivered as-is.
+  /// direct submit for library). Payload is delivered as-is. `wake` is
+  /// protocol::Engine::submit's: false for traffic that must not end an
+  /// idle token hold.
   void submit(int node, protocol::Service service,
-              std::vector<std::byte> payload);
+              std::vector<std::byte> payload, bool wake = true);
 
   void set_on_deliver(DeliverFn fn) { on_deliver_ = std::move(fn); }
   void set_on_config(ConfigFn fn) { on_config_ = std::move(fn); }

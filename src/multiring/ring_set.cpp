@@ -72,12 +72,12 @@ void RingSet::skip_tick(int ring) {
     // skip so the merger's rotation passes this ring without waiting. The
     // lowest live node arms the skip; if node 0 crashed, its successor takes
     // over (every node runs the same deterministic rule, so exactly one
-    // submits).
+    // submits). A skip pads an idle ring; it must not wake its held token.
     harness::SimCluster& cluster = *clusters_[static_cast<size_t>(ring)];
     for (int n = 0; n < cfg_.nodes_per_ring; ++n) {
       if (cluster.net().host_down(n)) continue;
       cluster.submit(n, protocol::Service::kAgreed,
-                     make_skip(cfg_.merge_batch));
+                     make_skip(cfg_.merge_batch), /*wake=*/false);
       break;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "membership/membership.hpp"
 #include "util/log.hpp"
@@ -136,12 +137,17 @@ void Engine::reset_ordering_state() {
   aru_sent_this_ = 0;
   aru_sent_prev_ = 0;
   safe_line_ = 0;
+  newest_safe_ = 0;
   token_high_priority_ = false;
+  holding_ = false;
+  skip_hold_ = false;
+  may_cancel_ = true;  // a new ring starts idle
   last_token_sent_.clear();
   timers_.reset();
   gray_.reset();
   last_token_rx_ = 0;
   host_.cancel_timer(kTimerTokenRetransmit);
+  host_.cancel_timer(kTimerTokenHold);
 }
 
 const std::vector<ProcessId>& Engine::quarantine_victims() const {
@@ -156,14 +162,28 @@ void Engine::originate_token() {
   handle_token(token);
 }
 
-bool Engine::submit(Service service, std::vector<std::byte> payload) {
+bool Engine::submit(Service service, std::vector<std::byte> payload,
+                    bool wake) {
   if (app_queue_.size() >= cfg_.max_pending) {
     ++stats_.submit_rejected;
     return false;
   }
+  const bool was_empty = app_queue_.empty();
   PendingMsg msg{service, std::move(payload), false};
   msg.submitted_at = host_.now();
   app_queue_.push_back(std::move(msg));
+  if (!wake || state_ != State::kOperational) return true;
+  // Members ahead of the token may hold it idle. One cancel per token visit
+  // tells them not to. None is needed once a message was sent since this
+  // node's last visit, by it or by a member the token passed since: that
+  // message keeps the token's fcc above 0 until the token is back here,
+  // and no member holds a token with fcc > 0.
+  if (was_empty && may_cancel_ && ring_.size() > 1) {
+    may_cancel_ = false;
+    ++stats_.hold_cancels;
+    host_.multicast(kSockData, encode(HoldCancelMsg{ring_.ring_id}));
+  }
+  if (holding_) release_hold();
   return true;
 }
 
@@ -188,6 +208,12 @@ void Engine::on_packet(SocketId sock, std::span<const std::byte> packet) {
       if (auto commit = decode_commit(packet)) membership_->on_commit(*commit);
       break;
     }
+    case PacketType::kHoldCancel: {
+      if (auto cancel = decode_hold_cancel(packet)) {
+        handle_hold_cancel(*cancel);
+      }
+      break;
+    }
   }
 }
 
@@ -203,12 +229,20 @@ void Engine::on_timer(TimerKind kind) {
       }
       break;
     case kTimerTokenLoss:
+      if (state_ == State::kOperational &&
+          timers_.back_off(host_.now() - last_token_rx_)) {
+        host_.set_timer(kTimerTokenLoss, timers_.token_loss());
+        break;
+      }
       if (state_ == State::kOperational || state_ == State::kRecover) {
         ACCELRING_LOG_INFO(kTag, "p%u: token loss on ring %llu",
                            unsigned{self_},
                            static_cast<unsigned long long>(ring_.ring_id));
         membership_->on_token_loss();
       }
+      break;
+    case kTimerTokenHold:
+      if (holding_) release_hold();
       break;
     case kTimerJoin:
     case kTimerConsensus:
@@ -268,11 +302,17 @@ void Engine::handle_data(DataMsg&& msg) {
       (msg.round == my_round_ && ring_.index_of(msg.pid) > my_index_)) {
     host_.cancel_timer(kTimerTokenRetransmit);
   }
+  // Sequenced after our last visit: its sender keeps the token busy until
+  // the token has passed us (see submit()).
+  if (msg.seq > prev_token_seq_) may_cancel_ = false;
 
+  const SeqNum seq = msg.seq;
+  const bool safe = requires_safe(msg.service);
   if (!buffer_.insert(std::move(msg))) {
     ++stats_.duplicates;
     return;
   }
+  if (safe) newest_safe_ = std::max(newest_safe_, seq);
   deliver_ready();
 }
 
@@ -369,6 +409,7 @@ void Engine::handle_token(const TokenMsg& received) {
           OriginStamp{msg.seq, pending->submitted_at};
     }
     ++initiated;
+    if (requires_safe(msg.service)) newest_safe_ = msg.seq;
     buffer_.insert(std::move(msg));  // self-insertion
     if (token.seq - post_from + 1 > static_cast<SeqNum>(accel_window)) {
       trace(util::TraceEvent::kDataTxPre, post_from);
@@ -456,10 +497,25 @@ void Engine::handle_token(const TokenMsg& received) {
   }
 
   // --- 7. pass the token, then flush the post-token queue (§III-A-3) --------
+  // An idle token (nothing sent for a round, nothing to retransmit, aru ==
+  // seq) is held instead, unless a cancel came or a Safe message is still
+  // undelivered somewhere. Every member has delivered a Safe message once
+  // it was below this member's safe line at its previous visit: the others
+  // have since sent an aru covering it twice.
   ++token.token_id;
-  const bool ring_idle = sent_this_round == 0 && token.fcc == 0 &&
-                         token.rtr.empty() && token.aru == token.seq;
-  send_token(token, ring_idle);
+  trace(util::TraceEvent::kTokenTx, static_cast<int64_t>(token.round),
+        token.seq);
+  encode(token, last_token_sent_);
+  may_cancel_ = sent_this_round == 0;
+  if (!std::exchange(skip_hold_, false) && state_ == State::kOperational &&
+      sent_this_round == 0 && token.fcc == 0 && token.rtr.empty() &&
+      token.aru == token.seq && newest_safe_ <= safe_line_) {
+    holding_ = true;
+    ++stats_.token_holds;
+    host_.set_timer(kTimerTokenHold, cfg_.timeouts.idle_token_hold);
+  } else {
+    pass_token();
+  }
   token_high_priority_ = false;  // data has high priority after the token
   for (; post_from <= token.seq; ++post_from) {
     trace(util::TraceEvent::kDataTxPost, post_from);
@@ -531,13 +587,25 @@ void Engine::multicast_data(SeqNum seq, bool post_token) {
   host_.multicast(kSockData, data_out_);
 }
 
-void Engine::send_token(const TokenMsg& token, bool idle) {
-  trace(util::TraceEvent::kTokenTx, static_cast<int64_t>(token.round),
-        token.seq);
-  encode(token, last_token_sent_);
-  const Nanos hold = idle ? cfg_.timeouts.idle_token_hold : 0;
-  host_.unicast(ring_.successor_of(self_), kSockToken, last_token_sent_, hold);
-  host_.set_timer(kTimerTokenRetransmit, cfg_.timeouts.token_retransmit + hold);
+void Engine::pass_token() {
+  host_.unicast(ring_.successor_of(self_), kSockToken, last_token_sent_);
+  host_.set_timer(kTimerTokenRetransmit, cfg_.timeouts.token_retransmit);
+}
+
+void Engine::release_hold() {
+  holding_ = false;
+  host_.cancel_timer(kTimerTokenHold);
+  // A membership change since the hold began killed the held token.
+  if (state_ == State::kOperational) pass_token();
+}
+
+void Engine::handle_hold_cancel(const HoldCancelMsg& cancel) {
+  if (state_ != State::kOperational || cancel.ring_id != ring_.ring_id) return;
+  if (holding_) {
+    release_hold();
+  } else {
+    skip_hold_ = true;
+  }
 }
 
 void Engine::deliver_ready() {

@@ -51,6 +51,7 @@ enum TimerKind : int {
   kTimerBaselineAck = 4,
   kTimerBaselineNak = 5,
   kTimerBaselineFlush = 6,
+  kTimerTokenHold = 7,
 };
 
 /// Socket classes re-exported so protocol code does not include simnet.
@@ -66,9 +67,10 @@ class Host {
 
   /// Send a datagram to every other participant (IP-multicast equivalent).
   virtual void multicast(SocketId sock, std::span<const std::byte> data) = 0;
-  /// Send a datagram to one participant (token passing). `delay` > 0 asks
-  /// the host to send after that long (idle token hold); the engine never
-  /// relies on it for correctness.
+  /// Send a datagram to one participant (token passing). The engine holds
+  /// an idle token itself (kTimerTokenHold) and always passes 0 for `delay`;
+  /// the parameter stays only because bench/suite's hosts override this
+  /// signature, and goes when that suite is refreshed (ROADMAP item 4).
   virtual void unicast(ProcessId to, SocketId sock,
                        std::span<const std::byte> data, Nanos delay = 0) = 0;
   /// Hand an ordered message to the application.
@@ -117,6 +119,8 @@ struct EngineStats {
   uint64_t submit_rejected = 0;  ///< backpressure at submit()
   uint64_t quarantines = 0;      ///< gray-failure evictions this engine began
   uint64_t readmits = 0;         ///< quarantined members re-admitted here
+  uint64_t token_holds = 0;      ///< idle tokens held (kTimerTokenHold armed)
+  uint64_t hold_cancels = 0;     ///< hold cancels this engine multicast
 };
 
 /// Add the retransmission counts of `stats` to `registry`:
@@ -171,8 +175,13 @@ class Engine final : public PacketHandler {
   void on_timer(TimerKind kind) override;
 
   /// Queue an application message for ordered multicast. Returns false when
-  /// the send queue is full (backpressure).
-  bool submit(Service service, std::vector<std::byte> payload);
+  /// the send queue is full (backpressure). While operational a submit ends
+  /// this node's idle token hold, and when it finds the queue empty it
+  /// multicasts one hold cancel so that a member holding the token passes
+  /// it (see Timeouts::idle_token_hold). `wake` = false does neither: for
+  /// traffic that must not keep an idle ring busy (multiring skips).
+  bool submit(Service service, std::vector<std::byte> payload,
+              bool wake = true);
 
   /// Which socket class the event loop should drain first (§III-C).
   [[nodiscard]] SocketId preferred_socket() const override {
@@ -252,8 +261,12 @@ class Engine final : public PacketHandler {
   uint32_t answer_retransmissions(std::vector<SeqNum>& rtr);
   /// Deliver everything newly deliverable given the current safe line.
   void deliver_ready();
-  /// Send the token to our successor and arm the retransmit timer.
-  void send_token(const TokenMsg& token, bool idle);
+  /// Send the last token sent to our successor and arm the retransmit timer.
+  void pass_token();
+  /// End the idle hold: pass the held token now.
+  void release_hold();
+  /// A hold cancel arrived (see submit()).
+  void handle_hold_cancel(const HoldCancelMsg& cancel);
   void originate_token();
 
   /// Take the next message to initiate from the pending queues.
@@ -305,7 +318,16 @@ class Engine final : public PacketHandler {
   SeqNum aru_sent_this_ = 0;       ///< aru on the token we sent this round
   SeqNum aru_sent_prev_ = 0;       ///< ... and the round before (safe line)
   SeqNum safe_line_ = 0;           ///< min of the two aru values above
+  SeqNum newest_safe_ = 0;         ///< highest seq of a Safe message held
   bool token_high_priority_ = false;
+  bool holding_ = false;      ///< last_token_sent_ waits on kTimerTokenHold
+  bool skip_hold_ = false;    ///< a cancel came while not holding: no hold
+                              ///< at the next token visit
+  /// A submit may multicast a hold cancel: since the last token visit no
+  /// message was sent that keeps the token's fcc above 0 until it is back
+  /// here (this node's own, or a newer one from another member), and no
+  /// cancel left.
+  bool may_cancel_ = false;
   std::vector<std::byte> last_token_sent_;  ///< for token retransmission
   std::vector<std::byte> data_out_;  ///< data encode buffer, reused per send
   Delivery delivery_;  ///< emit's delivery, its payload capacity reused

@@ -24,10 +24,18 @@
 // liveness-evidence deferral: when adaptive_timeouts is on, any
 // authenticated data datagram from the current ring re-arms the token-loss
 // timer, because surviving traffic proves the ring is making progress even
-// when the token itself keeps getting dropped. Genuine silence for a full
-// estimated timeout still triggers membership, so crash detection is
-// preserved (and usually *faster* than the static constant on a quiet,
-// low-latency network).
+// when the token itself keeps getting dropped.
+//
+// Deferral needs traffic. A token lost on k consecutive sends of one hop
+// stalls the whole ring for k token-retransmit intervals, and no member but
+// the two on that hop sees a datagram meanwhile; on a fast ring the warm
+// estimate covers only about one such retransmission. So an expiry is
+// taken as what it is, a rotation sample at least that long, and the timer
+// re-armed once with the widened estimate (Karn's backoff); the next expiry
+// without a token triggers membership. Crash detection is preserved: a
+// crash costs the first timeout plus the widened one, about 20 + 43 ms on
+// a fast ring with the default 10 ms token retransmit, under the 100 ms
+// static constant.
 #pragma once
 
 #include <algorithm>
@@ -45,6 +53,7 @@ class TimeoutEstimator {
   /// Feed one observed token rotation (time between consecutive accepted
   /// tokens at this member, operational state only).
   void sample(Nanos rotation) {
+    backed_off_ = false;
     if (rotation <= 0) return;
     if (samples_ == 0) {
       srtt_ = rotation;
@@ -63,6 +72,18 @@ class TimeoutEstimator {
     srtt_ = 0;
     rttvar_ = 0;
     samples_ = 0;
+    backed_off_ = false;
+  }
+
+  /// The token-loss timer fired `elapsed` after the last token. Returns
+  /// true when the caller should re-arm instead of declaring loss: adaptive
+  /// and warm, and no backoff since the last sample. The expiry then counts
+  /// as a sample of `elapsed`.
+  bool back_off(Nanos elapsed) {
+    if (!cfg_.adaptive_timeouts || !warm() || backed_off_) return false;
+    sample(elapsed);
+    backed_off_ = true;
+    return true;
   }
 
   [[nodiscard]] bool warm() const { return samples_ >= kWarmup; }
@@ -96,6 +117,7 @@ class TimeoutEstimator {
   Nanos srtt_ = 0;
   Nanos rttvar_ = 0;
   uint64_t samples_ = 0;
+  bool backed_off_ = false;  ///< an expiry was sampled since the last token
 };
 
 }  // namespace accelring::protocol

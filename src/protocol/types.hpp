@@ -114,8 +114,11 @@ struct Timeouts {
   /// Membership: restart gather if consensus/commit stalls this long.
   Nanos consensus = util::msec(200);
   /// Hold the token this long before passing it when the ring is fully idle
-  /// (nothing sent for a round, no outstanding retransmissions, aru == seq).
-  /// Bounds CPU (and simulated event) load of an idle ring.
+  /// (nothing sent for a round, no outstanding retransmissions, aru == seq)
+  /// and this member has delivered everything. Bounds CPU (and simulated
+  /// event) load of an idle ring. The engine holds it on kTimerTokenHold;
+  /// a local submit or a hold cancel from a submitting member ends the hold
+  /// early (Engine::submit).
   Nanos idle_token_hold = util::usec(200);
 };
 

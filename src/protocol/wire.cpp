@@ -19,7 +19,7 @@ constexpr uint8_t kFlagsUndefined = 0xC0;
 std::optional<PacketType> peek_type(std::span<const std::byte> packet) {
   if (packet.empty()) return std::nullopt;
   const auto t = static_cast<uint8_t>(packet[0]);
-  if (t < 1 || t > 4) return std::nullopt;
+  if (t < 1 || t > 5) return std::nullopt;
   return static_cast<PacketType>(t);
 }
 
@@ -151,6 +151,30 @@ std::optional<TokenMsg> decode_token(std::span<const std::byte> packet) {
       msg.health.push_back(h);
     }
   }
+  if (!r.done()) return std::nullopt;
+  return msg;
+}
+
+// --- hold cancel -------------------------------------------------------------
+
+std::vector<std::byte> encode(const HoldCancelMsg& msg) {
+  Writer w(1 + 8 + 4);
+  w.u8(static_cast<uint8_t>(PacketType::kHoldCancel));
+  w.u64(msg.ring_id);
+  util::seal(w);
+  return std::move(w).take();
+}
+
+std::optional<HoldCancelMsg> decode_hold_cancel(
+    std::span<const std::byte> packet) {
+  const auto body = util::unseal(packet);
+  if (!body) return std::nullopt;
+  Reader r(*body);
+  if (r.u8() != static_cast<uint8_t>(PacketType::kHoldCancel)) {
+    return std::nullopt;
+  }
+  HoldCancelMsg msg;
+  msg.ring_id = r.u64();
   if (!r.done()) return std::nullopt;
   return msg;
 }

@@ -23,6 +23,7 @@ enum class PacketType : uint8_t {
   kToken = 2,
   kJoin = 3,
   kCommitToken = 4,
+  kHoldCancel = 5,
 };
 
 /// Peek the packet type without full decoding (for socket demux and tests).
@@ -94,6 +95,21 @@ struct TokenMsg {
 /// Encode `msg` into `out`, reusing its capacity.
 void encode(const TokenMsg& msg, std::vector<std::byte>& out);
 [[nodiscard]] std::optional<TokenMsg> decode_token(
+    std::span<const std::byte> packet);
+
+// ---------------------------------------------------------------------------
+// Token-hold cancel
+// ---------------------------------------------------------------------------
+
+/// Multicast by a member whose submit found its queue empty while the ring
+/// idles: a member holding an idle token passes it at once, and one that is
+/// not holding skips its next hold (Totem SRP's token-hold cancel).
+struct HoldCancelMsg {
+  RingId ring_id = 0;
+};
+
+[[nodiscard]] std::vector<std::byte> encode(const HoldCancelMsg& msg);
+[[nodiscard]] std::optional<HoldCancelMsg> decode_hold_cancel(
     std::span<const std::byte> packet);
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 #include "simnet/process.hpp"
 
 #include <cassert>
+#include <limits>
 
 namespace accelring::simnet {
 
 namespace {
 // Generous bound on distinct timer kinds; the protocol uses a handful.
 constexpr size_t kMaxTimerKinds = 16;
+// A cancelled timer's deadline: its event, if any, fires as a no-op.
+constexpr Nanos kDisarmed = std::numeric_limits<Nanos>::max();
 }  // namespace
 
 Process::Process(EventQueue& eq, ProcessCosts costs,
@@ -32,11 +35,24 @@ void Process::enqueue(SocketId sock, const Network::Payload& data) {
 void Process::set_timer(int kind, Nanos delay) {
   assert(kind >= 0 && static_cast<size_t>(kind) < kMaxTimerKinds);
   Timer& t = timers_[kind];
-  if (t.event != 0) eq_.cancel(t.event);
   t.pending_fire = false;
-  t.event = eq_.schedule(now() + delay, [this, kind] {
+  t.deadline = now() + delay;
+  if (t.event != 0 && t.deadline >= t.event_at) return;
+  if (t.event != 0) eq_.cancel(t.event);
+  schedule_timer(kind);
+}
+
+void Process::schedule_timer(int kind) {
+  Timer& t = timers_[kind];
+  t.event_at = t.deadline;
+  t.event = eq_.schedule(t.deadline, [this, kind] {
     Timer& timer = timers_[kind];
     timer.event = 0;
+    if (timer.deadline == kDisarmed) return;
+    if (timer.deadline > eq_.now()) {
+      schedule_timer(kind);  // re-armed later since this event was scheduled
+      return;
+    }
     timer.pending_fire = true;
     maybe_schedule_drain();
   });
@@ -45,8 +61,7 @@ void Process::set_timer(int kind, Nanos delay) {
 void Process::cancel_timer(int kind) {
   assert(kind >= 0 && static_cast<size_t>(kind) < kMaxTimerKinds);
   Timer& t = timers_[kind];
-  if (t.event != 0) eq_.cancel(t.event);
-  t.event = 0;
+  t.deadline = kDisarmed;
   t.pending_fire = false;
 }
 

@@ -102,10 +102,21 @@ class Process {
     std::deque<Network::Payload> items;
     size_t queued_bytes = 0;
   };
+  /// A re-arm to a later deadline, or a cancel, keeps the scheduled event
+  /// and only moves `deadline`; an event that fires before `deadline`
+  /// schedules itself again for it, and one of a cancelled timer does
+  /// nothing. The protocol cancels and re-arms its token timers on every
+  /// token, so this leaves one queue entry per timeout instead of one per
+  /// re-arm.
   struct Timer {
     EventId event = 0;
+    Nanos event_at = 0;  // when `event` runs
+    Nanos deadline = 0;  // when the timer is due, at or after event_at
     bool pending_fire = false;  // fired while CPU busy; run at next drain
   };
+
+  /// Schedule timer `kind`'s event at its deadline.
+  void schedule_timer(int kind);
 
   void maybe_schedule_drain();
   void drain_one();

@@ -116,6 +116,8 @@ void EventLoop::run_for(Nanos duration) {
   while (now() < deadline) {
     poll_once(std::max<Nanos>(deadline - now(), 0));
   }
+  // A timer due inside the window fires even if the last poll overran it.
+  fire_due_timers();
 }
 
 }  // namespace accelring::transport

@@ -57,7 +57,8 @@ class EventLoop {
   /// Monotonic nanoseconds since loop construction.
   [[nodiscard]] Nanos now() const;
 
-  /// Process events for (approximately) `duration`.
+  /// Process events for (approximately) `duration`. Every timer due by
+  /// the return has fired, even if the last poll ran past the window.
   void run_for(Nanos duration);
 
  private:

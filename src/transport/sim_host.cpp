@@ -14,7 +14,7 @@ void SimHost::set_dead(bool dead) {
   // A dead engine must not keep ticking: cancel every protocol timer so
   // retransmit/membership loops stop rearming themselves.
   for (int kind = protocol::kTimerTokenRetransmit;
-       kind <= protocol::kTimerBaselineFlush; ++kind) {
+       kind <= protocol::kTimerTokenHold; ++kind) {
     proc_.cancel_timer(kind);
   }
 }
@@ -28,11 +28,11 @@ void SimHost::multicast(protocol::SocketId sock,
 }
 
 void SimHost::unicast(protocol::ProcessId to, protocol::SocketId sock,
-                      std::span<const std::byte> data, Nanos delay) {
+                      std::span<const std::byte> data, Nanos /*delay*/) {
   if (dead_) return;
   proc_.charge(send_cost(data.size()));
   net_.send(node_, static_cast<int>(to), sock, util::to_vector(data),
-            proc_.now() + delay);
+            proc_.now());
 }
 
 void SimHost::deliver(const protocol::Delivery& delivery) {

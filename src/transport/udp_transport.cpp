@@ -22,10 +22,8 @@ namespace accelring::transport {
 namespace {
 
 // Loop-timer ids, as offsets into the block each transport reserves on its
-// loop: 0..15 for protocol TimerKind, the delayed token above them.
+// loop: one per protocol TimerKind.
 constexpr int kTimerKinds = 16;
-constexpr int kDelayedTokenTimer = kTimerKinds;
-constexpr int kTimerIds = kTimerKinds + 1;
 
 // A batch's bounds: the kernel takes at most 64 segments in one UDP_SEGMENT
 // send on every kernel that has it, and at most one IP datagram's worth
@@ -135,7 +133,9 @@ void open_group_socket(int& fd, const sockaddr_in& group,
 UdpTransport::UdpTransport(protocol::ProcessId self,
                            std::map<protocol::ProcessId, PeerAddress> peers,
                            EventLoop& loop)
-    : self_(self), loop_(loop), timer_base_(loop.reserve_timer_ids(kTimerIds)) {
+    : self_(self),
+      loop_(loop),
+      timer_base_(loop.reserve_timer_ids(kTimerKinds)) {
   const auto it = peers.find(self_);
   if (it == peers.end()) throw std::runtime_error("self not in peer map");
   for (const auto& [pid, a] : peers) {
@@ -193,7 +193,9 @@ void UdpTransport::close_sockets() {
 }
 
 UdpTransport::~UdpTransport() {
-  for (int id = 0; id < kTimerIds; ++id) loop_.cancel_timer(timer_base_ + id);
+  for (int id = 0; id < kTimerKinds; ++id) {
+    loop_.cancel_timer(timer_base_ + id);
+  }
   loop_.remove_fd(data_fd_);
   loop_.remove_fd(token_fd_);
   if (group_fd_ >= 0) loop_.remove_fd(group_fd_);
@@ -318,23 +320,11 @@ void UdpTransport::multicast(protocol::SocketId sock,
 }
 
 void UdpTransport::unicast(protocol::ProcessId to, protocol::SocketId sock,
-                           std::span<const std::byte> data, Nanos delay) {
+                           std::span<const std::byte> data, Nanos /*delay*/) {
   // Queued data precedes whatever follows it on the wire: pre-token data
   // stays ahead of the token.
   flush_data();
-  if (delay <= 0) {
-    send_to(to, sock, data);
-    return;
-  }
-  // Idle-hold: park the token briefly. A newer send supersedes the pending
-  // one (the engine only ever has one outstanding token).
-  pending_token_.assign(data.begin(), data.end());
-  pending_token_to_ = to;
-  loop_.set_timer(timer_base_ + kDelayedTokenTimer, delay, [this, sock] {
-    if (pending_token_to_ == protocol::kNoProcess) return;
-    send_to(pending_token_to_, sock, pending_token_);
-    pending_token_to_ = protocol::kNoProcess;
-  });
+  send_to(to, sock, data);
 }
 
 void UdpTransport::deliver(const protocol::Delivery& delivery) {

@@ -155,8 +155,6 @@ class UdpTransport final : public protocol::Host {
   int group_fd_ = -1;  ///< receives the ring's multicast data, if any
   DeliverFn deliver_;
   ConfigFn config_;
-  std::vector<std::byte> pending_token_;  ///< delayed (idle-hold) token
-  protocol::ProcessId pending_token_to_ = protocol::kNoProcess;
   bool dispatching_ = false;
   std::vector<std::byte> batch_;  ///< queued group datagrams, back to back
   size_t segment_ = 0;  ///< the first queued datagram's size

@@ -65,6 +65,28 @@ TEST(TimeoutEstimator, ResetForgetsHistory) {
   EXPECT_EQ(est.token_loss(), cfg.timeouts.token_loss);
 }
 
+TEST(TimeoutEstimator, AnExpiryBacksOffOncePerToken) {
+  ProtocolConfig cfg;
+  cfg.adaptive_timeouts = true;
+  TimeoutEstimator est(cfg);
+  EXPECT_FALSE(est.back_off(util::msec(20)));  // cold: static timeouts
+  for (int i = 0; i < 20; ++i) est.sample(util::usec(200));
+  const util::Nanos warm = est.token_loss();
+  // The first expiry is a sample of the stalled rotation and widens the
+  // timeout; the second, with no token between, is loss.
+  EXPECT_TRUE(est.back_off(warm));
+  EXPECT_GT(est.token_loss(), warm + 2 * cfg.timeouts.token_retransmit);
+  EXPECT_FALSE(est.back_off(est.token_loss()));
+  // A token rotation sample re-enables the backoff.
+  est.sample(util::usec(200));
+  EXPECT_TRUE(est.back_off(est.token_loss()));
+
+  ProtocolConfig fixed;
+  TimeoutEstimator static_est(fixed);
+  for (int i = 0; i < 20; ++i) static_est.sample(util::usec(200));
+  EXPECT_FALSE(static_est.back_off(util::msec(30)));
+}
+
 TEST(TimeoutEstimator, VarianceWidensTheTimeout) {
   ProtocolConfig cfg;
   cfg.adaptive_timeouts = true;
@@ -94,24 +116,23 @@ check::Schedule burst_schedule(double rate, util::Nanos at,
   return s;
 }
 
-uint64_t false_ejections_across_seeds(bool adaptive, double rate) {
+uint64_t false_ejections_across_seeds(bool adaptive, double rate,
+                                      bool packing) {
   check::RunOptions opt;
   opt.nodes = 5;
   opt.horizon = util::msec(250);
   opt.drain = util::msec(300);
   opt.proto = check::fast_proto_config();
   opt.proto.adaptive_timeouts = adaptive;
-  // The A/B was calibrated one message per packet; packed, the lighter
-  // token load moves where the static timeout starts ejecting.
-  opt.proto.enable_packing = false;
+  opt.proto.enable_packing = packing;
   uint64_t total = 0;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     const auto schedule =
         burst_schedule(rate, util::msec(60), util::msec(120));
     const check::RunResult run = check::run_schedule(opt, schedule, seed);
     // Safety must hold in both configurations; the A/B is about liveness.
-    EXPECT_TRUE(run.ok) << "adaptive=" << adaptive << " seed=" << seed
-                        << "\n" << run.report;
+    EXPECT_TRUE(run.ok) << "adaptive=" << adaptive << " packing=" << packing
+                        << " seed=" << seed << "\n" << run.report;
     total += run.false_ejections;
   }
   return total;
@@ -124,12 +145,18 @@ TEST(AdaptiveTimeoutAB, NoFalseEjectionsWhereStaticTimeoutsEject) {
   // must keep every live member in the ring across all seeds. Much past
   // ~0.5 loss both configurations eject — the token genuinely cannot
   // circulate — so the A/B window sits below that.
+  // Both packing settings: packed, the lighter token load moves where the
+  // static timeout starts ejecting.
   const double kRate = 0.40;
-  const uint64_t fixed = false_ejections_across_seeds(false, kRate);
-  const uint64_t adaptive = false_ejections_across_seeds(true, kRate);
-  EXPECT_GE(fixed, 1u) << "burst too weak to eject under static timeouts; "
-                          "the A/B comparison is vacuous";
-  EXPECT_EQ(adaptive, 0u);
+  for (const bool packing : {false, true}) {
+    SCOPED_TRACE(packing ? "packed" : "unpacked");
+    const uint64_t fixed = false_ejections_across_seeds(false, kRate, packing);
+    const uint64_t adaptive =
+        false_ejections_across_seeds(true, kRate, packing);
+    EXPECT_GE(fixed, 1u) << "burst too weak to eject under static timeouts; "
+                            "the A/B comparison is vacuous";
+    EXPECT_EQ(adaptive, 0u);
+  }
 }
 
 }  // namespace

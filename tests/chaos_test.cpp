@@ -24,17 +24,19 @@
 namespace accelring::protocol {
 namespace {
 
-/// In-flight datagram in the chaos network.
+/// In-flight datagram in the chaos network, or an idle hold's timer.
 struct Flight {
   ProcessId to = 0;
   SocketId sock = 0;
   std::vector<std::byte> bytes;
+  bool hold_timer = false;
 };
 
 class ChaosNet;
 
-/// Host that forwards all sends into the chaos network. Timers are inert:
-/// with zero loss nothing depends on them for safety.
+/// Host that forwards all sends into the chaos network. With zero loss
+/// nothing depends on timers for safety, so they are inert, except that an
+/// idle token hold ends as one more event in the random schedule.
 class ChaosHost final : public Host {
  public:
   ChaosHost(ProcessId self, ChaosNet& net) : self_(self), net_(net) {}
@@ -47,7 +49,7 @@ class ChaosHost final : public Host {
     payloads.push_back(delivery.payload);
   }
   void on_configuration(const ConfigurationChange&) override {}
-  void set_timer(TimerKind, Nanos) override {}
+  void set_timer(TimerKind kind, Nanos) override;
   void cancel_timer(TimerKind) override {}
   Nanos now() override { return ++clock_; }
 
@@ -90,7 +92,11 @@ class ChaosNet {
     const size_t pick = rng_.below(in_flight.size());
     Flight flight = std::move(in_flight[pick]);
     in_flight.erase(in_flight.begin() + static_cast<long>(pick));
-    engines[flight.to]->on_packet(flight.sock, flight.bytes);
+    if (flight.hold_timer) {
+      engines[flight.to]->on_timer(kTimerTokenHold);  // no-op once released
+    } else {
+      engines[flight.to]->on_packet(flight.sock, flight.bytes);
+    }
     return true;
   }
 
@@ -110,6 +116,12 @@ void ChaosHost::multicast(SocketId sock, std::span<const std::byte> data) {
 void ChaosHost::unicast(ProcessId to, SocketId sock,
                         std::span<const std::byte> data, Nanos) {
   net_.post(to, sock, data);
+}
+
+void ChaosHost::set_timer(TimerKind kind, Nanos) {
+  if (kind == kTimerTokenHold) {
+    net_.in_flight.push_back(Flight{self_, 0, {}, /*hold_timer=*/true});
+  }
 }
 
 class ChaosSchedule : public ::testing::TestWithParam<uint64_t> {};

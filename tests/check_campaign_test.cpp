@@ -352,68 +352,74 @@ struct Fingerprint {
 TEST(CampaignTest, RunsAreSeedIdentical) {
   // {scenario, rings, seed, ok, delivered, client_delivered, events,
   //  quarantines, readmits, false_ejections}
+  // Last re-pinned when a submit began to end an idle token hold: every run
+  // idles at some point, so each moved. Events rose 54% in all, because a
+  // woken ring rotates where it used to wait out holds (the simulator's lazy
+  // timer re-arm, alone, moved only the event counts). lossy_nic seed 2
+  // gained a false ejection under the static timeouts: faster rotation
+  // meets the lossy NIC's drops more often.
   const std::vector<Fingerprint> expected = {
-      {"loss_bursts", 1, 1, true, 3125, 0, 23954, 0, 0, 0},
-      {"token_drops", 1, 1, true, 3125, 0, 26004, 0, 0, 0},
-      {"partition", 1, 1, true, 2931, 0, 25210, 0, 0, 0},
-      {"partition_delayed_heal", 1, 1, true, 2819, 0, 25442, 0, 0, 0},
-      {"crash", 1, 1, true, 2758, 0, 23847, 0, 0, 0},
-      {"crash_restart", 1, 1, true, 3064, 0, 25510, 0, 0, 0},
-      {"mixed", 1, 1, true, 2632, 0, 20213, 0, 0, 0},
-      {"latency_shift", 1, 1, true, 3125, 0, 22505, 0, 0, 3},
-      {"overload", 1, 1, true, 7980, 15860, 30358, 0, 0, 0},
-      {"reconnect_storm", 1, 1, true, 5472, 10475, 24738, 0, 0, 0},
-      {"straggler_cpu", 1, 1, true, 2845, 0, 27671, 2, 2, 0},
-      {"lossy_nic", 1, 1, true, 3125, 0, 16717, 0, 0, 0},
-      {"flapping_link", 1, 1, true, 3125, 0, 26969, 0, 0, 0},
-      {"reorder_duplicate", 1, 1, true, 3125, 0, 26753, 0, 0, 0},
-      {"kv_state_transfer_crash", 1, 1, true, 9423, 1621, 44638, 0, 0, 0},
-      {"kv_lease_holder_crash", 1, 1, true, 7995, 1685, 45714, 0, 0, 0},
-      {"wan_loss_bursts", 1, 1, true, 3125, 0, 8384, 0, 0, 0},
-      {"wan_latency_surge", 1, 1, true, 3125, 0, 8259, 0, 0, 0},
-      {"rack_power", 1, 1, true, 2456, 0, 8539, 0, 0, 0},
-      {"switch_brownout", 1, 1, true, 3125, 0, 8795, 0, 0, 0},
-      {"dc_flap", 1, 1, true, 3125, 0, 8517, 0, 0, 0},
-      {"kv_wan_rack_power", 1, 1, true, 5710, 1198, 11366, 0, 0, 0},
-      {"kv_blackout", 1, 1, true, 6755, 1509, 41012, 0, 0, 0},
-      {"kv_blackout_torn", 1, 1, true, 7775, 1664, 45065, 0, 0, 0},
-      {"kv_disk_bitrot", 1, 1, true, 8150, 1803, 47206, 0, 0, 0},
-      {"kv_disk_stress", 1, 1, true, 9197, 1779, 47136, 0, 0, 0},
-      {"loss_bursts", 1, 2, true, 3125, 0, 24255, 0, 0, 0},
-      {"token_drops", 1, 2, true, 3125, 0, 24873, 0, 0, 0},
-      {"partition", 1, 2, true, 2832, 0, 25265, 0, 0, 0},
-      {"partition_delayed_heal", 1, 2, true, 2703, 0, 25006, 0, 0, 0},
-      {"crash", 1, 2, true, 2675, 0, 23457, 0, 0, 0},
-      {"crash_restart", 1, 2, true, 3060, 0, 25397, 0, 0, 0},
-      {"mixed", 1, 2, true, 2649, 0, 21613, 0, 0, 0},
-      {"latency_shift", 1, 2, true, 3125, 0, 23146, 0, 0, 0},
-      {"overload", 1, 2, true, 7045, 13990, 30135, 0, 0, 0},
-      {"reconnect_storm", 1, 2, true, 5623, 10926, 27246, 0, 0, 0},
-      {"straggler_cpu", 1, 2, true, 2900, 0, 26561, 1, 1, 0},
-      {"lossy_nic", 1, 2, true, 3125, 0, 17434, 0, 0, 0},
-      {"flapping_link", 1, 2, true, 3125, 0, 26889, 0, 0, 0},
-      {"reorder_duplicate", 1, 2, true, 3125, 0, 26815, 0, 0, 0},
-      {"kv_state_transfer_crash", 1, 2, true, 7607, 1498, 39572, 0, 0, 0},
-      {"kv_lease_holder_crash", 1, 2, true, 8876, 1734, 47296, 0, 0, 0},
-      {"wan_loss_bursts", 1, 2, true, 3125, 0, 8862, 0, 0, 0},
-      {"wan_latency_surge", 1, 2, true, 3125, 0, 8114, 0, 0, 0},
-      {"rack_power", 1, 2, true, 2521, 0, 9729, 0, 0, 0},
-      {"switch_brownout", 1, 2, true, 3125, 0, 8715, 0, 0, 0},
-      {"dc_flap", 1, 2, true, 3125, 0, 8357, 0, 0, 0},
-      {"kv_wan_rack_power", 1, 2, true, 6750, 1317, 12297, 0, 0, 0},
-      {"kv_blackout", 1, 2, true, 6855, 1483, 41736, 0, 0, 0},
-      {"kv_blackout_torn", 1, 2, true, 7100, 1508, 41918, 0, 0, 0},
-      {"kv_disk_bitrot", 1, 2, true, 8221, 1806, 47320, 0, 0, 0},
-      {"kv_disk_stress", 1, 2, true, 9750, 1743, 47564, 0, 0, 0},
-      {"loss_bursts", 4, 1, true, 37181, 0, 150161, 0, 0, 0},
-      {"token_drops", 4, 1, true, 37041, 0, 161601, 0, 0, 0},
-      {"partition", 4, 1, true, 35993, 0, 157394, 0, 0, 0},
-      {"partition_delayed_heal", 4, 1, true, 36005, 0, 160249, 0, 0, 0},
-      {"crash", 4, 1, true, 33240, 0, 170322, 0, 0, 0},
-      {"latency_shift", 4, 1, true, 37315, 0, 144984, 0, 0, 0},
-      {"reorder_duplicate", 4, 1, true, 36905, 0, 163131, 0, 0, 0},
-      {"wan_loss_bursts", 4, 1, true, 48085, 0, 40914, 0, 0, 0},
-      {"wan_latency_surge", 4, 1, true, 48118, 0, 39565, 0, 0, 0},
+      {"loss_bursts", 1, 1, true, 3125, 0, 47708, 0, 0, 0},
+      {"token_drops", 1, 1, true, 3125, 0, 54202, 0, 0, 0},
+      {"partition", 1, 1, true, 2936, 0, 51174, 0, 0, 0},
+      {"partition_delayed_heal", 1, 1, true, 2830, 0, 49938, 0, 0, 0},
+      {"crash", 1, 1, true, 2758, 0, 47785, 0, 0, 0},
+      {"crash_restart", 1, 1, true, 3066, 0, 52362, 0, 0, 0},
+      {"mixed", 1, 1, true, 2651, 0, 32952, 0, 0, 0},
+      {"latency_shift", 1, 1, true, 3125, 0, 43960, 0, 0, 3},
+      {"overload", 1, 1, true, 7980, 15860, 68869, 0, 0, 0},
+      {"reconnect_storm", 1, 1, true, 5476, 10488, 51683, 0, 0, 0},
+      {"straggler_cpu", 1, 1, true, 2835, 0, 51533, 2, 2, 0},
+      {"lossy_nic", 1, 1, true, 3125, 0, 24058, 0, 0, 0},
+      {"flapping_link", 1, 1, true, 3125, 0, 55724, 0, 0, 0},
+      {"reorder_duplicate", 1, 1, true, 3125, 0, 55748, 0, 0, 0},
+      {"kv_state_transfer_crash", 1, 1, true, 8740, 1643, 74294, 0, 0, 0},
+      {"kv_lease_holder_crash", 1, 1, true, 7953, 1720, 77295, 0, 0, 0},
+      {"wan_loss_bursts", 1, 1, true, 3125, 0, 9237, 0, 0, 0},
+      {"wan_latency_surge", 1, 1, true, 3125, 0, 8947, 0, 0, 0},
+      {"rack_power", 1, 1, true, 2642, 0, 9210, 0, 0, 0},
+      {"switch_brownout", 1, 1, true, 3125, 0, 9355, 0, 0, 0},
+      {"dc_flap", 1, 1, true, 3125, 0, 9207, 0, 0, 0},
+      {"kv_wan_rack_power", 1, 1, true, 6963, 1260, 12157, 0, 0, 0},
+      {"kv_blackout", 1, 1, true, 6880, 1539, 71806, 0, 0, 0},
+      {"kv_blackout_torn", 1, 1, true, 7685, 1680, 77957, 0, 0, 0},
+      {"kv_disk_bitrot", 1, 1, true, 8120, 1818, 81625, 0, 0, 0},
+      {"kv_disk_stress", 1, 1, true, 9379, 1805, 81512, 0, 0, 0},
+      {"loss_bursts", 1, 2, true, 3125, 0, 49216, 0, 0, 0},
+      {"token_drops", 1, 2, true, 3125, 0, 50990, 0, 0, 0},
+      {"partition", 1, 2, true, 2849, 0, 50077, 0, 0, 0},
+      {"partition_delayed_heal", 1, 2, true, 2705, 0, 48941, 0, 0, 0},
+      {"crash", 1, 2, true, 2677, 0, 46678, 0, 0, 0},
+      {"crash_restart", 1, 2, true, 3060, 0, 52018, 0, 0, 0},
+      {"mixed", 1, 2, true, 2649, 0, 41395, 0, 0, 0},
+      {"latency_shift", 1, 2, true, 3125, 0, 46800, 0, 0, 0},
+      {"overload", 1, 2, true, 7045, 13990, 68693, 0, 0, 0},
+      {"reconnect_storm", 1, 2, true, 5621, 10926, 59683, 0, 0, 0},
+      {"straggler_cpu", 1, 2, true, 2889, 0, 51565, 1, 1, 0},
+      {"lossy_nic", 1, 2, true, 2817, 0, 30084, 0, 0, 1},
+      {"flapping_link", 1, 2, true, 3125, 0, 55735, 0, 0, 0},
+      {"reorder_duplicate", 1, 2, true, 3125, 0, 55507, 0, 0, 0},
+      {"kv_state_transfer_crash", 1, 2, true, 7295, 1567, 67364, 0, 0, 0},
+      {"kv_lease_holder_crash", 1, 2, true, 8280, 1792, 81275, 0, 0, 0},
+      {"wan_loss_bursts", 1, 2, true, 3125, 0, 9239, 0, 0, 0},
+      {"wan_latency_surge", 1, 2, true, 3125, 0, 8853, 0, 0, 0},
+      {"rack_power", 1, 2, true, 2583, 0, 9142, 0, 0, 0},
+      {"switch_brownout", 1, 2, true, 3125, 0, 9197, 0, 0, 0},
+      {"dc_flap", 1, 2, true, 3125, 0, 9097, 0, 0, 0},
+      {"kv_wan_rack_power", 1, 2, true, 6821, 1321, 12912, 0, 0, 0},
+      {"kv_blackout", 1, 2, true, 6770, 1472, 70496, 0, 0, 0},
+      {"kv_blackout_torn", 1, 2, true, 7336, 1510, 72987, 0, 0, 0},
+      {"kv_disk_bitrot", 1, 2, true, 9147, 1766, 81346, 0, 0, 0},
+      {"kv_disk_stress", 1, 2, true, 9365, 1833, 83900, 0, 0, 0},
+      {"loss_bursts", 4, 1, true, 37527, 0, 183851, 0, 0, 0},
+      {"token_drops", 4, 1, true, 37815, 0, 203902, 0, 0, 0},
+      {"partition", 4, 1, true, 36769, 0, 196355, 0, 0, 0},
+      {"partition_delayed_heal", 4, 1, true, 36586, 0, 198440, 0, 0, 0},
+      {"crash", 4, 1, true, 33836, 0, 205980, 0, 0, 0},
+      {"latency_shift", 4, 1, true, 37915, 0, 179297, 0, 0, 0},
+      {"reorder_duplicate", 4, 1, true, 37735, 0, 206204, 0, 0, 0},
+      {"wan_loss_bursts", 4, 1, true, 48070, 0, 42008, 0, 0, 0},
+      {"wan_latency_surge", 4, 1, true, 48118, 0, 40725, 0, 0, 0},
   };
   size_t runs = 0;
   for (const Scenario& sc : scenarios()) {

@@ -11,7 +11,8 @@
 namespace accelring::protocol {
 namespace {
 
-/// Records every action the engine takes.
+/// Records every action the engine takes; hold cancels are only counted,
+/// so that `sent` lists the ring's data and token traffic.
 class MockHost : public Host {
  public:
   struct Sent {
@@ -23,6 +24,10 @@ class MockHost : public Host {
   };
 
   void multicast(SocketId sock, std::span<const std::byte> data) override {
+    if (peek_type(data) == PacketType::kHoldCancel) {
+      ++cancels;
+      return;
+    }
     sent.push_back(Sent{true, kNoProcess, sock, util::to_vector(data), 0});
   }
   void unicast(ProcessId to, SocketId sock, std::span<const std::byte> data,
@@ -81,6 +86,7 @@ class MockHost : public Host {
   std::vector<ConfigurationChange> configs;
   std::map<TimerKind, Nanos> timers;
   Nanos now_value = 0;
+  int cancels = 0;  ///< hold cancels multicast
 };
 
 RingConfig ring3() {
@@ -142,6 +148,13 @@ struct EngineFixture : public ::testing::Test {
   }
   void feed_token(const TokenMsg& t) {
     engine->on_packet(kSockToken, encode(t));
+  }
+  /// Feed `t`; if the engine holds it idle, end the hold as its timer would.
+  void feed_token_passed(const TokenMsg& t) {
+    feed_token(t);
+    if (host->timers.contains(kTimerTokenHold)) {
+      engine->on_timer(kTimerTokenHold);
+    }
   }
   void feed_data(const DataMsg& d) {
     engine->on_packet(kSockData, encode(d));
@@ -318,7 +331,7 @@ TEST_F(EngineFixture, RaisesOwnLoweredAruWhenCaughtUp) {
   for (SeqNum s = 3; s <= 5; ++s) feed_data(data_from(ring3(), 0, s, 1));
   TokenMsg t = token_for(ring3(), 2, 2, 5, 2);
   t.aru_id = 1;
-  feed_token(t);
+  feed_token_passed(t);
   const auto tokens = host->sent_tokens();
   ASSERT_EQ(tokens.size(), 2u);
   EXPECT_EQ(tokens[1].aru, 5);
@@ -487,7 +500,7 @@ TEST_F(EngineFixture, DuplicateDataCounted) {
 
 TEST_F(EngineFixture, TokenRetransmitTimerResendsLastToken) {
   start(accel_config(0));
-  feed_token(token_for(ring3(), 1, 1, 0, 0));
+  feed_token_passed(token_for(ring3(), 1, 1, 0, 0));
   ASSERT_EQ(host->sent_tokens().size(), 1u);
   engine->on_timer(kTimerTokenRetransmit);
   const auto tokens = host->sent_tokens();
@@ -567,31 +580,136 @@ TEST_F(EngineFixture, SubmitBackpressureAtMaxPending) {
 }
 
 TEST_F(EngineFixture, IdleRingHoldsToken) {
-  start(accel_config(0));
-  // Nothing to send, nothing outstanding: the token should be passed with
-  // the idle hold delay.
+  ProtocolConfig cfg = accel_config(0);
+  start(cfg);
+  // Nothing to send, nothing outstanding, everything delivered: the engine
+  // holds the token on its hold timer and sends nothing.
   feed_token(token_for(ring3(), 1, 1, 0, 0));
-  ASSERT_EQ(host->sent.size(), 1u);
-  EXPECT_GT(host->sent[0].delay, 0);
-  // With pending traffic the token is passed immediately.
+  EXPECT_TRUE(host->sent.empty());
+  ASSERT_TRUE(host->timers.contains(kTimerTokenHold));
+  EXPECT_EQ(host->timers[kTimerTokenHold], cfg.timeouts.idle_token_hold);
+  EXPECT_FALSE(host->timers.contains(kTimerTokenRetransmit));
+  EXPECT_EQ(engine->stats().token_holds, 1u);
+  // The timer passes it, with no delay asked of the host, and arms the
+  // retransmit timer from then on.
+  engine->on_timer(kTimerTokenHold);
+  ASSERT_EQ(host->sent_tokens().size(), 1u);
+  EXPECT_EQ(host->sent[0].to, 2);
+  EXPECT_EQ(host->sent[0].delay, 0);
+  EXPECT_EQ(host->timers[kTimerTokenRetransmit], cfg.timeouts.token_retransmit);
+  // A second firing finds nothing held.
+  engine->on_timer(kTimerTokenHold);
+  EXPECT_EQ(host->sent_tokens().size(), 1u);
+  // With pending traffic the token is passed at once.
   engine->submit(Service::kAgreed, payload("x"));
   feed_token(token_for(ring3(), 2, 2, 0, 0));
-  const auto& last = host->sent.back();
+  EXPECT_EQ(host->sent_tokens().size(), 2u);
+  EXPECT_EQ(engine->stats().token_holds, 1u);
+}
+
+TEST_F(EngineFixture, LocalSubmitReleasesTheHold) {
+  start(accel_config(0));
+  feed_token(token_for(ring3(), 1, 1, 0, 0));
+  ASSERT_TRUE(host->sent_tokens().empty());
+  engine->submit(Service::kAgreed, payload("x"));
+  // The held token leaves now; the message goes out on the next visit.
   const auto tokens = host->sent_tokens();
-  ASSERT_EQ(tokens.size(), 2u);
-  // Find the second token send and check no delay.
-  for (const auto& s : host->sent) {
-    if (peek_type(s.bytes) == PacketType::kToken &&
-        decode_token(s.bytes)->token_id == tokens[1].token_id) {
-      EXPECT_EQ(s.delay, 0);
-    }
-  }
-  (void)last;
+  ASSERT_EQ(tokens.size(), 1u);
+  EXPECT_EQ(tokens[0].seq, 0);
+  EXPECT_FALSE(host->timers.contains(kTimerTokenHold));
+  // The members ahead of the token are told not to hold it either.
+  EXPECT_EQ(host->cancels, 1);
+}
+
+TEST_F(EngineFixture, HoldCancelReleasesTheHold) {
+  start(accel_config(0));
+  feed_token(token_for(ring3(), 1, 1, 0, 0));
+  ASSERT_TRUE(host->sent_tokens().empty());
+  // A cancel for another ring is not ours.
+  engine->on_packet(kSockData,
+                    encode(HoldCancelMsg{membership::make_ring_id(9, 7)}));
+  EXPECT_TRUE(host->sent_tokens().empty());
+  engine->on_packet(kSockData, encode(HoldCancelMsg{ring3().ring_id}));
+  EXPECT_EQ(host->sent_tokens().size(), 1u);
+  EXPECT_FALSE(host->timers.contains(kTimerTokenHold));
+  EXPECT_EQ(host->cancels, 0);
+}
+
+TEST_F(EngineFixture, CancelAtANonHolderSkipsOneIdleHold) {
+  start(accel_config(0));
+  engine->on_packet(kSockData, encode(HoldCancelMsg{ring3().ring_id}));
+  // The next idle visit passes the token at once...
+  feed_token(token_for(ring3(), 1, 1, 0, 0));
+  EXPECT_EQ(host->sent_tokens().size(), 1u);
+  EXPECT_FALSE(host->timers.contains(kTimerTokenHold));
+  // ...and only that one.
+  feed_token(token_for(ring3(), 2, 2, 0, 0));
+  EXPECT_EQ(host->sent_tokens().size(), 1u);
+  EXPECT_TRUE(host->timers.contains(kTimerTokenHold));
+}
+
+TEST_F(EngineFixture, SkipSubmitNeitherReleasesNorCancels) {
+  start(accel_config(0));
+  feed_token(token_for(ring3(), 1, 1, 0, 0));
+  engine->submit(Service::kAgreed, payload("skip"), /*wake=*/false);
+  EXPECT_TRUE(host->sent_tokens().empty());
+  EXPECT_TRUE(host->timers.contains(kTimerTokenHold));
+  EXPECT_EQ(host->cancels, 0);
+  // The queued message still leaves on the next visit.
+  engine->on_timer(kTimerTokenHold);
+  feed_token(token_for(ring3(), 2, 2, 0, 0));
+  EXPECT_EQ(host->sent_data().size(), 1u);
+}
+
+TEST_F(EngineFixture, OneCancelPerVisitAndNoneAfterAVisitThatSent) {
+  start(accel_config(0));
+  // Not holding, last visit sent nothing: the first submit cancels, the
+  // next ones do not.
+  engine->submit(Service::kAgreed, payload("a"));
+  engine->submit(Service::kAgreed, payload("b"));
+  EXPECT_EQ(host->cancels, 1);
+  // A visit that sends: fcc stays above 0 until the token is back, so
+  // no member holds and a submit meanwhile needs no cancel.
+  feed_token(token_for(ring3(), 1, 1, 0, 0));
+  EXPECT_EQ(host->sent_data().size(), 2u);
+  engine->submit(Service::kAgreed, payload("c"));
+  EXPECT_EQ(host->cancels, 1);
+}
+
+TEST_F(EngineFixture, UndeliveredSafeMessagePreventsTheHold) {
+  start(accel_config(0));
+  feed_data(data_from(ring3(), 0, 1, 1, false, Service::kSafe));
+  // aru == seq, but the Safe message waits for the aru of two visits: the
+  // token must not wait on this member.
+  feed_token(token_for(ring3(), 1, 1, 1, 1));
+  EXPECT_TRUE(host->delivered.empty());
+  EXPECT_EQ(host->sent_tokens().size(), 1u);
+  // Delivered here now; the members after us deliver at their visits of
+  // this rotation, so the token still does not wait.
+  feed_token(token_for(ring3(), 2, 2, 1, 1));
+  EXPECT_EQ(host->delivered.size(), 1u);
+  EXPECT_EQ(host->sent_tokens().size(), 2u);
+  EXPECT_FALSE(host->timers.contains(kTimerTokenHold));
+  // Below our safe line since the last visit: every member has it.
+  feed_token(token_for(ring3(), 3, 3, 1, 1));
+  EXPECT_EQ(host->sent_tokens().size(), 2u);
+  EXPECT_TRUE(host->timers.contains(kTimerTokenHold));
+}
+
+TEST_F(EngineFixture, AgreedMessageDoesNotDelayTheHold) {
+  start(accel_config(0));
+  feed_data(data_from(ring3(), 0, 1, 1));
+  // Every member that has an Agreed message delivered it: aru == seq says
+  // all have it.
+  feed_token(token_for(ring3(), 1, 1, 1, 1));
+  EXPECT_EQ(host->delivered.size(), 1u);
+  EXPECT_TRUE(host->sent_tokens().empty());
+  EXPECT_TRUE(host->timers.contains(kTimerTokenHold));
 }
 
 TEST_F(EngineFixture, TokenGoesToSuccessor) {
   start(accel_config(0));
-  feed_token(token_for(ring3(), 1, 1, 0, 0));
+  feed_token_passed(token_for(ring3(), 1, 1, 0, 0));
   ASSERT_FALSE(host->sent.empty());
   EXPECT_FALSE(host->sent[0].is_multicast);
   EXPECT_EQ(host->sent[0].to, 2);  // we are 1 in {0,1,2}
@@ -609,7 +727,7 @@ TEST_F(EngineFixture, ForeignRingDataDoesNotCrashOrOrder) {
 
 TEST_F(EngineFixture, RoundCounterBumpedOnlyByRepresentative) {
   start(accel_config(0));  // we are participant 1, not the representative
-  feed_token(token_for(ring3(), 1, 7, 0, 0));
+  feed_token_passed(token_for(ring3(), 1, 7, 0, 0));
   const auto tokens = host->sent_tokens();
   ASSERT_EQ(tokens.size(), 1u);
   EXPECT_EQ(tokens[0].round, 7u);  // unchanged
@@ -622,7 +740,9 @@ TEST_F(EngineFixture, RoundCounterBumpedOnlyByRepresentative) {
   ring.ring_id = ring3().ring_id;
   ring.members = {0, 1, 2};
   rep.start_with_ring(ring);
-  // start_with_ring originates a token as representative (round becomes 1).
+  // start_with_ring originates a token as representative (round becomes 1),
+  // held idle until its timer fires.
+  rep.on_timer(kTimerTokenHold);
   const auto rep_tokens = rep_host.sent_tokens();
   ASSERT_FALSE(rep_tokens.empty());
   EXPECT_EQ(rep_tokens[0].round, 1u);

@@ -2,6 +2,8 @@
 // interaction between packing, windows, and the accelerated queue.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "membership/membership.hpp"
 #include "protocol/engine.hpp"
 #include "util/bytes.hpp"
@@ -23,13 +25,14 @@ class RecordingHost : public Host {
     delivered.push_back(delivery);
   }
   void on_configuration(const ConfigurationChange&) override {}
-  void set_timer(TimerKind, Nanos) override {}
-  void cancel_timer(TimerKind) override {}
+  void set_timer(TimerKind kind, Nanos) override { armed.insert(kind); }
+  void cancel_timer(TimerKind kind) override { armed.erase(kind); }
   Nanos now() override { return ++clock_; }
 
   std::vector<DataMsg> data_sent;
   std::vector<TokenMsg> tokens_sent;
   std::vector<Delivery> delivered;
+  std::set<TimerKind> armed;
 
  private:
   Nanos clock_ = 0;
@@ -72,6 +75,8 @@ TEST(AutoTuneUnit, GrowsAfterIntervalWithBacklog) {
   SeqNum seq = 0;
   for (uint64_t round = 1; round <= 5; ++round) {
     engine.on_packet(kSockToken, encode(token(round, round, seq, seq)));
+    // An idle token is held; pass it as the hold timer would.
+    if (host.armed.contains(kTimerTokenHold)) engine.on_timer(kTimerTokenHold);
     seq = host.tokens_sent.back().seq;
   }
   EXPECT_GT(engine.config().personal_window, 2u);
@@ -91,6 +96,8 @@ TEST(AutoTuneUnit, NoGrowthWithoutBacklog) {
   SeqNum seq = 0;
   for (uint64_t round = 1; round <= 10; ++round) {
     engine.on_packet(kSockToken, encode(token(round, round, seq, seq)));
+    // An idle token is held; pass it as the hold timer would.
+    if (host.armed.contains(kTimerTokenHold)) engine.on_timer(kTimerTokenHold);
     seq = host.tokens_sent.back().seq;
   }
   EXPECT_EQ(engine.config().personal_window, 4u);

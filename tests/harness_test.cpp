@@ -110,10 +110,13 @@ TEST(RunPoint, AcceleratedBeatsOriginalNearSaturation) {
 }
 
 TEST(RunPoint, OneRingPointIsDeterministic) {
-  // Every single-ring figure comes through this point. These literals were
-  // taken from run_point as it shipped over a bare SimCluster, before it
-  // measured a one-ring RingSet's merged stream; any change to the events a
-  // one-ring point runs, or to how it counts them, moves at least one.
+  // Every single-ring figure comes through this point; any change to the
+  // events a one-ring point runs, or to how it counts them, moves at least
+  // one of these literals. Last re-pinned when a submit began to end an
+  // idle token hold: the token now moves at other times, so the 0.2% loss
+  // hits other packets, and with that loss p50 is set by where the 10 ms
+  // token-retransmit stalls fall (seeds 1-11 read 129 us to 2.8 ms before,
+  // 167 us to 4.1 ms after; lossless, p50/p99 went 112/353 -> 108/173 us).
   PointConfig pc;
   pc.nodes = 5;
   pc.fabric.loss_rate = 0.002;  // so that retransmits are pinned too
@@ -122,12 +125,12 @@ TEST(RunPoint, OneRingPointIsDeterministic) {
   pc.measure = util::msec(80);
   pc.seed = 7;
   const PointResult r = run_point(pc);
-  EXPECT_EQ(r.messages, 2230u);
-  EXPECT_DOUBLE_EQ(r.achieved_mbps, 301.023);
-  EXPECT_EQ(r.p50_latency, 460509);
-  EXPECT_EQ(r.p99_latency, 10369672);
+  EXPECT_EQ(r.messages, 2003u);
+  EXPECT_DOUBLE_EQ(r.achieved_mbps, 274.32);
+  EXPECT_EQ(r.p50_latency, 2371626);
+  EXPECT_EQ(r.p99_latency, 10644088);
   EXPECT_EQ(r.retransmits, 23u);
-  EXPECT_DOUBLE_EQ(r.max_cpu_utilization, 0.049792338781773304);
+  EXPECT_DOUBLE_EQ(r.max_cpu_utilization, 0.057594343059410927);
 }
 
 TEST(Profiles, SpreadUsesConservativePriorityAndBigHeaders) {

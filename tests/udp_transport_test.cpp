@@ -349,6 +349,66 @@ TEST(LoopbackRingTest, PausedDriverIsNotTokenLoss) {
   EXPECT_EQ(ring.logs[0].delivered.size(), submitted);
 }
 
+/// Tokens handled by every node of `ring` so far.
+uint64_t tokens_handled(LoopbackRing& ring) {
+  uint64_t n = 0;
+  for (int i = 0; i < ring.size(); ++i) {
+    n += ring.engine(i).stats().tokens_handled;
+  }
+  return n;
+}
+
+TEST(LoopbackRingTest, IdleRingHoldsTheTokenAtEveryVisit) {
+  // The hold bounds an idle ring's CPU: each visit keeps the token for
+  // idle_token_hold, so the ring handles at most one token per hold.
+  EventLoop loop;
+  TappedRing ring(loop, 3);
+  loop.run_for(util::msec(50));
+  const uint64_t before = tokens_handled(ring.ring);
+  const util::Nanos from = loop.now();
+  loop.run_for(util::sec(1));
+  const uint64_t handled = tokens_handled(ring.ring) - before;
+  const util::Nanos hold =
+      ring.ring.engine(0).config().timeouts.idle_token_hold;
+  EXPECT_GT(handled, 0u);
+  EXPECT_LE(handled, static_cast<uint64_t>((loop.now() - from) / hold) + 1);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(ring.ring.engine(i).stats().hold_cancels, 0u);
+  }
+}
+
+TEST(LoopbackRingTest, SubmitsInIdleGapsWakeTheHeldToken) {
+  // One message at a time, each into an idle ring: its submit cancels the
+  // holds, and every node delivers every message in one order.
+  EventLoop loop;
+  TappedRing ring(loop, 3);
+  loop.run_for(util::msec(20));
+  uint32_t submitted = 0;
+  for (uint32_t index = 0; index < 60; ++index) {
+    const int node = static_cast<int>(index % 3);
+    const harness::PayloadStamp stamp{loop.now(), static_cast<uint32_t>(node),
+                                      index};
+    ASSERT_TRUE(ring.ring.engine(node).submit(
+        index % 2 == 0 ? Service::kAgreed : Service::kSafe,
+        harness::make_payload(200, stamp)));
+    ring.oracle.note_submit(node, index);
+    ++submitted;
+    loop.run_for(util::msec(3));
+  }
+  ring.run_until_delivered(submitted);
+  ring.oracle.finalize();
+  EXPECT_TRUE(ring.oracle.ok()) << ring.oracle.report();
+  uint64_t cancels = 0;
+  for (int i = 0; i < 3; ++i) {
+    const Log& log = ring.logs[static_cast<size_t>(i)];
+    EXPECT_EQ(log.configs, 1);
+    EXPECT_EQ(log.delivered, ring.logs[0].delivered);
+    cancels += ring.ring.engine(i).stats().hold_cancels;
+  }
+  EXPECT_EQ(ring.logs[0].delivered.size(), submitted);
+  EXPECT_GT(cancels, 0u);
+}
+
 TEST(UdpTransport, RejectsUnparseablePeerAddress) {
   EventLoop loop;
   auto peers = free_peers(3);
@@ -419,8 +479,6 @@ TEST(UdpTransport, DestroyedTransportLeavesNoTimerArmed) {
     UdpTransport a(0, peers, loop);
     a.bind(ha);
     a.set_timer(protocol::kTimerTokenLoss, util::msec(5));
-    a.unicast(1, protocol::kSockToken,
-              util::as_bytes(std::string_view("held")), util::msec(5));
   }
   b.set_timer(protocol::kTimerTokenLoss, util::msec(10));
   loop.run_for(util::msec(40));

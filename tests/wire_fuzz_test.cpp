@@ -76,6 +76,7 @@ int decode_everything(std::span<const std::byte> packet) {
   if (decode_token(packet)) ++accepted;
   if (decode_join(packet)) ++accepted;
   if (decode_commit(packet)) ++accepted;
+  if (decode_hold_cancel(packet)) ++accepted;
   return accepted;
 }
 
@@ -163,7 +164,7 @@ DataMsg sample_mtu_data() {
 std::vector<std::vector<std::byte>> sample_packets() {
   return {encode(sample_data()),  encode(sample_token()),
           encode(sample_join()),  encode(sample_commit()),
-          encode(sample_mtu_data())};
+          encode(sample_mtu_data()), encode(HoldCancelMsg{0xABCDEF})};
 }
 
 TEST(WireFuzz, EveryTruncationIsRejected) {

@@ -293,9 +293,28 @@ TEST(PeekType, IdentifiesAllTypes) {
   EXPECT_EQ(peek_type(encode(sample_token())), PacketType::kToken);
   EXPECT_EQ(peek_type(encode(JoinMsg{})), PacketType::kJoin);
   EXPECT_EQ(peek_type(encode(CommitTokenMsg{})), PacketType::kCommitToken);
+  EXPECT_EQ(peek_type(encode(HoldCancelMsg{})), PacketType::kHoldCancel);
   EXPECT_FALSE(peek_type({}).has_value());
   const std::byte junk[] = {std::byte{99}};
   EXPECT_FALSE(peek_type(junk).has_value());
+}
+
+TEST(HoldCancelCodec, RoundTrip) {
+  const auto bytes = encode(HoldCancelMsg{0x1122334455667788ull});
+  const auto d = decode_hold_cancel(bytes);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->ring_id, 0x1122334455667788ull);
+  EXPECT_FALSE(decode_token(bytes).has_value());
+  EXPECT_FALSE(decode_hold_cancel(encode(sample_token())).has_value());
+}
+
+TEST(HoldCancelCodec, CorruptCrcRejected) {
+  auto bytes = encode(HoldCancelMsg{42});
+  bytes[3] ^= std::byte{0x01};
+  EXPECT_FALSE(decode_hold_cancel(bytes).has_value());
+  bytes = encode(HoldCancelMsg{42});
+  bytes.back() ^= std::byte{0x80};
+  EXPECT_FALSE(decode_hold_cancel(bytes).has_value());
 }
 
 TEST(CrossDecode, WrongTypeRejected) {
