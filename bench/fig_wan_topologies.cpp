@@ -50,8 +50,8 @@ util::Nanos rotation_estimate(const TopologyClass& tc) {
 /// Windows and timers rescaled for the class: wide windows keep the pipe
 /// full across a long rotation, and every membership timer sits far enough
 /// above the rotation that geography alone never looks like failure. The
-/// adaptive estimator then tightens the live timeouts toward the measured
-/// rotation.
+/// failure detector then tightens the live token-loss timeout toward the
+/// measured rotation.
 protocol::ProtocolConfig class_protocol(const TopologyClass& tc) {
   protocol::ProtocolConfig cfg =
       harness::bench_protocol(protocol::Variant::kAccelerated);
@@ -60,7 +60,6 @@ protocol::ProtocolConfig class_protocol(const TopologyClass& tc) {
     cfg.global_window = 1000;
     cfg.accelerated_window = 100;
     cfg.max_seq_gap = 8192;
-    cfg.adaptive_timeouts = true;
     const util::Nanos rot = rotation_estimate(tc);
     cfg.timeouts.token_retransmit =
         std::max(cfg.timeouts.token_retransmit, 3 * rot);

@@ -72,9 +72,6 @@ class URingProtocol final : public protocol::PacketHandler {
   }
 
   [[nodiscard]] const URingStats& stats() const { return stats_; }
-  [[nodiscard]] uint64_t delivered_batches() const {
-    return delivered_next_ - 1;
-  }
   [[nodiscard]] bool is_coordinator() const {
     return self_ == members_.members.front();
   }

@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "check/client_fleet.hpp"
 #include "check/durability_oracle.hpp"
@@ -400,7 +401,6 @@ void build(Target& t, const RunOptions& opt, const simnet::Topology& topo,
   service.set_on_outcome(
       [&t](int node, const kv::Frontend::Outcome& outcome) {
         t.kv_oracle->on_outcome(node, outcome);
-        if (t.durability) t.durability->on_outcome(node, outcome);
       });
 
   // The workload keeps issuing through the drain's first half, so reads
@@ -566,14 +566,13 @@ protocol::ProtocolConfig wan_proto_config() {
   protocol::ProtocolConfig cfg = campaign_proto_config();
   // A token rotation on campaign_wan_topology crosses up to three 3 ms WAN
   // links each way; the LAN-tuned timeouts would declare loss on every
-  // rotation. Stretched statics keep the failure detector sound, and the
-  // adaptive estimator (the feature WAN delay motivates) tightens them back
-  // toward the measured rotation once the ring is steady.
+  // rotation. Stretched statics keep the failure detector sound while it is
+  // cold, and once the ring is steady it tightens the token-loss timeout
+  // back toward the measured rotation.
   cfg.timeouts.token_retransmit = util::msec(25);
   cfg.timeouts.token_loss = util::msec(80);
   cfg.timeouts.join = util::msec(15);
   cfg.timeouts.consensus = util::msec(160);
-  cfg.adaptive_timeouts = true;
   return cfg;
 }
 
@@ -608,29 +607,28 @@ RunResult run_schedule(const RunOptions& opt, const Schedule& schedule,
   const simnet::Topology topo = wan ? campaign_wan_topology(ropt.nodes)
                                     : simnet::Topology::single_dc(ropt.nodes);
   const Blame blamed = blame(schedule, topo);
-  std::set<uint64_t> ejected;  // ring ids, see RunResult::false_ejections
+  // (ring, ring id): ring ids repeat across the rings of a set.
+  std::set<std::pair<int, uint64_t>> ejected;  // see RunResult
 
   Target t;
   // Ring sets run only the raw stack; single rings run the scenario's.
   t.stack = sc != nullptr && ropt.rings == 1 ? sc->stack : Stack::kRaw;
   build(t, ropt, topo, wan, seed);
   // Ejection audit: with no churn in the schedule, a configuration that
-  // excludes a healthy, reachable node is a false ejection. Single ring
-  // only: on a K=4 ring set, loss bursts alone already eject members (e.g.
-  // loss_bursts seed 1), which this counter has never covered.
-  if (!blamed.churn && ropt.rings == 1) {
-    t.rings->ring(0).add_on_config([&t, &ejected, &blamed, nodes = ropt.nodes](
-                                       int,
-                                       const protocol::ConfigurationChange& c) {
-      if (c.transitional) return;
-      for (int n = 0; n < nodes; ++n) {
-        if (t.down(n) || blamed.degraded.contains(n)) continue;
-        const auto pid = static_cast<protocol::ProcessId>(n);
-        bool member = false;
-        for (const auto m : c.config.members) member = member || m == pid;
-        if (!member) ejected.insert(c.config.ring_id);
-      }
-    });
+  // excludes a healthy, reachable node is a false ejection.
+  for (int r = 0; !blamed.churn && r < ropt.rings; ++r) {
+    t.rings->ring(r).add_on_config(
+        [&t, &ejected, &blamed, r, nodes = ropt.nodes](
+            int, const protocol::ConfigurationChange& c) {
+          if (c.transitional) return;
+          for (int n = 0; n < nodes; ++n) {
+            if (t.down(n) || blamed.degraded.contains(n)) continue;
+            const auto pid = static_cast<protocol::ProcessId>(n);
+            bool member = false;
+            for (const auto m : c.config.members) member = member || m == pid;
+            if (!member) ejected.emplace(r, c.config.ring_id);
+          }
+        });
   }
 
   t.rings->start_static();

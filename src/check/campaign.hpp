@@ -34,15 +34,14 @@ namespace accelring::check {
 /// every scenario — fault-free and loss-only included — doubles as the
 /// detector's zero-false-positive regression via the healthy-member
 /// quarantine audit. Kept separate from fast_proto_config() so experiments
-/// that borrow the fast timeouts (e.g. the adaptive-timeout A/B) vary one
+/// that borrow the fast timeouts (e.g. the failure-detector A/B) vary one
 /// variable at a time and keep seed-identical packet sizes.
 [[nodiscard]] protocol::ProtocolConfig campaign_proto_config();
 
 /// campaign_proto_config() rescaled for the multi-datacenter campaign
 /// topology: a token rotation crosses several 3 ms WAN links, so the static
-/// membership timeouts stretch accordingly and the Jacobson/Karels adaptive
-/// estimator is switched on (WAN delay is exactly the condition it exists
-/// for). Applied automatically by run_schedule for scenarios with
+/// membership timeouts (the cold failure detector's values) stretch
+/// accordingly. Applied automatically by run_schedule for scenarios with
 /// Scenario::wan set, together with a longer drain.
 [[nodiscard]] protocol::ProtocolConfig wan_proto_config();
 
@@ -74,10 +73,11 @@ struct RunResult {
   bool ok = false;
   std::vector<Violation> violations;
   uint64_t delivered = 0;  ///< deliveries the oracles observed
-  /// Distinct regular configurations that excluded a live node, counted only
-  /// when the schedule held no partition/crash/restart (then no ejection is
-  /// justified). Not a safety violation — EVS permits spurious view changes —
-  /// but the liveness regression adaptive timeouts exist to prevent.
+  /// Distinct regular configurations, on any ring of the set, that excluded
+  /// a live node, counted only when the schedule held no
+  /// partition/crash/restart (then no ejection is justified). Not a safety
+  /// violation — EVS permits spurious view changes — but the liveness
+  /// regression the token-loss failure detector exists to prevent.
   uint64_t false_ejections = 0;
   /// Gray-failure quarantine evictions initiated / probations completed
   /// across all engines. A quarantine of a node no fault degraded is a

@@ -80,9 +80,6 @@ class ClientFleet {
   /// End-of-run verdict; call after the drain.
   [[nodiscard]] FleetReport finalize();
 
-  [[nodiscard]] daemon::Daemon* daemon_at(int node) {
-    return daemons_[static_cast<size_t>(node)].get();
-  }
   [[nodiscard]] const daemon::FailoverClient& client(int node, int k) const {
     return *clients_[static_cast<size_t>(node * opt_.clients_per_node + k)]
                 ->client;

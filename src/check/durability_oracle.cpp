@@ -27,7 +27,6 @@ void DurabilityOracle::bind(kv::KvService& service) {
   const auto k = static_cast<size_t>(shards_);
   safe_floor_.assign(k, 0);
   max_applied_.assign(k, 0);
-  acked_floor_.assign(k, 0);
   unsafe_.assign(n, false);
   unsafe_at_crash_.assign(n, false);
   at_crash_.assign(n, std::vector<int64_t>(k, -1));
@@ -48,16 +47,6 @@ void DurabilityOracle::on_applied(int node, int shard,
   // an honest-disk node means the version is durable there right now.
   if (n < unsafe_.size() && !unsafe_[n]) {
     safe_floor_[s] = std::max(safe_floor_[s], applied.version);
-  }
-}
-
-void DurabilityOracle::on_outcome(int node, const kv::Frontend::Outcome& o) {
-  (void)node;
-  if (!kv::is_mutation(o.type)) return;
-  if (o.result.status != kv::Status::kOk) return;
-  const auto s = static_cast<size_t>(o.shard);
-  if (s < acked_floor_.size()) {
-    acked_floor_[s] = std::max(acked_floor_[s], o.version);
   }
 }
 
@@ -134,16 +123,9 @@ void DurabilityOracle::note_cluster_recovery(KvOracle* kv) {
          << basis;
       fail(os.str());
     }
-    if (acked_floor_[si] > basis) {
-      // Acked versions above the basis were durable nowhere safe; that is
-      // the injected lying-cache / torn-write failure doing exactly what it
-      // says. Count, do not fail.
-      excused_ += acked_floor_[si] - basis;
-    }
     // History restarts from the basis: future floors are measured against
     // the revived lineage.
     safe_floor_[si] = std::min(safe_floor_[si], basis);
-    acked_floor_[si] = std::min(acked_floor_[si], basis);
     max_applied_[si] = std::max(max_applied_[si], basis);
     if (kv != nullptr) kv->note_lineage_rollback(s, basis);
   }

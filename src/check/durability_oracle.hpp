@@ -15,15 +15,15 @@
 //  * Acked-write durability — any version that was applied by at least one
 //    safe-disk node must be covered by B after a whole-cluster power loss.
 //    Versions acked only through unsafe-disk nodes may legitimately be
-//    lost; the oracle counts those as *excused* rather than failing
-//    (that is precisely the torn-write / lying-cache failure mode the
-//    campaign injects on a minority).
+//    lost, and the oracle does not fail them (that is precisely the
+//    torn-write / lying-cache failure mode the campaign injects on a
+//    minority).
 //  * Lineage integrity — across all replica incarnations of a durable run
 //    the boundary-CRC divergence audit must stay zero: recovering from
 //    disk must never revive a diverged lineage (finalize()).
 //
-// The oracle is fed the same applied/outcome streams as the KvOracle (the
-// campaign fans one set of service observers out to both), plus explicit
+// The oracle is fed the same applied stream as the KvOracle (the campaign
+// fans one service observer out to both), plus explicit
 // notes from the fault injector: which disks were made unsafe, when nodes
 // crashed/restarted, and when a whole-cluster recovery completed. After a
 // cluster recovery it tells the KvOracle where the surviving history ends
@@ -49,13 +49,12 @@ class DurabilityOracle {
 
   /// Size the oracle for `service` and remember it (machine versions are
   /// read from it at crash/restart/recovery time). Does not claim any
-  /// observer slot — feed on_applied/on_outcome directly.
+  /// observer slot — feed on_applied directly.
   void bind(kv::KvService& service);
 
-  // Event feeds (same streams the KvOracle sees).
+  // Event feed (the same stream the KvOracle sees).
   void on_applied(int node, int shard, const kv::AppliedOp& applied,
                   Nanos at);
-  void on_outcome(int node, const kv::Frontend::Outcome& outcome);
 
   /// `node`'s disk is no longer trusted (lying write cache, injected IO
   /// errors, bit rot): its applies stop raising the safe-acked floor and
@@ -75,7 +74,7 @@ class DurabilityOracle {
 
   /// A whole-cluster power loss has been fully restored (every node
   /// restarted): computes the recovery basis B per shard, checks
-  /// acked-write durability, counts excused losses, and rolls the KvOracle
+  /// acked-write durability, and rolls the KvOracle
   /// (when given) back to the surviving history.
   void note_cluster_recovery(KvOracle* kv);
 
@@ -91,9 +90,6 @@ class DurabilityOracle {
   /// sanity: a durable scenario that never exercised recovery proves
   /// nothing.
   [[nodiscard]] uint64_t checks() const { return checks_; }
-  /// Acked versions that were lost but excused (acked only via unsafe
-  /// disks).
-  [[nodiscard]] uint64_t excused_losses() const { return excused_; }
 
  private:
   void fail(std::string what);
@@ -107,9 +103,6 @@ class DurabilityOracle {
   /// Per shard: highest version any node applied — the ceiling no recovery
   /// may exceed.
   std::vector<uint64_t> max_applied_;
-  /// Per shard: highest successfully acked mutation version (for the
-  /// excused-loss count).
-  std::vector<uint64_t> acked_floor_;
   /// Per node: disk currently unsafe (see note_disk_unsafe).
   std::vector<bool> unsafe_;
   /// Per (node, shard): applied version at the node's last crash
@@ -122,7 +115,6 @@ class DurabilityOracle {
   std::vector<Violation> violations_;
   uint64_t suppressed_ = 0;
   uint64_t checks_ = 0;
-  uint64_t excused_ = 0;
 };
 
 }  // namespace accelring::check

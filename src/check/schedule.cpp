@@ -438,7 +438,7 @@ Schedule kv_blackout(uint64_t seed, int, Nanos horizon) {
 /// windows open strictly before the blackout and no other fault runs in
 /// between, so no membership churn (epoch mints) lands on a lying disk.
 /// Acked writes durable only on the liars are legitimately lost (the
-/// oracle's *excused* count); anything a safe node applied must survive.
+/// oracle excuses them); anything a safe node applied must survive.
 Schedule kv_blackout_torn(uint64_t seed, int nodes, Nanos horizon) {
   Rng rng(seed);
   Schedule s{"kv_blackout_torn", {}};

@@ -93,8 +93,6 @@ std::string apply_option(const std::string& key, uint64_t value,
     fits = store(value, proto.packing_budget);
   } else if (key == "auto_tune") {
     fits = store(value, proto.auto_tune);
-  } else if (key == "adaptive_timeouts") {
-    fits = store(value, proto.adaptive_timeouts);
   } else {
     return "unknown option: " + key;
   }

@@ -63,7 +63,6 @@ class RateInjector {
   void arm();
 
   [[nodiscard]] uint64_t injected() const { return injected_; }
-  [[nodiscard]] Nanos interval_per_node() const { return interval_; }
 
  private:
   void schedule_next(int node, Nanos at, uint32_t index);

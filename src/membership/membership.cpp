@@ -74,7 +74,7 @@ void Membership::enter_gather(bool keep_candidates) {
   send_join();
   engine_.host_.set_timer(protocol::kTimerJoin, engine_.cfg_.timeouts.join);
   engine_.host_.set_timer(protocol::kTimerConsensus,
-                          engine_.timers_.consensus());
+                          engine_.cfg_.timeouts.consensus);
   ACCELRING_LOG_INFO(kTag, "p%u: entering gather (#%llu)",
                      unsigned{engine_.self_},
                      static_cast<unsigned long long>(gathers_started_));
@@ -201,7 +201,7 @@ void Membership::check_consensus() {
   engine_.set_state(State::kCommit);
   engine_.host_.cancel_timer(protocol::kTimerJoin);
   engine_.host_.set_timer(protocol::kTimerConsensus,
-                          engine_.timers_.consensus());
+                          engine_.cfg_.timeouts.consensus);
   ACCELRING_LOG_INFO(kTag, "p%u: consensus on %zu members",
                      unsigned{engine_.self_}, candidates_.size());
   if (*candidates_.begin() == engine_.self_) start_commit();
@@ -320,7 +320,7 @@ void Membership::on_commit(const CommitTokenMsg& commit) {
     engine_.set_state(State::kCommit);
     engine_.host_.cancel_timer(protocol::kTimerJoin);
     engine_.host_.set_timer(protocol::kTimerConsensus,
-                            engine_.timers_.consensus());
+                            engine_.cfg_.timeouts.consensus);
     pass_commit(next);
     return;
   }
@@ -578,7 +578,7 @@ void Membership::on_timer(protocol::TimerKind kind) {
         check_consensus();
         if (engine_.state_ == State::kGather) {
           engine_.host_.set_timer(protocol::kTimerConsensus,
-                                  engine_.timers_.consensus());
+                                  engine_.cfg_.timeouts.consensus);
         }
       } else if (engine_.state_ == State::kCommit) {
         enter_gather();  // commit token lost or a member died

@@ -109,7 +109,6 @@ class Membership {
   [[nodiscard]] const std::set<ProcessId>& fail_set() const {
     return fail_set_;
   }
-  [[nodiscard]] uint64_t gathers_started() const { return gathers_started_; }
   [[nodiscard]] const QuarantineManager& quarantine() const {
     return quarantine_;
   }

@@ -274,8 +274,7 @@ void Engine::handle_data(DataMsg&& msg) {
   // full estimated timeout still fires the timer, preserving crash
   // detection. Applies even to duplicate data (a retransmission answered by
   // a live member is evidence too).
-  if (cfg_.adaptive_timeouts &&
-      (state_ == State::kOperational || state_ == State::kRecover)) {
+  if (state_ == State::kOperational || state_ == State::kRecover) {
     host_.set_timer(kTimerTokenLoss, timers_.token_loss());
   }
 

@@ -201,10 +201,6 @@ class Engine final : public PacketHandler {
   }
   [[nodiscard]] size_t pending() const { return app_queue_.size(); }
   [[nodiscard]] const ProtocolConfig& config() const { return cfg_; }
-  /// Adaptive failure-detection state (srtt/rttvar of token rotation).
-  [[nodiscard]] const TimeoutEstimator& timeout_estimator() const {
-    return timers_;
-  }
   /// Gray-failure detector state (suspect streaks, smoothed unit costs).
   [[nodiscard]] const GrayFailureDetector& gray_detector() const {
     return gray_;

@@ -1,11 +1,10 @@
-// Adaptive failure-detection timeouts from observed token rotation time.
+// Adaptive token-loss timeout from observed token rotation time.
 //
-// The static token-loss and consensus timeouts in Timeouts are a compromise:
-// set them long and a crashed member stalls the ring for the full constant;
-// set them short and a loss burst that merely *stretches* rotation gets a
-// live member ejected. This estimator adapts them with the Jacobson/Karels
-// RTO filter (SIGCOMM '88) applied to the token rotation time the engine
-// actually observes:
+// A static token-loss timeout is a compromise: set it long and a crashed
+// member stalls the ring for the full constant; set it short and a loss
+// burst that merely *stretches* rotation gets a live member ejected. This
+// estimator adapts it with the Jacobson/Karels RTO filter (SIGCOMM '88)
+// applied to the token rotation time the engine actually observes:
 //
 //   err     = rotation - srtt
 //   srtt   += err / 8
@@ -16,15 +15,18 @@
 // retransmit intervals) and a ceiling (never wait longer than a small
 // multiple of the configured static timeout, so a mis-trained estimator
 // cannot wedge failure detection). Until `kWarmup` rotations have been
-// sampled the estimator reports the static base values unchanged.
+// sampled the estimator reports the static base value unchanged. The
+// membership consensus timeout stays the static Timeouts::consensus:
+// gather and commit are message exchanges among the candidates, not a
+// token rotation.
 //
 // The estimator alone cannot ride out the *onset* of a burst — the timer was
 // armed with the pre-burst estimate, and fires before the first stretched
 // rotation completes and gets sampled. The engine closes that gap with
-// liveness-evidence deferral: when adaptive_timeouts is on, any
-// authenticated data datagram from the current ring re-arms the token-loss
-// timer, because surviving traffic proves the ring is making progress even
-// when the token itself keeps getting dropped.
+// liveness-evidence deferral: any authenticated data datagram from the
+// current ring re-arms the token-loss timer, because surviving traffic
+// proves the ring is making progress even when the token itself keeps
+// getting dropped.
 //
 // Deferral needs traffic. A token lost on k consecutive sends of one hop
 // stalls the whole ring for k token-retransmit intervals, and no member but
@@ -76,11 +78,11 @@ class TimeoutEstimator {
   }
 
   /// The token-loss timer fired `elapsed` after the last token. Returns
-  /// true when the caller should re-arm instead of declaring loss: adaptive
-  /// and warm, and no backoff since the last sample. The expiry then counts
-  /// as a sample of `elapsed`.
+  /// true when the caller should re-arm instead of declaring loss: warm,
+  /// and no backoff since the last sample. The expiry then counts as a
+  /// sample of `elapsed`.
   bool back_off(Nanos elapsed) {
-    if (!cfg_.adaptive_timeouts || !warm() || backed_off_) return false;
+    if (!warm() || backed_off_) return false;
     sample(elapsed);
     backed_off_ = true;
     return true;
@@ -91,23 +93,11 @@ class TimeoutEstimator {
   /// Token-loss timeout to arm right now.
   [[nodiscard]] Nanos token_loss() const {
     const Timeouts& t = cfg_.timeouts;
-    if (!cfg_.adaptive_timeouts || !warm()) return t.token_loss;
+    if (!warm()) return t.token_loss;
     return std::clamp(srtt_ + 4 * rttvar_ + 2 * t.token_retransmit,
                       2 * t.token_retransmit, 4 * t.token_loss);
   }
 
-  /// Consensus timeout for the membership algorithm. Gather/commit needs a
-  /// couple of message exchanges among the candidates, not a token rotation,
-  /// so the estimate is scaled up and floored at a few join intervals.
-  [[nodiscard]] Nanos consensus() const {
-    const Timeouts& t = cfg_.timeouts;
-    if (!cfg_.adaptive_timeouts || !warm()) return t.consensus;
-    return std::clamp(2 * (srtt_ + 4 * rttvar_) + 4 * t.join, 4 * t.join,
-                      4 * t.consensus);
-  }
-
-  [[nodiscard]] Nanos srtt() const { return srtt_; }
-  [[nodiscard]] Nanos rttvar() const { return rttvar_; }
   [[nodiscard]] uint64_t samples() const { return samples_; }
 
  private:

@@ -97,17 +97,17 @@ struct RingConfig {
   [[nodiscard]] ProcessId representative() const { return members.front(); }
 };
 
-/// Every protocol timer base value, in one place. These used to be loose
-/// fields scattered through the config; naming the group gives the adaptive
-/// failure detector (timeout_estimator.hpp) a single anchor: when
-/// ProtocolConfig::adaptive_timeouts is on, the estimator derives the live
-/// token-loss and consensus timeouts from observed token rotation time,
-/// clamped between floors and ceilings expressed in these base values.
+/// Every protocol timer base value, in one place. The failure detector
+/// (timeout_estimator.hpp) derives the live token-loss timeout from observed
+/// token rotation time, clamped between a floor and a ceiling expressed in
+/// these base values; every other timer arms its base value as is.
 struct Timeouts {
   /// Token retransmission timeout: resend the token if no evidence of
   /// progress after passing it.
   Nanos token_retransmit = util::msec(10);
-  /// Token loss timeout: trigger the membership algorithm.
+  /// Token loss timeout: trigger the membership algorithm. Armed as is
+  /// until the failure detector has sampled a few rotations, and the base
+  /// of its ceiling (4x) after that.
   Nanos token_loss = util::msec(100);
   /// Membership: how long to wait collecting join messages.
   Nanos join = util::msec(20);
@@ -183,17 +183,11 @@ struct ProtocolConfig {
   };
   GrayConfig gray;
 
-  /// Protocol timer base values (see Timeouts).
+  /// Protocol timer base values (see Timeouts). The token-loss timeout
+  /// follows the measured token rotation (timeout_estimator.hpp), and any
+  /// authenticated current-ring data traffic defers it: a ring making
+  /// (slow, lossy) progress is alive, so membership fires only on silence.
   Timeouts timeouts;
-  /// Adaptive failure detection: estimate token rotation time with a
-  /// Jacobson-style EWMA + variance filter and derive the token-loss and
-  /// consensus timeouts from it (floor/ceiling anchored in `timeouts`),
-  /// instead of using the static values directly. Additionally, any
-  /// authenticated current-ring data traffic defers the token-loss timer:
-  /// a ring making (slow, lossy) progress is alive, so membership fires
-  /// only on genuine silence. Off by default so static-timeout behaviour
-  /// stays reproducible; the fault campaigns run with it on.
-  bool adaptive_timeouts = false;
 
   /// Effective accelerated window given the variant.
   [[nodiscard]] uint32_t effective_accel_window() const {

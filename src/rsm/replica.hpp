@@ -177,9 +177,6 @@ class Replica {
   /// Commands applied across this replica's state lineage (restores reset
   /// it to the transfer's position, so it is comparable across replicas).
   [[nodiscard]] uint64_t position() const { return position_; }
-  [[nodiscard]] uint64_t checkpoint_position() const {
-    return checkpoint_position_;
-  }
   [[nodiscard]] size_t retained_log_size() const { return log_.size(); }
   [[nodiscard]] const ReplicaOptions& options() const { return opt_; }
   [[nodiscard]] storage::ReplicaStore* store() const { return store_; }

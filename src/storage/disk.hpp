@@ -30,16 +30,6 @@ enum class IoStatus : uint8_t {
   kIoError,
 };
 
-[[nodiscard]] inline const char* io_status_name(IoStatus s) {
-  switch (s) {
-    case IoStatus::kOk: return "ok";
-    case IoStatus::kNotFound: return "not_found";
-    case IoStatus::kNoSpace: return "no_space";
-    case IoStatus::kIoError: return "io_error";
-  }
-  return "?";
-}
-
 class Disk {
  public:
   virtual ~Disk() = default;

@@ -204,7 +204,6 @@ TEST(ConfigFile, RejectsOptionValuesThatDoNotFit) {
   expect_option_rejected("idle_token_hold_us 9223372036854776");
   expect_option_rejected("packing 2");
   expect_option_rejected("auto_tune 2");
-  expect_option_rejected("adaptive_timeouts 2");
 }
 
 TEST(ConfigFile, AcceptsOptionValuesAtTheirLimits) {
@@ -214,7 +213,6 @@ option personal_window 4294967295
 option max_seq_gap 9223372036854775807
 option consensus_timeout_ms 9223372036854
 option idle_token_hold_us 9223372036854775
-option adaptive_timeouts 0
 )",
                                         error);
   ASSERT_TRUE(config.has_value()) << error.message;
@@ -223,7 +221,6 @@ option adaptive_timeouts 0
   EXPECT_EQ(config->proto.timeouts.consensus, util::msec(9223372036854));
   EXPECT_EQ(config->proto.timeouts.idle_token_hold,
             util::usec(9223372036854775));
-  EXPECT_FALSE(config->proto.adaptive_timeouts);
 }
 
 TEST(ConfigFile, LoadFromDisk) {

@@ -113,15 +113,16 @@ TEST(RecoveryTest, TokenLossReformsRingWithoutCrash) {
   log.attach(cluster);
   cluster.start_static();
 
-  // Eat every token (regular and commit) for 40 ms: the ring must detect
-  // the loss and rebuild — with the same membership.
+  // Eat every token (regular and commit) for 100 ms, longer than the warm
+  // token-loss timeout plus its one back-off: the ring must detect the loss
+  // and rebuild — with the same membership.
   bool eat_tokens = false;
   cluster.net().set_drop_filter(
       [&eat_tokens](int, int, int sock, const std::vector<std::byte>&) {
         return eat_tokens && sock == simnet::kTokenSocket;
       });
   cluster.eq().schedule(util::msec(20), [&] { eat_tokens = true; });
-  cluster.eq().schedule(util::msec(60), [&] { eat_tokens = false; });
+  cluster.eq().schedule(util::msec(120), [&] { eat_tokens = false; });
 
   for (int i = 0; i < 60; ++i) {
     cluster.eq().schedule(util::msec(2) + i * util::msec(2), [&cluster, i] {

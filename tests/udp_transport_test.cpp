@@ -36,12 +36,13 @@ using Addresses = LoopbackRing::Addresses;
 
 /// Sits between an engine and its transport and counts the data traffic:
 /// the data multicasts, the application messages they carry, and the data
-/// datagrams the transport hands up.
+/// datagrams the transport hands up. It also loses token sends on request.
 struct Tap final : LoopbackRing::Shim {
   UdpTransport& transport;
   uint64_t multicasts = 0;
   uint64_t messages = 0;  ///< application messages multicast (packed: each)
   uint64_t data_received = 0;
+  int tokens_to_drop = 0;  ///< the next token sends that never leave
 
   explicit Tap(UdpTransport& t) : transport(t) {}
 
@@ -64,6 +65,10 @@ struct Tap final : LoopbackRing::Shim {
   }
   void unicast(ProcessId to, protocol::SocketId sock,
                std::span<const std::byte> data, Nanos delay) override {
+    if (sock == protocol::kSockToken && tokens_to_drop > 0) {
+      --tokens_to_drop;
+      return;
+    }
     transport.unicast(to, sock, data, delay);
   }
   void deliver(const Delivery& d) override { transport.deliver(d); }
@@ -316,10 +321,11 @@ TEST(UdpTransport, CountsTraffic) {
 
 TEST(LoopbackRingTest, PausedDriverIsNotTokenLoss) {
   // The one thread that drives the ring stops for 150 ms, longer than the
-  // 100 ms token-loss timeout, five times under Agreed and Safe load. The
-  // network lost nothing, so the ring must not reform: every node installs
-  // only its first configuration, all deliver the same messages, and the
-  // EVS oracle finds nothing.
+  // token-loss timeout (the 100 ms base when cold, about 40 ms plus one
+  // back-off once warm), five times under Agreed and Safe load. The network
+  // lost nothing, so the ring must not reform: every node installs only its
+  // first configuration, all deliver the same messages, and the EVS oracle
+  // finds nothing.
   EventLoop loop;
   TappedRing ring(loop, 3);
   size_t submitted = 0;
@@ -342,6 +348,41 @@ TEST(LoopbackRingTest, PausedDriverIsNotTokenLoss) {
   ring.run_until_delivered(submitted);
   ring.oracle.finalize();
   EXPECT_TRUE(ring.oracle.ok()) << ring.oracle.report();
+  for (const Log& log : ring.logs) {
+    EXPECT_EQ(log.configs, 1);
+    EXPECT_EQ(log.delivered, ring.logs[0].delivered);
+  }
+  EXPECT_EQ(ring.logs[0].delivered.size(), submitted);
+}
+
+TEST(LoopbackRingTest, ThreeLostTokenSendsOnOneHopAreNotTokenLoss) {
+  // Under Agreed and Safe load, node 1 loses its next three token sends,
+  // its retransmissions included, so the ring falls silent for three
+  // token-retransmit intervals (60 ms): longer than the warm token-loss
+  // timeout (about 40 ms), shorter than that plus its one back-off. The
+  // members are alive, so the ring must keep its one configuration.
+  EventLoop loop;
+  TappedRing ring(loop, 3);
+  size_t submitted = 0;
+  for (uint32_t index = 0; index < 200; ++index) {
+    for (int i = 0; i < 3; ++i) {
+      const harness::PayloadStamp stamp{loop.now(), static_cast<uint32_t>(i),
+                                        index};
+      if (ring.ring.engine(i).submit(
+              index % 2 == 0 ? Service::kAgreed : Service::kSafe,
+              harness::make_payload(200, stamp))) {
+        ring.oracle.note_submit(i, index);
+        ++submitted;
+      }
+    }
+    if (index == 100) ring.taps[1]->tokens_to_drop = 3;
+    loop.run_for(util::msec(1));
+  }
+  ring.run_until_delivered(submitted);
+  ring.oracle.finalize();
+  EXPECT_TRUE(ring.oracle.ok()) << ring.oracle.report();
+  EXPECT_EQ(ring.taps[1]->tokens_to_drop, 0);
+  EXPECT_GE(ring.ring.engine(1).stats().token_retransmits, 3u);
   for (const Log& log : ring.logs) {
     EXPECT_EQ(log.configs, 1);
     EXPECT_EQ(log.delivered, ring.logs[0].delivered);

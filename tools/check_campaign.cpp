@@ -93,6 +93,7 @@ int main(int argc, char** argv) {
   uint64_t delivered = 0;
   uint64_t quarantines = 0;
   uint64_t readmits = 0;
+  uint64_t false_ejections = 0;
   std::vector<int> ring_counts =
       rings > 0 ? std::vector<int>{rings} : std::vector<int>{1, 4};
   for (int k : ring_counts) {
@@ -103,13 +104,15 @@ int main(int argc, char** argv) {
     delivered += result.delivered;
     quarantines += result.quarantines;
     readmits += result.readmits;
+    false_ejections += result.false_ejections;
   }
 
   std::fprintf(stderr,
                "check_campaign: %d runs, %llu deliveries, %llu quarantines "
-               "(%llu readmitted), %d failures\n",
+               "(%llu readmitted), %llu false ejections, %d failures\n",
                runs, static_cast<unsigned long long>(delivered),
                static_cast<unsigned long long>(quarantines),
-               static_cast<unsigned long long>(readmits), failures);
+               static_cast<unsigned long long>(readmits),
+               static_cast<unsigned long long>(false_ejections), failures);
   return failures == 0 ? 0 : 1;
 }
